@@ -11,6 +11,9 @@ from .matrix import check_matrix
 
 INIT_METHODS = ("forgy", "random-partition", "kmeanspp", "given")
 
+# Rows per block in the kmeans++ distance scans.
+_INIT_CHUNK = 8192
+
 
 @dataclass
 class CentroidSet:
@@ -130,15 +133,27 @@ def finalize_centroids(merged: Accumulator, prev: CentroidSet) -> CentroidSet:
 
 def init_centroids(m: np.ndarray, k: int, method: str = "forgy", seed: int = 0,
                    initial: np.ndarray | None = None) -> CentroidSet:
-    """Seeded initial centroids.
-
-    forgy samples k distinct rows; random-partition splits a seeded
-    permutation of the rows into k balanced groups and uses group means;
-    kmeanspp applies the usual squared-distance weighting; given takes
-    caller-supplied (k, d) values.
-    """
+    """Seeded initial centroids drawn from an in-memory matrix."""
     m = check_matrix(m)
     n, d = m.shape
+    return init_from_rows(lambda ids: m[ids], lambda lo, hi: m[lo:hi],
+                          n, d, k, method, seed, initial)
+
+
+def init_from_rows(take, block, n: int, d: int, k: int, method: str, seed: int,
+                   initial: np.ndarray | None) -> CentroidSet:
+    """Seeded initial centroids from n rows of width d, wherever they live.
+
+    ``take(ids)`` returns the rows at ``ids`` in that order; ``block(lo, hi)``
+    returns rows lo..hi-1.  In-memory and on-disk runs share this one
+    implementation, so both draw exactly the same centroids.
+
+    forgy samples k distinct rows; random-partition splits a seeded
+    permutation of the rows into k balanced groups and uses group means
+    (groups left empty when k > n take the mean of all rows); kmeanspp
+    applies the usual squared-distance weighting; given takes caller-supplied
+    (k, d) values.
+    """
     if method not in INIT_METHODS:
         raise ValueError(f"unknown init method {method!r}")
     if k < 1:
@@ -159,7 +174,7 @@ def init_centroids(m: np.ndarray, k: int, method: str = "forgy", seed: int = 0,
         if k > n:
             raise ValueError(f"forgy needs k <= n (k={k}, n={n})")
         rows = rng.choice(n, size=k, replace=False)
-        return CentroidSet.from_means(m[np.sort(rows)])
+        return CentroidSet.from_means(take(np.sort(rows)))
 
     if method == "random-partition":
         order = rng.permutation(n)
@@ -167,16 +182,25 @@ def init_centroids(m: np.ndarray, k: int, method: str = "forgy", seed: int = 0,
         means = np.empty((k, d), dtype=np.float64)
         for j, g in enumerate(groups):
             if g.size == 0:
-                means[j] = m.mean(axis=0)
+                means[j] = block(0, n).mean(axis=0)
             else:
-                means[j] = m[np.sort(g)].mean(axis=0)
+                means[j] = take(np.sort(g)).mean(axis=0)
         return CentroidSet.from_means(means)
 
     # kmeanspp
     if k > n:
         raise ValueError(f"kmeanspp needs k <= n (k={k}, n={n})")
+
+    def sqdist_to(idx: int) -> np.ndarray:
+        center = take(np.array([idx]))
+        d2 = np.empty(n, dtype=np.float64)
+        for lo in range(0, n, _INIT_CHUNK):
+            hi = min(lo + _INIT_CHUNK, n)
+            d2[lo:hi] = block_distances(block(lo, hi), center)[:, 0] ** 2
+        return d2
+
     chosen = [int(rng.integers(n))]
-    d2 = block_distances(m, m[chosen[-1]][None, :])[:, 0] ** 2
+    d2 = sqdist_to(chosen[-1])
     for _ in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -184,6 +208,5 @@ def init_centroids(m: np.ndarray, k: int, method: str = "forgy", seed: int = 0,
         else:
             idx = int(rng.integers(n))
         chosen.append(idx)
-        cand = block_distances(m, m[idx][None, :])[:, 0] ** 2
-        np.minimum(d2, cand, out=d2)
-    return CentroidSet.from_means(m[chosen])
+        np.minimum(d2, sqdist_to(idx), out=d2)
+    return CentroidSet.from_means(take(np.array(chosen)))

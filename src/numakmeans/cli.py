@@ -7,7 +7,8 @@ import sys
 
 import numpy as np
 
-from .engine import EngineConfig, kmeans
+from .centroids import INIT_METHODS
+from .engine import MODES, EngineConfig, kmeans
 from .matrix import (
     HEADER_SIZE,
     SyntheticSpec,
@@ -24,6 +25,7 @@ from .outofcore import (
     kmeans_ondisk,
 )
 from .report import format_report
+from .scheduler import POLICIES
 
 
 def _positive(value: str) -> int:
@@ -69,18 +71,17 @@ def build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("train", help="run k-means and emit a report")
     train.add_argument("--data", required=True)
     train.add_argument("--k", type=_positive, required=True)
-    train.add_argument("--mode", choices=("im", "sem"), default="im")
+    train.add_argument("--mode", choices=MODES, default="im")
     train.add_argument("--prune", action=argparse.BooleanOptionalAction, default=True)
     train.add_argument("--cache", action=argparse.BooleanOptionalAction, default=None,
                        help="row cache (sem mode only, default on)")
-    train.add_argument("--scheduler", choices=("numa", "fifo", "static"), default="numa")
+    train.add_argument("--scheduler", choices=POLICIES, default="numa")
     train.add_argument("-T", "--threads", type=_positive, default=1)
     train.add_argument("-N", "--nodes", type=_nonneg, default=0,
                        help="NUMA nodes (0 = detect)")
     train.add_argument("--task-size", type=_positive, default=8192)
     train.add_argument("--max-iters", type=_positive, default=100)
-    train.add_argument("--init", choices=("forgy", "random-partition", "kmeanspp", "given"),
-                       default="forgy")
+    train.add_argument("--init", choices=INIT_METHODS, default="forgy")
     train.add_argument("--init-centroids", default=None,
                        help="matrix file with k x d starting centroids (init=given)")
     train.add_argument("--seed", type=int, default=0)
@@ -117,8 +118,6 @@ def _cmd_gen(args) -> int:
 
 
 def _open_store(args) -> RowStore:
-    if args.raw and (args.n is None or args.d is None):
-        raise SystemExit(f"{args.command}: raw files need --n and --d")
     return RowStore.open(args.data, raw=args.raw, n=args.n, d=args.d,
                          page_size=getattr(args, "page_size", DEFAULT_PAGE_SIZE))
 
@@ -167,12 +166,7 @@ def _cmd_train(args) -> int:
     )
 
     if args.mode == "im":
-        if args.raw and (args.n is None or args.d is None):
-            raise SystemExit("train: raw files need --n and --d")
-        matrix = (
-            load_matrix(args.data, raw=True, n=args.n, d=args.d)
-            if args.raw else load_matrix(args.data)
-        )
+        matrix = load_matrix(args.data, raw=args.raw, n=args.n, d=args.d)
         result = kmeans(matrix, cfg)
     else:
         with _open_store(args) as store:
@@ -220,6 +214,8 @@ def _cmd_train(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.raw and (args.n is None or args.d is None):
+        raise SystemExit(f"{args.command}: raw files need --n and --d")
     try:
         if args.command == "gen":
             return _cmd_gen(args)

@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .centroids import (
+    INIT_METHODS,
     Accumulator,
     CentroidSet,
     finalize_centroids,
@@ -48,7 +49,6 @@ from .pruning import (
 )
 from .scheduler import POLICIES, PartitionedTaskQueue, bind_to_node, build_topology
 
-INIT_CHOICES = ("forgy", "random-partition", "kmeanspp", "given")
 MODES = ("im", "sem")
 
 # Rows per vectorized chunk are capped so per-chunk scratch stays well under
@@ -88,7 +88,7 @@ class EngineConfig:
             raise ValueError("N must be >= 0")
         if self.tolerance < 0:
             raise ValueError("tolerance must be >= 0")
-        if self.init not in INIT_CHOICES:
+        if self.init not in INIT_METHODS:
             raise ValueError(f"unknown init {self.init!r}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -106,12 +106,13 @@ class IoDelta:
     cache_misses: int = 0
     rows_elided: int = 0
 
-    def add(self, other: "IoDelta") -> None:
-        self.bytes_requested += other.bytes_requested
-        self.bytes_read += other.bytes_read
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.rows_elided += other.rows_elided
+    def __iadd__(self, other: "IoDelta") -> "IoDelta":
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        return self
+
+    def __sub__(self, other: "IoDelta") -> "IoDelta":
+        return IoDelta(*(getattr(self, f.name) - getattr(other, f.name) for f in fields(self)))
 
 
 @dataclass
@@ -202,7 +203,7 @@ class _TaskResult:
 class _Scratch(NearestScratch):
     """Per-worker reusable buffers for the assignment kernels."""
 
-    def __init__(self, chunk_rows: int, k: int, d: int):
+    def __init__(self, chunk_rows: int, d: int):
         super().__init__(chunk_rows, d)
         self.best = np.empty(chunk_rows, dtype=np.float64)
         self.ids = np.empty(chunk_rows, dtype=np.int32)
@@ -258,7 +259,7 @@ class _Engine:
     def _worker(self, w: int) -> None:
         try:
             bind_to_node(self.topology, w)
-            scratch = _Scratch(self.chunk_rows, self.k, self.d)
+            scratch = _Scratch(self.chunk_rows, self.d)
             while True:
                 while True:
                     task = self.queue.next_task(w, self.cfg.scheduler)

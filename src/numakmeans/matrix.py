@@ -69,6 +69,22 @@ def save_matrix(m: np.ndarray, path, raw: bool = False) -> None:
         raise MatrixIOError(f"write failed for {path} at byte offset {written}: {exc}") from exc
 
 
+def parse_header(path, blob: bytes) -> tuple[int, int]:
+    """(n, d) from the leading bytes of a header-carrying matrix file."""
+    if len(blob) < HEADER_SIZE:
+        raise MatrixFormatError(
+            f"{path}: file too short for header (expected >= {HEADER_SIZE} bytes, got {len(blob)})"
+        )
+    magic, version, n, d, dtype_code = struct.unpack(_HEADER_FMT, blob[:HEADER_SIZE])
+    if magic != MAGIC:
+        raise MatrixFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
+    if version != FORMAT_VERSION:
+        raise MatrixFormatError(f"{path}: unsupported format version {version}")
+    if dtype_code != DTYPE_F64:
+        raise MatrixFormatError(f"{path}: unknown dtype code {dtype_code}")
+    return int(n), int(d)
+
+
 def load_matrix(path, raw: bool = False, n: int | None = None, d: int | None = None) -> np.ndarray:
     """Read a matrix written by :func:`save_matrix`.
 
@@ -86,18 +102,7 @@ def load_matrix(path, raw: bool = False, n: int | None = None, d: int | None = N
             raise MatrixFormatError("raw files carry no shape; pass n and d explicitly")
         payload = blob
     else:
-        if len(blob) < HEADER_SIZE:
-            raise MatrixFormatError(
-                f"{path}: file too short for header (expected >= {HEADER_SIZE} bytes, got {len(blob)})"
-            )
-        magic, version, hn, hd, dtype_code = struct.unpack(_HEADER_FMT, blob[:HEADER_SIZE])
-        if magic != MAGIC:
-            raise MatrixFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-        if version != FORMAT_VERSION:
-            raise MatrixFormatError(f"{path}: unsupported format version {version}")
-        if dtype_code != DTYPE_F64:
-            raise MatrixFormatError(f"{path}: unknown dtype code {dtype_code}")
-        n, d = int(hn), int(hd)
+        n, d = parse_header(path, blob)
         payload = blob[HEADER_SIZE:]
 
     expected = n * d * 8

@@ -11,24 +11,14 @@ schedule, because rows that stay active tend to keep staying active.
 from __future__ import annotations
 
 import os
-import struct
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .centroids import CentroidSet
-from .distance import block_distances
+from .centroids import CentroidSet, init_from_rows
 from .engine import EngineConfig, IoDelta, KmeansResult, _Engine
-from .matrix import (
-    DTYPE_F64,
-    FORMAT_VERSION,
-    HEADER_SIZE,
-    MAGIC,
-    ROW_DTYPE,
-    MatrixFormatError,
-    _HEADER_FMT,
-)
+from .matrix import HEADER_SIZE, ROW_DTYPE, MatrixFormatError, parse_header
 
 DEFAULT_PAGE_SIZE = 4096
 DEFAULT_CACHE_BYTES = 64 * 1024 * 1024
@@ -71,8 +61,9 @@ class RowStore:
             if n is None or d is None:
                 raise MatrixFormatError("raw files carry no shape; pass n and d explicitly")
             return cls(path, n, d, page_size=page_size)
-        header = load_matrix_header(path)
-        return cls(path, header[0], header[1], page_size=page_size, payload_offset=HEADER_SIZE)
+        with open(path, "rb") as fh:
+            n, d = parse_header(path, fh.read(HEADER_SIZE))
+        return cls(path, n, d, page_size=page_size, payload_offset=HEADER_SIZE)
 
     def close(self) -> None:
         if self._fd is not None:
@@ -104,22 +95,6 @@ class RowStore:
         return blob
 
 
-def load_matrix_header(path) -> tuple[int, int]:
-    """(n, d) from a header-carrying matrix file, without reading the payload."""
-    with open(path, "rb") as fh:
-        head = fh.read(HEADER_SIZE)
-    if len(head) < HEADER_SIZE:
-        raise MatrixFormatError(f"{path}: file too short for header")
-    magic, version, n, d, dtype_code = struct.unpack(_HEADER_FMT, head)
-    if magic != MAGIC:
-        raise MatrixFormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
-    if version != FORMAT_VERSION:
-        raise MatrixFormatError(f"{path}: unsupported format version {version}")
-    if dtype_code != DTYPE_F64:
-        raise MatrixFormatError(f"{path}: unknown dtype code {dtype_code}")
-    return int(n), int(d)
-
-
 def page_runs(ids: np.ndarray, row_bytes: int, page_size: int):
     """Coalesced runs of distinct pages covering the given ascending row ids.
 
@@ -145,23 +120,13 @@ def page_runs(ids: np.ndarray, row_bytes: int, page_size: int):
     return runs, total
 
 
-@dataclass
-class IoStats:
-    """Monotone I/O counters for one run."""
-
-    bytes_requested: int = 0
-    bytes_read: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    rows_elided: int = 0
-
-    def snapshot(self) -> IoDelta:
-        return IoDelta(self.bytes_requested, self.bytes_read,
-                       self.cache_hits, self.cache_misses, self.rows_elided)
+# Run totals and per-iteration deltas are one counter type; this is its
+# public name for the counter passed to fetch_rows.
+IoStats = IoDelta
 
 
 def fetch_rows(store: RowStore, ids: np.ndarray, cache: "RowCache | None" = None,
-               stats: IoStats | None = None) -> np.ndarray:
+               stats: IoDelta | None = None) -> np.ndarray:
     """Row data for ascending ids; rows[i] corresponds to ids[i].
 
     Cached rows are served from the published index; the rest are read in
@@ -301,20 +266,17 @@ class _DiskSource:
         self.cache = (
             RowCache(T, cache_capacity, store.row_bytes) if cache_enabled else None
         )
-        self.stats = IoStats()
+        self.stats = IoDelta()
         self._lock = threading.Lock()
         self._collecting = False
         self._pending: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in range(T)]
         self._last = IoDelta()
 
     def _fetch(self, task, ids: np.ndarray) -> np.ndarray:
-        local = IoStats()
+        local = IoDelta()
         rows = fetch_rows(self.store, ids, self.cache, local)
         with self._lock:
-            self.stats.bytes_requested += local.bytes_requested
-            self.stats.bytes_read += local.bytes_read
-            self.stats.cache_hits += local.cache_hits
-            self.stats.cache_misses += local.cache_misses
+            self.stats += local
             if self._collecting:
                 self._pending[task.owner].append((ids, rows))
         return rows
@@ -338,103 +300,38 @@ class _DiskSource:
             self.cache.rebuild(self._pending)
             self._pending = [[] for _ in range(len(self._pending))]
             self._collecting = False
-        snap = self.stats.snapshot()
-        delta = IoDelta(
-            snap.bytes_requested - self._last.bytes_requested,
-            snap.bytes_read - self._last.bytes_read,
-            snap.cache_hits - self._last.cache_hits,
-            snap.cache_misses - self._last.cache_misses,
-            snap.rows_elided - self._last.rows_elided,
-        )
-        self._last = snap
+        delta = self.stats - self._last
+        self._last += delta
         return delta
 
     def total_io(self) -> IoDelta:
-        return self.stats.snapshot()
+        return self.stats
 
     def state_bytes(self) -> int:
         # Row data lives on disk; the cache and fetch buffers are accounted
         # separately from resident engine state.
         return 0
 
-    # -- initialization reads happen before the run; their I/O is setup cost
-    #    and is excluded from the per-iteration report.
-
     def init_centroids(self, cfg: EngineConfig) -> CentroidSet:
-        c = _init_from_store(self.store, cfg)
-        self.stats = IoStats()
-        self._last = IoDelta()
-        return c
-
-
-def _init_rows(store: RowStore, ids: np.ndarray) -> np.ndarray:
-    return fetch_rows(store, np.sort(np.asarray(ids, dtype=np.int64)))
+        # Initialization fetches pass no counter: their reads are setup cost
+        # and stay out of the per-iteration I/O report and the run totals.
+        return _init_from_store(self.store, cfg)
 
 
 def _init_from_store(store: RowStore, cfg: EngineConfig) -> CentroidSet:
-    """Seeded initialization from disk; draws match the in-memory path exactly."""
-    n, d, k = store.n, store.d, cfg.k
-    if cfg.init == "given":
-        if cfg.initial_centroids is None:
-            raise ValueError("init method 'given' requires initial centroids")
-        initial = np.ascontiguousarray(cfg.initial_centroids, dtype=np.float64)
-        if initial.shape != (k, d):
-            raise ValueError(f"initial centroids must be ({k}, {d}), got {initial.shape}")
-        if not np.isfinite(initial).all():
-            raise ValueError("initial centroids must be finite")
-        return CentroidSet.from_means(initial)
+    """Seeded initialization from disk; the draws are the in-memory path's."""
 
-    rng = np.random.default_rng(cfg.seed)
-    if cfg.init == "forgy":
-        if k > n:
-            raise ValueError(f"forgy needs k <= n (k={k}, n={n})")
-        rows = rng.choice(n, size=k, replace=False)
-        return CentroidSet.from_means(_init_rows(store, rows))
+    def take(ids):
+        order = np.argsort(ids, kind="stable")
+        rows = np.empty((ids.size, store.d), dtype=np.float64)
+        rows[order] = fetch_rows(store, ids[order])
+        return rows
 
-    if cfg.init == "random-partition":
-        order = rng.permutation(n)
-        groups = np.array_split(order, k)
-        means = np.empty((k, d), dtype=np.float64)
-        for j, g in enumerate(groups):
-            if g.size == 0:
-                means[j] = _chunked_mean(store, np.arange(n, dtype=np.int64))
-            else:
-                means[j] = _init_rows(store, g).mean(axis=0)
-        return CentroidSet.from_means(means)
+    def block(lo, hi):
+        return fetch_rows(store, np.arange(lo, hi, dtype=np.int64))
 
-    # kmeanspp
-    if k > n:
-        raise ValueError(f"kmeanspp needs k <= n (k={k}, n={n})")
-    chosen = [int(rng.integers(n))]
-    d2 = _chunked_sqdist(store, _init_rows(store, [chosen[-1]])[0])
-    for _ in range(1, k):
-        total = d2.sum()
-        if total > 0:
-            idx = int(rng.choice(n, p=d2 / total))
-        else:
-            idx = int(rng.integers(n))
-        chosen.append(idx)
-        cand = _chunked_sqdist(store, _init_rows(store, [idx])[0])
-        np.minimum(d2, cand, out=d2)
-    chosen_arr = np.asarray(chosen, dtype=np.int64)
-    order = np.argsort(chosen_arr, kind="stable")
-    means = np.empty((k, d), dtype=np.float64)
-    means[order] = fetch_rows(store, chosen_arr[order])
-    return CentroidSet.from_means(means)
-
-
-def _chunked_sqdist(store: RowStore, center: np.ndarray, chunk: int = 8192) -> np.ndarray:
-    d2 = np.empty(store.n, dtype=np.float64)
-    for lo in range(0, store.n, chunk):
-        hi = min(lo + chunk, store.n)
-        rows = fetch_rows(store, np.arange(lo, hi, dtype=np.int64))
-        d2[lo:hi] = block_distances(rows, center[None, :])[:, 0] ** 2
-    return d2
-
-
-def _chunked_mean(store: RowStore, ids: np.ndarray) -> np.ndarray:
-    rows = fetch_rows(store, ids)
-    return rows.mean(axis=0)
+    return init_from_rows(take, block, store.n, store.d, cfg.k, cfg.init, cfg.seed,
+                          cfg.initial_centroids)
 
 
 def kmeans_ondisk(store: RowStore, cfg: EngineConfig, *,

@@ -69,17 +69,6 @@ class PruneState:
     upper: np.ndarray       # (n,) float64, >= distance to assigned centroid
     tight: np.ndarray       # (n,) bool, True when upper is the exact distance
 
-    @classmethod
-    def empty(cls, n: int) -> "PruneState":
-        return cls(
-            assignment=np.zeros(n, dtype=np.int32),
-            upper=np.full(n, np.inf),
-            tight=np.zeros(n, dtype=bool),
-        )
-
-    def state_bytes(self) -> int:
-        return self.assignment.nbytes + self.upper.nbytes + self.tight.nbytes
-
 
 @dataclass
 class PruneCounters:

@@ -279,6 +279,23 @@ def test_sem_init_matches_in_memory_bitwise(tmp_path):
             mem = init_centroids(m, 6, method, seed=17)
             assert np.array_equal(disk.means, mem.means), method
 
+    long = gen_synthetic(SyntheticSpec("uniform", 2 * 8192 + 37, 5, seed=32))
+    flat = np.full((40, 5), 2.5)
+    cases = [(long, 6, method, None) for method in ("forgy", "random-partition", "kmeanspp")]
+    cases += [
+        (m, 6, "given", m[::100][:6] + 0.25),
+        (flat, 6, "kmeanspp", None),           # every d2 total is zero
+        (m[:5], 9, "random-partition", None),  # k > n leaves empty groups
+    ]
+    for i, (rows, k, method, initial) in enumerate(cases):
+        path = tmp_path / f"case{i}.raw"
+        save_matrix(rows, path, raw=True)
+        cfg = EngineConfig(k=k, init=method, seed=17, mode="sem", initial_centroids=initial)
+        with RowStore(path, *rows.shape) as store:
+            disk = _init_from_store(store, cfg)
+        mem = init_centroids(rows, k, method, seed=17, initial=initial)
+        assert np.array_equal(disk.means, mem.means), (method, rows.shape, k)
+
 
 def test_quarter_capacity_hit_rate_tracks_stable_active_rows(tmp_path):
     n, d, k = 20000, 8, 8
