@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -26,6 +27,9 @@ from .outofcore import (
 )
 from .report import format_report
 from .scheduler import POLICIES
+
+# EngineConfig fields that are inputs or test switches, not run settings.
+_NOT_ECHOED = ("initial_centroids", "collect_assignments", "validate_bounds")
 
 
 def _positive(value: str) -> int:
@@ -177,24 +181,16 @@ def _cmd_train(args) -> int:
                 schedule=CacheSchedule(args.refresh_start),
             )
 
-    config_echo = {
-        "data": args.data,
-        "k": args.k,
-        "mode": args.mode,
-        "pruning": args.prune,
-        "cache": cache_enabled if args.mode == "sem" else None,
-        "scheduler": args.scheduler,
-        "T": args.threads,
-        "N": args.nodes,
-        "task_size": args.task_size,
-        "max_iters": args.max_iters,
-        "init": args.init,
-        "seed": args.seed,
-        "tolerance": args.tolerance,
-        "page_size": args.page_size if args.mode == "sem" else None,
-        "cache_capacity": args.cache_capacity if args.mode == "sem" else None,
-        "refresh_start": args.refresh_start if args.mode == "sem" else None,
-    }
+    sem = args.mode == "sem"
+    config_echo = {f.name: getattr(cfg, f.name) for f in fields(cfg)
+                   if f.name not in _NOT_ECHOED}
+    config_echo.update(
+        data=args.data,
+        cache=cache_enabled if sem else None,
+        page_size=args.page_size if sem else None,
+        cache_capacity=args.cache_capacity if sem else None,
+        refresh_start=args.refresh_start if sem else None,
+    )
     text = format_report(config_echo, result)
     if args.report:
         with open(args.report, "w") as fh:

@@ -5,7 +5,8 @@ per-point state lives in memory.  Reads happen at page granularity (4KB by
 default), so fetching scattered rows pulls in more bytes than requested; the
 accounting here tracks both quantities.  A partitioned row cache pins active
 rows in memory at row granularity and is refreshed lazily on an exponential
-schedule, because rows that stay active tend to keep staying active.
+schedule, because rows that stay active tend to keep staying active.  The
+cache is one sorted id array and one row block, searched in a single call.
 """
 
 from __future__ import annotations
@@ -129,9 +130,10 @@ def fetch_rows(store: RowStore, ids: np.ndarray, cache: "RowCache | None" = None
                stats: IoDelta | None = None) -> np.ndarray:
     """Row data for ascending ids; rows[i] corresponds to ids[i].
 
-    Cached rows are served from the published index; the rest are read in
-    batched, coalesced page runs.  ``bytes_requested`` grows by one row width
-    per id, ``bytes_read`` by page_size per distinct uncached page.
+    Cached rows are served from the published cache; the rest are read in
+    batched, coalesced page runs and must be finite.  ``bytes_requested``
+    grows by one row width per id, ``bytes_read`` by page_size per distinct
+    uncached page.
     """
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size:
@@ -148,22 +150,18 @@ def fetch_rows(store: RowStore, ids: np.ndarray, cache: "RowCache | None" = None
         return out
 
     if cache is not None:
-        index = cache.published
-        miss_pos = []
-        hits = 0
-        for i, rid in enumerate(ids):
-            row = index.get(int(rid))
-            if row is None:
-                miss_pos.append(i)
-            else:
-                out[i] = row
-                hits += 1
+        cached_ids, cached_rows = cache.published
+        pos = np.searchsorted(cached_ids, ids)
+        hit = pos < cached_ids.size
+        hit[hit] = cached_ids[pos[hit]] == ids[hit]
+        out[hit] = cached_rows[pos[hit]]
+        hits = int(np.count_nonzero(hit))
         if stats is not None:
             stats.cache_hits += hits
-            stats.cache_misses += len(miss_pos)
-        if not miss_pos:
+            stats.cache_misses += ids.size - hits
+        if hits == ids.size:
             return out
-        miss_pos = np.asarray(miss_pos, dtype=np.int64)
+        miss_pos = np.flatnonzero(~hit)
         miss_ids = ids[miss_pos]
     else:
         # No cache configured: hit/miss counters stay untouched.
@@ -184,19 +182,23 @@ def fetch_rows(store: RowStore, ids: np.ndarray, cache: "RowCache | None" = None
             take += 1
         batch = miss_ids[cursor:take]
         offsets = (batch * store.row_bytes - run_start) // 8
-        out[miss_pos[cursor:take]] = flat[offsets[:, None] + np.arange(d)]
+        rows = flat[offsets[:, None] + np.arange(d)]
+        if not np.isfinite(rows).all():
+            bad = int(batch[~np.isfinite(rows).all(axis=1)][0])
+            raise MatrixFormatError(f"non-finite value in row {bad}")
+        out[miss_pos[cursor:take]] = rows
         cursor = take
     assert cursor == miss_ids.size
     return out
 
 
 class RowCache:
-    """Partitioned row cache with an immutable published index.
+    """Partitioned row cache published as one sorted id array and one row block.
 
     Each partition holds its owner's active rows up to an equal share of the
-    byte capacity, admitted in ascending id order.  The merged id->row index
-    is republished atomically at refresh barriers and read lock-free between
-    them.
+    byte capacity, admitted in ascending id order.  ``published = (ids, rows)``
+    holds ascending int64 ids and their contiguous (len(ids), d) row block; it
+    is replaced in one store at refresh barriers and read lock-free between.
     """
 
     def __init__(self, n_partitions: int, capacity_bytes: int, row_bytes: int):
@@ -208,32 +210,29 @@ class RowCache:
         self.capacity_bytes = capacity_bytes
         self.row_bytes = row_bytes
         self.rows_per_partition = (capacity_bytes // n_partitions) // row_bytes
-        self.partitions: list[dict[int, np.ndarray]] = [{} for _ in range(n_partitions)]
-        self.published: dict[int, np.ndarray] = {}
-        self.refresh_count = 0
+        self.rebuild([])
 
     def cached_rows(self) -> int:
-        return len(self.published)
+        return self.published[0].size
 
     def cached_bytes(self) -> int:
-        return len(self.published) * self.row_bytes
+        return self.cached_rows() * self.row_bytes
 
     def rebuild(self, collected: list[list[tuple[np.ndarray, np.ndarray]]]) -> None:
-        """Flush and repopulate each partition from its active rows, then publish."""
-        merged: dict[int, np.ndarray] = {}
-        for p in range(self.n_partitions):
-            part: dict[int, np.ndarray] = {}
-            chunks = collected[p]
+        """Flush and repopulate each partition from its active rows, then publish.
+
+        Partition p's ids must lie below partition p+1's, as the engine's
+        per-worker row ranges do, so the concatenation stays sorted.
+        """
+        ids = [np.empty(0, dtype=np.int64)]
+        rows = [np.empty((0, self.row_bytes // 8), dtype=np.float64)]
+        for chunks in collected:
             if chunks and self.rows_per_partition > 0:
-                all_ids = np.concatenate([c[0] for c in chunks])
-                all_rows = np.concatenate([c[1] for c in chunks], axis=0)
-                order = np.argsort(all_ids, kind="stable")[: self.rows_per_partition]
-                for i in order:
-                    part[int(all_ids[i])] = all_rows[i].copy()
-            self.partitions[p] = part
-            merged.update(part)
-        self.published = merged
-        self.refresh_count += 1
+                part_ids = np.concatenate([c[0] for c in chunks])
+                keep = np.argsort(part_ids, kind="stable")[: self.rows_per_partition]
+                ids.append(part_ids[keep])
+                rows.append(np.concatenate([c[1] for c in chunks], axis=0)[keep])
+        self.published = (np.concatenate(ids), np.concatenate(rows, axis=0))
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .centroids import CentroidSet
-from .distance import rowwise_distances
+from .distance import block_distances, rowwise_distances
 
 
 @dataclass
@@ -46,13 +46,13 @@ class CentroidGeometry:
 
 
 def centroid_geometry(c: CentroidSet) -> CentroidGeometry:
-    """Exact k(k-1)/2 centroid-to-centroid distances, halved once at storage."""
+    """Exact centroid-to-centroid distances, halved once at storage.
+
+    Symmetric bit for bit: d(a, b) and d(b, a) square the same differences,
+    which differ only in sign.
+    """
     k = c.k
-    half = np.zeros((k, k), dtype=np.float64)
-    for a in range(k - 1):
-        row = rowwise_distances(c.means[a + 1:], c.means[a]) * 0.5
-        half[a, a + 1:] = row
-        half[a + 1:, a] = row
+    half = block_distances(c.means, c.means) * 0.5
     if k == 1:
         half_min = np.array([np.inf])
     else:

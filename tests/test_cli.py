@@ -149,6 +149,11 @@ def test_train_raw_roundtrip(tmp_path):
     assert rc == 0
     rep = parse_report(report.read_text())
     assert rep["config"]["mode"] == "sem"
+    assert set(rep["config"]) == {
+        "data", "k", "mode", "pruning", "cache", "scheduler", "T", "N", "task_size",
+        "max_iters", "init", "seed", "tolerance", "page_size", "cache_capacity",
+        "refresh_start",
+    }
     assert rep["iterations"]
 
 

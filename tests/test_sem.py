@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from numakmeans.engine import EngineConfig, kmeans
-from numakmeans.matrix import SyntheticSpec, gen_synthetic, save_matrix
+from numakmeans.matrix import MatrixFormatError, SyntheticSpec, gen_synthetic, save_matrix
 from numakmeans.outofcore import (
     CacheSchedule,
     IoStats,
@@ -168,9 +168,50 @@ def test_cache_rebuild_truncates_by_ascending_id(rng):
         [(np.array([20, 30, 40]), rows[3:6])],
     ]
     cache.rebuild(collected)
-    assert sorted(cache.published) == [1, 5, 20, 30]
+    ids, cached = cache.published
+    assert ids.tolist() == [1, 5, 20, 30]
     assert cache.cached_bytes() <= cache.capacity_bytes
-    assert np.array_equal(cache.published[1], rows[2])
+    assert np.array_equal(cached[0], rows[2])
+
+
+def test_fetch_through_partly_filled_cache(tmp_path):
+    m = gen_synthetic(SyntheticSpec("uniform", 512, 8, seed=5))
+    path = tmp_path / "p.raw"
+    save_matrix(m, path, raw=True)  # 64B rows, 64 rows per 4KB page
+    # below, equal to, between and above the cached ids 10, 11, 200, 300
+    ids = np.array([0, 5, 10, 11, 100, 200, 250, 300, 400, 511])
+    with RowStore(path, 512, 8) as store:
+        plain = fetch_rows(store, ids)
+    cache = RowCache(n_partitions=2, capacity_bytes=512 * 64, row_bytes=64)
+    cache.rebuild([[(np.array([200, 10, 11]), m[[200, 10, 11]])],
+                   [(np.array([300]), m[[300]])]])
+    # misses 0, 5 | 100 | 250 | 400 | 511 sit on pages 0, 1, 3, 6, 7; page 4
+    # holds only the cached row 300 and must not be read
+    for cache_, hits, pages in ((cache, 4, 5), (RowCache(2, 0, 64), 0, 6)):
+        stats = IoStats()
+        store = CountingStore(path, 512, 8)
+        rows = fetch_rows(store, ids, cache_, stats)
+        store.close()
+        assert rows.tobytes() == plain.tobytes()
+        assert (stats.cache_hits, stats.cache_misses) == (hits, ids.size - hits)
+        assert stats.bytes_read == store.physical_bytes == pages * 4096
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sem_rejects_non_finite_rows(tmp_path, bad):
+    m = gen_synthetic(SyntheticSpec("uniform", 300, 4, seed=8))
+    m[137, 2] = bad
+    path = tmp_path / "bad.raw"
+    m.tofile(path)  # save_matrix would refuse it
+    with pytest.raises(MatrixFormatError, match="non-finite value in row 137"):
+        kmeans(m, EngineConfig(k=3))
+    for init in ("forgy", "kmeanspp"):
+        for cache_enabled in (True, False):
+            cfg = EngineConfig(k=3, init=init, seed=1, T=2, mode="sem")
+            with RowStore(path, 300, 4) as store:
+                with pytest.raises(MatrixFormatError, match="non-finite value in row 137"):
+                    kmeans_ondisk(store, cfg, cache_enabled=cache_enabled,
+                                  schedule=CacheSchedule(1))
 
 
 def test_cache_zero_capacity_stays_empty(tmp_path):
@@ -232,8 +273,8 @@ def test_cached_rows_bit_identical_to_disk(tmp_path):
             kmeans_ondisk(store, cfg, cache_capacity=10**7, schedule=CacheSchedule(1))
         finally:
             outofcore._DiskSource = orig
-        cache = source_holder["src"].cache
-        for rid, row in cache.published.items():
+        ids, rows = source_holder["src"].cache.published
+        for rid, row in zip(ids, rows):
             assert row.tobytes() == m[rid].tobytes()
 
 
