@@ -20,6 +20,7 @@ from .matrix import (
 from .outofcore import (
     DEFAULT_CACHE_BYTES,
     DEFAULT_PAGE_SIZE,
+    DEFAULT_REFRESH_START,
     CacheSchedule,
     RowStore,
     fetch_rows,
@@ -96,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--page-size", type=_positive, default=DEFAULT_PAGE_SIZE)
     train.add_argument("--cache-capacity", type=_nonneg, default=DEFAULT_CACHE_BYTES,
                        help="row cache capacity in bytes")
-    train.add_argument("--refresh-start", type=_positive, default=5,
+    train.add_argument("--refresh-start", type=_positive, default=DEFAULT_REFRESH_START,
                        help="first cache refresh iteration; gaps double afterwards")
     train.add_argument("--report", default=None, help="write the report here instead of stdout")
     train.add_argument("--save-centroids", default=None, help="write final centroids as a matrix file")

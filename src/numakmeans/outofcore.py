@@ -2,9 +2,12 @@
 
 Row data stays on disk in the raw row-major float64 layout; only O(n)
 per-point state lives in memory.  Reads happen at page granularity (4KB by
-default), so fetching scattered rows pulls in more bytes than requested; the
-accounting here tracks both quantities.  A partitioned row cache pins active
-rows in memory at row granularity and is refreshed lazily on an exponential
+default, any positive number of bytes), so fetching scattered rows pulls in
+more bytes than requested; the accounting here tracks both quantities.  Each
+coalesced run of pages is read in one call and viewed as the whole rows that
+start inside it, so rows need not align with pages, and the fetched rows are
+checked finite once per call.  A partitioned row cache pins active rows in
+memory at row granularity and is refreshed lazily on an exponential
 schedule, because rows that stay active tend to keep staying active.  The
 cache is one sorted id array and one row block, searched in a single call.
 """
@@ -99,26 +102,19 @@ class RowStore:
 def page_runs(ids: np.ndarray, row_bytes: int, page_size: int):
     """Coalesced runs of distinct pages covering the given ascending row ids.
 
-    Returns (runs, total_pages) where each run is (first_page, n_pages) and
-    adjacent pages are merged into one run.
+    Returns arrays (first_page, n_pages, cuts): run r reads pages
+    first_page[r] .. first_page[r] + n_pages[r] - 1, adjacent pages merged, and
+    serves ids[cuts[r]:cuts[r + 1]].  Empty ids give zero runs and cuts [0].
     """
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.size == 0:
-        return [], 0
     starts = ids * row_bytes
     first = starts // page_size
     last = (starts + row_bytes - 1) // page_size
-    brk = np.flatnonzero(first[1:] > last[:-1] + 1)
-    run_lo = np.concatenate(([0], brk + 1))
-    run_hi = np.concatenate((brk, [ids.size - 1]))
-    runs = []
-    total = 0
-    for lo, hi in zip(run_lo, run_hi):
-        fp = int(first[lo])
-        np_ = int(last[hi]) - fp + 1
-        runs.append((fp, np_))
-        total += np_
-    return runs, total
+    opens = np.ones(ids.size, dtype=bool)
+    opens[1:] = first[1:] > last[:-1] + 1
+    lo = np.flatnonzero(opens)
+    cuts = np.append(lo, ids.size)
+    return first[lo], last[cuts[1:] - 1] - first[lo] + 1, cuts
 
 
 # Run totals and per-iteration deltas are one counter type; this is its
@@ -130,10 +126,12 @@ def fetch_rows(store: RowStore, ids: np.ndarray, cache: "RowCache | None" = None
                stats: IoDelta | None = None) -> np.ndarray:
     """Row data for ascending ids; rows[i] corresponds to ids[i].
 
-    Cached rows are served from the published cache; the rest are read in
-    batched, coalesced page runs and must be finite.  ``bytes_requested``
-    grows by one row width per id, ``bytes_read`` by page_size per distinct
-    uncached page.
+    Cached rows are served from the published cache.  The rest are read one
+    coalesced page run at a time, and each run's ids are gathered from the
+    whole rows that start inside it.  One finiteness check per call rejects a
+    non-finite row.  ``bytes_requested`` grows by one row width per id,
+    ``bytes_read`` by page_size per distinct uncached page, the payload's
+    last page counting only up to the end of the payload.
     """
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size:
@@ -168,27 +166,22 @@ def fetch_rows(store: RowStore, ids: np.ndarray, cache: "RowCache | None" = None
         miss_pos = np.arange(ids.size, dtype=np.int64)
         miss_ids = ids
 
-    runs, total_pages = page_runs(miss_ids, store.row_bytes, store.page_size)
-    if stats is not None:
-        stats.bytes_read += store.page_size * total_pages
-    cursor = 0
-    for first_page, n_pages in runs:
-        run_start = first_page * store.page_size
-        run_stop = (first_page + n_pages) * store.page_size
-        blob = store.read_pages(first_page, n_pages)
-        flat = np.frombuffer(blob, dtype=ROW_DTYPE)
-        take = cursor
-        while take < miss_ids.size and miss_ids[take] * store.row_bytes < run_stop:
-            take += 1
-        batch = miss_ids[cursor:take]
-        offsets = (batch * store.row_bytes - run_start) // 8
-        rows = flat[offsets[:, None] + np.arange(d)]
-        if not np.isfinite(rows).all():
-            bad = int(batch[~np.isfinite(rows).all(axis=1)][0])
-            raise MatrixFormatError(f"non-finite value in row {bad}")
-        out[miss_pos[cursor:take]] = rows
-        cursor = take
-    assert cursor == miss_ids.size
+    first_pages, n_pages, cuts = page_runs(miss_ids, store.row_bytes, store.page_size)
+    for first_page, pages, lo, hi in zip(first_pages.tolist(), n_pages.tolist(),
+                                         cuts[:-1].tolist(), cuts[1:].tolist()):
+        blob = store.read_pages(first_page, pages)
+        if stats is not None:
+            stats.bytes_read += len(blob)
+        # Whole rows starting inside the run begin at row r0, skip bytes in.
+        start = first_page * store.page_size
+        r0 = -(-start // store.row_bytes)
+        skip = r0 * store.row_bytes - start
+        whole = (len(blob) - skip) // store.row_bytes
+        view = np.frombuffer(blob, ROW_DTYPE, whole * d, skip).reshape(whole, d)
+        out[miss_pos[lo:hi]] = view[miss_ids[lo:hi] - r0]
+    if not np.isfinite(out).all():
+        bad = int(ids[~np.isfinite(out).all(axis=1)][0])
+        raise MatrixFormatError(f"non-finite value in row {bad}")
     return out
 
 
@@ -237,7 +230,7 @@ class RowCache:
 
 @dataclass(frozen=True)
 class CacheSchedule:
-    """Refresh at iteration ``start``, then with doubling gaps (start, 2*start, ...)."""
+    """Refresh at iteration ``start``, then with doubling gaps (2*start, 4*start, ...)."""
 
     start: int = DEFAULT_REFRESH_START
 

@@ -72,13 +72,18 @@ def test_full_page_of_rows_reads_once(store_8):
 def test_adjacent_pages_coalesce(store_8):
     store, _ = store_8
     # rows 0 and 64 live on pages 0 and 1: one two-page run
-    runs, total = page_runs(np.array([0, 64]), store.row_bytes, store.page_size)
-    assert runs == [(0, 2)]
-    assert total == 2
+    first, pages, cuts = page_runs(np.array([0, 64]), store.row_bytes, store.page_size)
+    assert list(zip(first.tolist(), pages.tolist())) == [(0, 2)]
+    assert pages.sum() == 2
+    assert cuts.tolist() == [0, 2]
     # rows 0 and 128 live on pages 0 and 2: two runs
-    runs, total = page_runs(np.array([0, 128]), store.row_bytes, store.page_size)
-    assert runs == [(0, 1), (2, 1)]
-    assert total == 2
+    first, pages, cuts = page_runs(np.array([0, 128]), store.row_bytes, store.page_size)
+    assert list(zip(first.tolist(), pages.tolist())) == [(0, 1), (2, 1)]
+    assert pages.sum() == 2
+    assert cuts.tolist() == [0, 1, 2]
+    first, pages, cuts = page_runs(np.array([], dtype=np.int64), store.row_bytes,
+                                   store.page_size)
+    assert (first.size, pages.sum(), cuts.tolist()) == (0, 0, [0])
 
 
 def test_row_straddling_pages_counts_both(tmp_path):
@@ -91,6 +96,14 @@ def test_row_straddling_pages_counts_both(tmp_path):
     # row 1 spans bytes [2400, 4800): pages 0 and 1
     assert stats.bytes_read == 8192
     assert np.array_equal(rows[0], m[1])
+    # most rows straddle a page boundary; the runs start mid-row
+    for ids in (np.arange(10), np.array([1, 4, 8])):
+        stats = IoStats()
+        store = CountingStore(path, 10, 300)
+        rows = fetch_rows(store, ids, None, stats)
+        store.close()
+        assert rows.tobytes() == m[ids].tobytes()
+        assert stats.bytes_read == store.physical_bytes
 
 
 def test_fetch_validates_ids(store_8):
@@ -130,14 +143,16 @@ def test_store_open_header_file(tmp_path):
         assert rows.tobytes() == m.tobytes()
 
 
-def test_bytes_read_matches_physical_shim(tmp_path):
+@pytest.mark.parametrize("page_size", [4096, 100, 12, 7])
+def test_bytes_read_matches_physical_shim(tmp_path, page_size):
     m = gen_synthetic(SyntheticSpec("uniform", 512, 8, seed=5))
     path = tmp_path / "c.raw"
-    save_matrix(m, path, raw=True)  # 32768B = exactly 8 pages
+    save_matrix(m, path, raw=True)  # 32768B = exactly 8 pages of 4096
     stats = IoStats()
-    store = CountingStore(path, 512, 8)
+    store = CountingStore(path, 512, 8, page_size=page_size)
     ids = np.array([0, 1, 100, 101, 200, 511])
-    fetch_rows(store, ids, None, stats)
+    rows = fetch_rows(store, ids, None, stats)
+    assert rows.tobytes() == m[ids].tobytes()
     assert stats.bytes_read == store.physical_bytes
     store.close()
 
@@ -249,6 +264,22 @@ def test_sem_matches_in_memory_and_capacity_is_transparent(tmp_path):
         for a, b in zip(sem.assignment_history, im.assignment_history):
             assert np.array_equal(a, b)
         assert np.array_equal(sem.centroids.means, im.centroids.means)
+
+
+@pytest.mark.parametrize("page_size", [12, 100])
+def test_sem_matches_in_memory_at_unaligned_page_size(tmp_path, page_size):
+    # 40-byte rows: pages neither hold whole rows nor a whole number of floats
+    spec = SyntheticSpec("gaussian-mixture", 3000, 5, seed=4, k_true=4, separation=2.0)
+    m = gen_synthetic(spec)
+    path = tmp_path / "m.raw"
+    save_matrix(m, path, raw=True)
+    im = kmeans(m, EngineConfig(k=4, seed=2, T=2))
+    cfg = EngineConfig(k=4, seed=2, T=2, mode="sem")
+    with RowStore(path, 3000, 5, page_size=page_size) as store:
+        sem = kmeans_ondisk(store, cfg, schedule=CacheSchedule(1))
+    assert sem.io_totals.cache_hits > 0
+    assert np.array_equal(sem.assignments, im.assignments)
+    assert np.array_equal(sem.centroids.means, im.centroids.means)
 
 
 def test_cached_rows_bit_identical_to_disk(tmp_path):
