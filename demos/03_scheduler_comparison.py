@@ -6,18 +6,15 @@ all three policies produce identical assignments.  The counters show how
 tasks moved: the NUMA policy steals from same-node victims first, FIFO steals
 from anyone, static never steals.
 
-This box may not have multiple NUMA nodes; the run forces a 2-node layout
-through the topology override so the locality tiers are visible anyway.
+The machine may not have multiple NUMA nodes; the runs force a 2-node layout
+with ``N=2`` so the locality tiers are visible anyway.
 """
 
-import os
 import time
 
 import numpy as np
 
 from numakmeans import EngineConfig, SyntheticSpec, gen_synthetic, kmeans
-
-os.environ.setdefault("NUMAKMEANS_NODES", "2")
 
 N, D, K, T = 100_000, 8, 16, 4
 
@@ -26,7 +23,7 @@ matrix = gen_synthetic(spec)
 
 runs = {}
 for policy in ("numa", "fifo", "static"):
-    cfg = EngineConfig(k=K, seed=9, T=T, scheduler=policy, pruning=True,
+    cfg = EngineConfig(k=K, seed=9, T=T, N=2, scheduler=policy, pruning=True,
                        task_size=2048, max_iters=20)
     started = time.perf_counter()
     runs[policy] = kmeans(matrix, cfg)

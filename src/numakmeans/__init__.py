@@ -2,13 +2,14 @@
 
 The package splits into small layers:
 
-* :mod:`numakmeans.matrix` -- binary matrix files, synthetic data, partitioning
+* :mod:`numakmeans.matrix` -- the matrix file layout and its one reader
+  (``RowStore``), synthetic data, partitioning
 * :mod:`numakmeans.distance` -- the one Euclidean kernel everything shares
 * :mod:`numakmeans.centroids` -- centroid state, initialization, merging
 * :mod:`numakmeans.pruning` -- triangle-inequality bounds and candidate scans
 * :mod:`numakmeans.scheduler` -- partitioned work-stealing task queue
 * :mod:`numakmeans.engine` -- the threaded Lloyd's engine (in-memory)
-* :mod:`numakmeans.outofcore` -- disk-resident rows, I/O accounting, row cache
+* :mod:`numakmeans.outofcore` -- page-run row fetches, I/O accounting, row cache
 * :mod:`numakmeans.report` -- machine-readable run reports
 * :mod:`numakmeans.cli` -- the ``numakmeans`` command
 """
@@ -30,6 +31,7 @@ from .engine import (
 )
 from .matrix import (
     RowRange,
+    RowStore,
     SyntheticSpec,
     gen_synthetic,
     load_matrix,
@@ -38,9 +40,7 @@ from .matrix import (
 )
 from .outofcore import (
     CacheSchedule,
-    IoStats,
     RowCache,
-    RowStore,
     fetch_rows,
     kmeans_ondisk,
     should_refresh,
@@ -49,10 +49,7 @@ from .pruning import (
     CentroidGeometry,
     PruneState,
     centroid_geometry,
-    can_skip_point,
     inflate_bounds,
-    scan_point,
-    tighten_bound,
 )
 from .scheduler import PartitionedTaskQueue, Task, Topology, build_topology
 
@@ -65,7 +62,6 @@ __all__ = [
     "CentroidSet",
     "EngineConfig",
     "IoDelta",
-    "IoStats",
     "IterationStats",
     "KmeansResult",
     "PartitionedTaskQueue",
@@ -78,7 +74,6 @@ __all__ = [
     "Topology",
     "block_distances",
     "build_topology",
-    "can_skip_point",
     "centroid_geometry",
     "euclidean_distance",
     "fetch_rows",
@@ -93,7 +88,5 @@ __all__ = [
     "nearest_centroid",
     "partition_rows",
     "save_matrix",
-    "scan_point",
     "should_refresh",
-    "tighten_bound",
 ]

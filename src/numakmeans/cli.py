@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields
 
@@ -11,7 +12,8 @@ import numpy as np
 from .centroids import INIT_METHODS
 from .engine import MODES, EngineConfig, kmeans
 from .matrix import (
-    HEADER_SIZE,
+    DEFAULT_PAGE_SIZE,
+    RowStore,
     SyntheticSpec,
     gen_synthetic,
     load_matrix,
@@ -19,10 +21,8 @@ from .matrix import (
 )
 from .outofcore import (
     DEFAULT_CACHE_BYTES,
-    DEFAULT_PAGE_SIZE,
     DEFAULT_REFRESH_START,
     CacheSchedule,
-    RowStore,
     fetch_rows,
     kmeans_ondisk,
 )
@@ -116,9 +116,8 @@ def _cmd_gen(args) -> int:
         spec = SyntheticSpec("uniform", args.n, args.d, args.seed)
     m = gen_synthetic(spec)
     save_matrix(m, args.out, raw=args.raw)
-    header = 0 if args.raw else HEADER_SIZE
     print(f"wrote {args.out}: {spec.family} n={args.n} d={args.d} seed={args.seed} "
-          f"bytes={header + args.n * args.d * 8}")
+          f"bytes={os.path.getsize(args.out)}")
     return 0
 
 
@@ -131,13 +130,12 @@ def _cmd_info(args) -> int:
     with _open_store(args) as store:
         sample_n = min(store.n, 1024)
         sample = fetch_rows(store, np.arange(sample_n, dtype=np.int64))
-        payload = store.n * store.d * 8
         print(f"path {store.path}")
         print(f"n {store.n}")
         print(f"d {store.d}")
         print("dtype float64-le")
-        print(f"payload_bytes {payload}")
-        print(f"file_bytes {payload + store.payload_offset}")
+        print(f"payload_bytes {store.payload_bytes}")
+        print(f"file_bytes {store.file_bytes}")
         print(f"sample_rows {sample_n}")
         print(f"sample_min {float(sample.min())!r}")
         print(f"sample_max {float(sample.max())!r}")

@@ -2,13 +2,17 @@
 
 The on-disk format is little-endian float64, row-major.  Files either carry a
 fixed 28-byte header (magic ``KNRM``, version, n, d, dtype code) or are raw
-headerless payloads whose shape must be supplied by the caller.  The raw
-layout is the one the out-of-core engine streams from disk.
+headerless payloads whose shape must be supplied by the caller.  This module
+is the only one that knows the layout: :class:`RowStore` is the one reader,
+which checks the shape and the payload length and reads pages by position
+for the out-of-core engine, and :func:`load_matrix` reads the payload once
+through it into the array it returns.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -22,6 +26,7 @@ _HEADER_FMT = "<4sIQQI"
 HEADER_SIZE = struct.calcsize(_HEADER_FMT)  # 28 bytes
 
 ROW_DTYPE = np.dtype("<f8")
+DEFAULT_PAGE_SIZE = 4096
 
 
 class MatrixFormatError(ValueError):
@@ -88,30 +93,91 @@ def parse_header(path, blob: bytes) -> tuple[int, int]:
 def load_matrix(path, raw: bool = False, n: int | None = None, d: int | None = None) -> np.ndarray:
     """Read a matrix written by :func:`save_matrix`.
 
-    Raw files carry no shape, so ``n`` and ``d`` are required for them.  The
-    file length must match the expected payload exactly.
+    The file is opened as a :class:`RowStore`, which checks the shape and the
+    payload length; the payload is then read once, straight into the array
+    that is returned.
     """
     try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
+        with RowStore.open(path, raw=raw, n=n, d=d) as store, open(store.path, "rb") as fh:
+            m = np.empty((store.n, store.d), dtype=ROW_DTYPE)
+            fh.seek(store.payload_offset)
+            got = fh.readinto(m)
     except OSError as exc:
         raise MatrixIOError(f"read failed for {path}: {exc}") from exc
+    if got != m.nbytes:
+        raise MatrixFormatError(f"{path}: short read (wanted {m.nbytes} bytes, got {got})")
+    return check_matrix(m)
 
-    if raw:
-        if n is None or d is None:
-            raise MatrixFormatError("raw files carry no shape; pass n and d explicitly")
-        payload = blob
-    else:
-        n, d = parse_header(path, blob)
-        payload = blob[HEADER_SIZE:]
 
-    expected = n * d * 8
-    if len(payload) != expected:
-        raise MatrixFormatError(
-            f"{path}: payload length mismatch, expected {expected} bytes for {n}x{d}, got {len(payload)}"
-        )
-    values = np.frombuffer(payload, dtype=ROW_DTYPE).astype(np.float64).reshape(n, d)
-    return check_matrix(values)
+class RowStore:
+    """Matrix file read through positional I/O: the one reader of the layout.
+
+    ``payload_offset`` lets a header-carrying file be streamed as well; page
+    arithmetic is always relative to the payload.  Safe for concurrent
+    readers: reads use pread on a shared descriptor.
+    """
+
+    def __init__(self, path, n: int, d: int, page_size: int = DEFAULT_PAGE_SIZE,
+                 payload_offset: int = 0):
+        if n < 1 or d < 1:
+            raise MatrixFormatError(f"matrix must be at least 1x1, got {n}x{d}")
+        if page_size < 1:
+            raise ValueError("page_size must be >= 1")
+        self.path = str(path)
+        self.n = n
+        self.d = d
+        self.page_size = page_size
+        self.payload_offset = payload_offset
+        self.row_bytes = 8 * d
+        self.payload_bytes = n * self.row_bytes
+        self.file_bytes = os.path.getsize(path)
+        if self.file_bytes != payload_offset + self.payload_bytes:
+            raise MatrixFormatError(
+                f"{path}: payload length mismatch, expected {self.payload_bytes} bytes "
+                f"for {n}x{d}, got {self.file_bytes - payload_offset}"
+            )
+        self._fd = os.open(self.path, os.O_RDONLY)
+
+    @classmethod
+    def open(cls, path, raw: bool = False, n: int | None = None, d: int | None = None,
+             page_size: int = DEFAULT_PAGE_SIZE) -> "RowStore":
+        """Open a matrix file for streaming; header files supply their own shape."""
+        if raw:
+            if n is None or d is None:
+                raise MatrixFormatError("raw files carry no shape; pass n and d explicitly")
+            return cls(path, n, d, page_size=page_size)
+        with open(path, "rb") as fh:
+            n, d = parse_header(path, fh.read(HEADER_SIZE))
+        return cls(path, n, d, page_size=page_size, payload_offset=HEADER_SIZE)
+
+    def close(self) -> None:
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def _pread(self, offset: int, size: int) -> bytes:
+        # Single override point so tests can shim in byte-level counting.
+        return os.pread(self._fd, size, offset)
+
+    def read_pages(self, first_page: int, n_pages: int) -> bytes:
+        """Raw bytes of a contiguous page run, truncated at end of payload."""
+        start = first_page * self.page_size
+        end = min((first_page + n_pages) * self.page_size, self.payload_bytes)
+        if end <= start:
+            return b""
+        blob = self._pread(self.payload_offset + start, end - start)
+        if len(blob) != end - start:
+            raise MatrixFormatError(
+                f"{self.path}: short read at page {first_page} "
+                f"(wanted {end - start} bytes, got {len(blob)})"
+            )
+        return blob
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,20 @@
 """Out-of-core execution: disk-resident rows, page-granular I/O, row caching.
 
-Row data stays on disk in the raw row-major float64 layout; only O(n)
-per-point state lives in memory.  Reads happen at page granularity (4KB by
-default, any positive number of bytes), so fetching scattered rows pulls in
-more bytes than requested; the accounting here tracks both quantities.  Each
-coalesced run of pages is read in one call and viewed as the whole rows that
-start inside it, so rows need not align with pages, and the fetched rows are
-checked finite once per call.  A partitioned row cache pins active rows in
-memory at row granularity and is refreshed lazily on an exponential
-schedule, because rows that stay active tend to keep staying active.  The
-cache is one sorted id array and one row block, searched in a single call.
+Row data stays on disk and is read through :class:`numakmeans.matrix.RowStore`,
+which owns the file layout; only O(n) per-point state lives in memory.
+Reads happen at page granularity (4KB by default, any positive number of
+bytes), so fetching scattered rows pulls in more bytes than requested; the
+accounting here tracks both quantities.  Each coalesced run of pages is read
+in one call and viewed as the whole rows that start inside it, so rows need
+not align with pages, and the fetched rows are checked finite once per call.
+A partitioned row cache pins active rows in memory at row granularity and is
+refreshed lazily on an exponential schedule, because rows that stay active
+tend to keep staying active.  The cache is one sorted id array and one row
+block, searched in a single call.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
 
@@ -22,81 +22,10 @@ import numpy as np
 
 from .centroids import CentroidSet, init_from_rows
 from .engine import EngineConfig, IoDelta, KmeansResult, _Engine
-from .matrix import HEADER_SIZE, ROW_DTYPE, MatrixFormatError, parse_header
+from .matrix import ROW_DTYPE, MatrixFormatError, RowStore
 
-DEFAULT_PAGE_SIZE = 4096
 DEFAULT_CACHE_BYTES = 64 * 1024 * 1024
 DEFAULT_REFRESH_START = 5
-
-
-class RowStore:
-    """Raw on-disk row matrix read through positional I/O.
-
-    ``payload_offset`` lets a header-carrying file be streamed as well; page
-    arithmetic is always relative to the payload.  Safe for concurrent
-    readers: reads use pread on a shared descriptor.
-    """
-
-    def __init__(self, path, n: int, d: int, page_size: int = DEFAULT_PAGE_SIZE,
-                 payload_offset: int = 0):
-        if n < 1 or d < 1:
-            raise ValueError("n and d must be >= 1")
-        if page_size < 1:
-            raise ValueError("page_size must be >= 1")
-        self.path = str(path)
-        self.n = n
-        self.d = d
-        self.page_size = page_size
-        self.payload_offset = payload_offset
-        self.row_bytes = 8 * d
-        expected = payload_offset + n * d * 8
-        actual = os.path.getsize(path)
-        if actual != expected:
-            raise MatrixFormatError(
-                f"{path}: expected {expected} bytes for {n}x{d} (+{payload_offset} offset), got {actual}"
-            )
-        self._fd = os.open(self.path, os.O_RDONLY)
-
-    @classmethod
-    def open(cls, path, raw: bool = False, n: int | None = None, d: int | None = None,
-             page_size: int = DEFAULT_PAGE_SIZE) -> "RowStore":
-        """Open a matrix file for streaming; header files supply their own shape."""
-        if raw:
-            if n is None or d is None:
-                raise MatrixFormatError("raw files carry no shape; pass n and d explicitly")
-            return cls(path, n, d, page_size=page_size)
-        with open(path, "rb") as fh:
-            n, d = parse_header(path, fh.read(HEADER_SIZE))
-        return cls(path, n, d, page_size=page_size, payload_offset=HEADER_SIZE)
-
-    def close(self) -> None:
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-    def _pread(self, offset: int, size: int) -> bytes:
-        # Single override point so tests can shim in byte-level counting.
-        return os.pread(self._fd, size, offset)
-
-    def read_pages(self, first_page: int, n_pages: int) -> bytes:
-        """Raw bytes of a contiguous page run, truncated at end of payload."""
-        start = first_page * self.page_size
-        end = min((first_page + n_pages) * self.page_size, self.n * self.row_bytes)
-        if end <= start:
-            return b""
-        blob = self._pread(self.payload_offset + start, end - start)
-        if len(blob) != end - start:
-            raise MatrixFormatError(
-                f"{self.path}: short read at page {first_page} "
-                f"(wanted {end - start} bytes, got {len(blob)})"
-            )
-        return blob
 
 
 def page_runs(ids: np.ndarray, row_bytes: int, page_size: int):
@@ -115,11 +44,6 @@ def page_runs(ids: np.ndarray, row_bytes: int, page_size: int):
     lo = np.flatnonzero(opens)
     cuts = np.append(lo, ids.size)
     return first[lo], last[cuts[1:] - 1] - first[lo] + 1, cuts
-
-
-# Run totals and per-iteration deltas are one counter type; this is its
-# public name for the counter passed to fetch_rows.
-IoStats = IoDelta
 
 
 def fetch_rows(store: RowStore, ids: np.ndarray, cache: "RowCache | None" = None,

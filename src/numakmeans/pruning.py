@@ -86,58 +86,6 @@ class PruneCounters:
         self.computed += other.computed
 
 
-def can_skip_point(i: int, st: PruneState, geo: CentroidGeometry) -> bool:
-    """True when point i provably stays in its cluster this iteration."""
-    return bool(st.upper[i] <= geo.half_min[st.assignment[i]])
-
-
-def tighten_bound(i: int, v: np.ndarray, c: CentroidSet, st: PruneState) -> float:
-    """Make the bound exact for point i; no-op (and no distance) while tight."""
-    if not st.tight[i]:
-        st.upper[i] = rowwise_distances(v[None, :], c.means[st.assignment[i]])[0]
-        st.tight[i] = True
-    return float(st.upper[i])
-
-
-def scan_point(i: int, v: np.ndarray, c: CentroidSet, geo: CentroidGeometry,
-               st: PruneState) -> tuple[int, PruneCounters]:
-    """Reassign point i after it failed the point-skip test.
-
-    Tightens the bound once, then visits candidates in ascending id order,
-    pruning each against half the gap to the current assignment and switching
-    on strict improvement.  The original centroid is never revisited: its
-    exact distance is the tightened bound itself.  Returns the final id and
-    the work counters.
-    """
-    counters = PruneCounters()
-    stale = float(st.upper[i])
-    if not st.tight[i]:
-        counters.computed += 1
-    tighten_bound(i, v, c, st)
-    orig = int(st.assignment[i])
-    cur = orig
-    u = float(st.upper[i])
-    for x in range(c.k):
-        if x == cur or x == orig:
-            continue
-        gap = geo.half_dist[cur, x]
-        if u <= gap:
-            if stale <= gap:
-                counters.pruned_stale += 1
-            else:
-                counters.pruned_tight += 1
-            continue
-        dx = rowwise_distances(v[None, :], c.means[x])[0]
-        counters.computed += 1
-        if dx < u:
-            cur = x
-            u = float(dx)
-    st.assignment[i] = cur
-    st.upper[i] = u
-    st.tight[i] = True
-    return cur, counters
-
-
 def inflate_bounds(st: PruneState, drift: np.ndarray) -> None:
     """Loosen every bound by its centroid's drift after a centroid update.
 
@@ -152,8 +100,12 @@ def inflate_bounds(st: PruneState, drift: np.ndarray) -> None:
 def scan_block(rows: np.ndarray, c: CentroidSet, geo: CentroidGeometry,
                assign: np.ndarray, upper: np.ndarray, tight: np.ndarray,
                counters: PruneCounters):
-    """Vectorized :func:`scan_point` over the non-skipped rows of one task.
+    """Reassign the non-skipped rows of one task, all rows at once.
 
+    Each row's bound is tightened once, then candidates are visited in
+    ascending id order, each pruned against half the gap to the row's current
+    assignment, switching on strict improvement.  The original centroid is
+    never revisited: its exact distance is the tightened bound itself.
     ``assign``, ``upper`` and ``tight`` are the survivors' slices; the arrays
     are updated in place and ``counters`` accumulates the work done.  Returns
     the survivors' original assignments (before any reassignment).

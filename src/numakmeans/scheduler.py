@@ -28,17 +28,7 @@ class Topology:
 
 
 def detect_node_count() -> int:
-    """Number of NUMA nodes reported by the platform, 1 if unknown.
-
-    The NUMAKMEANS_NODES environment variable overrides detection, which lets
-    tests exercise multi-node scheduling on non-NUMA machines.
-    """
-    forced = os.environ.get("NUMAKMEANS_NODES")
-    if forced:
-        try:
-            return max(1, int(forced))
-        except ValueError:
-            pass
+    """Number of NUMA nodes reported by the platform, 1 if unknown."""
     try:
         nodes = [
             name for name in os.listdir("/sys/devices/system/node")
@@ -104,7 +94,6 @@ def bind_to_node(topology: Topology, worker: int) -> bool:
 class Task:
     start: int
     stop: int
-    home_node: int
     owner: int   # worker whose partition holds the task
     index: int   # global position, fixes the deterministic reduce order
 
@@ -162,7 +151,7 @@ class PartitionedTaskQueue:
             part = self._parts[w]
             for lo in range(rr.start, rr.stop, task_size):
                 hi = min(lo + task_size, rr.stop)
-                part.append(Task(start=lo, stop=hi, home_node=rr.node, owner=w, index=index))
+                part.append(Task(start=lo, stop=hi, owner=w, index=index))
                 index += 1
 
     def _pop_from(self, p: int, w: int) -> Task | None:

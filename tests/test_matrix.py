@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from numakmeans.matrix import (
     HEADER_SIZE,
     MatrixFormatError,
+    MatrixIOError,
     SyntheticSpec,
     gen_synthetic,
     generative_centers,
@@ -46,13 +48,40 @@ def test_roundtrip_bit_identical(tmp_path, raw):
     save_matrix(m, path, raw=raw)
     back = load_matrix(path, raw=raw, n=1000 if raw else None, d=8 if raw else None)
     assert back.tobytes() == m.tobytes()
+    assert back.dtype == np.float64
+    assert back.flags.c_contiguous and back.flags.writeable
 
 
-def test_load_raw_length_mismatch(tmp_path):
-    path = tmp_path / "bad.raw"
-    path.write_bytes(b"\x00" * 33)
+@pytest.mark.parametrize("raw", [False, True])
+def test_load_holds_one_copy_of_the_payload(tmp_path, raw):
+    m = gen_synthetic(SyntheticSpec("uniform", 20000, 16, seed=3))
+    path = tmp_path / "m.bin"
+    save_matrix(m, path, raw=raw)
+    tracemalloc.start()
+    try:
+        back = load_matrix(path, raw=raw, n=20000 if raw else None, d=16 if raw else None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.tobytes() == m.tobytes()
+    assert peak <= 1.25 * m.nbytes
+
+
+@pytest.mark.parametrize("raw", [False, True])
+def test_load_missing_path_names_it(tmp_path, raw):
+    path = tmp_path / "absent.bin"
+    with pytest.raises(MatrixIOError, match="absent.bin"):
+        load_matrix(path, raw=raw, n=2, d=2)
+
+
+@pytest.mark.parametrize("raw", [False, True])
+def test_load_raw_length_mismatch(tmp_path, raw):
+    path = tmp_path / "bad.bin"
+    save_matrix(np.zeros((2, 2)), path, raw=raw)
+    with open(path, "ab") as fh:
+        fh.write(b"\x00")
     with pytest.raises(MatrixFormatError, match="32"):
-        load_matrix(path, raw=True, n=2, d=2)
+        load_matrix(path, raw=raw, n=2, d=2)
 
 
 def test_load_bad_magic(tmp_path):

@@ -2,20 +2,73 @@ import numpy as np
 import pytest
 
 from numakmeans.centroids import CentroidSet
+from numakmeans.distance import rowwise_distances
 from numakmeans.engine import EngineConfig, kmeans
 from numakmeans.matrix import SyntheticSpec, gen_synthetic
 from numakmeans.pruning import (
+    CentroidGeometry,
     PruneCounters,
     PruneState,
-    can_skip_point,
     centroid_geometry,
     inflate_bounds,
     scan_block,
-    scan_point,
-    tighten_bound,
 )
 
 from conftest import naive_distance
+
+
+# Scalar reference for the vectorized scan_block: one point at a time.
+def can_skip_point(i: int, st: PruneState, geo: CentroidGeometry) -> bool:
+    """True when point i provably stays in its cluster this iteration."""
+    return bool(st.upper[i] <= geo.half_min[st.assignment[i]])
+
+
+def tighten_bound(i: int, v: np.ndarray, c: CentroidSet, st: PruneState) -> float:
+    """Make the bound exact for point i; no-op (and no distance) while tight."""
+    if not st.tight[i]:
+        st.upper[i] = rowwise_distances(v[None, :], c.means[st.assignment[i]])[0]
+        st.tight[i] = True
+    return float(st.upper[i])
+
+
+def scan_point(i: int, v: np.ndarray, c: CentroidSet, geo: CentroidGeometry,
+               st: PruneState) -> tuple[int, PruneCounters]:
+    """Reassign point i after it failed the point-skip test.
+
+    Tightens the bound once, then visits candidates in ascending id order,
+    pruning each against half the gap to the current assignment and switching
+    on strict improvement.  The original centroid is never revisited: its
+    exact distance is the tightened bound itself.  Returns the final id and
+    the work counters.
+    """
+    counters = PruneCounters()
+    stale = float(st.upper[i])
+    if not st.tight[i]:
+        counters.computed += 1
+    tighten_bound(i, v, c, st)
+    orig = int(st.assignment[i])
+    cur = orig
+    u = float(st.upper[i])
+    for x in range(c.k):
+        if x == cur or x == orig:
+            continue
+        gap = geo.half_dist[cur, x]
+        if u <= gap:
+            if stale <= gap:
+                counters.pruned_stale += 1
+            else:
+                counters.pruned_tight += 1
+            continue
+        dx = rowwise_distances(v[None, :], c.means[x])[0]
+        counters.computed += 1
+        if dx < u:
+            cur = x
+            u = float(dx)
+    st.assignment[i] = cur
+    st.upper[i] = u
+    st.tight[i] = True
+    return cur, counters
+
 
 
 def geometry_of(means):

@@ -4,11 +4,7 @@ import threading
 import pytest
 
 from numakmeans.matrix import RowRange
-from numakmeans.scheduler import (
-    PartitionedTaskQueue,
-    build_topology,
-    detect_node_count,
-)
+from numakmeans.scheduler import PartitionedTaskQueue, build_topology
 
 
 def topo(T, N):
@@ -29,6 +25,7 @@ def test_topology_single_node():
 def test_topology_two_node_blocks():
     t = topo(4, 2)
     assert t.node_of == (0, 0, 1, 1)
+    assert topo(6, 3).node_of == (0, 0, 1, 1, 2, 2)
 
 
 def test_topology_remainder_to_low_nodes():
@@ -41,14 +38,6 @@ def test_topology_detection_fallback(monkeypatch):
     t = build_topology(3)
     assert t.source == "detected"
     assert t.n_nodes == 1
-
-
-def test_detect_env_override(monkeypatch):
-    monkeypatch.setenv("NUMAKMEANS_NODES", "3")
-    assert detect_node_count() == 3
-    t = build_topology(6)
-    assert t.n_nodes == 3
-    assert t.node_of == (0, 0, 1, 1, 2, 2)
 
 
 def test_enqueue_one_task_per_partition_at_default_size():

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from numakmeans.engine import EngineConfig, kmeans
+from numakmeans.engine import EngineConfig, IoDelta, kmeans
 from numakmeans.matrix import MatrixFormatError, SyntheticSpec, gen_synthetic, save_matrix
 from numakmeans.outofcore import (
     CacheSchedule,
-    IoStats,
     RowCache,
     RowStore,
     _init_from_store,
@@ -44,7 +43,7 @@ def test_page_aligned_row_reads_one_page(tmp_path):
     m = gen_synthetic(SyntheticSpec("uniform", 4, 512, seed=1))  # 4096B rows
     path = tmp_path / "w.raw"
     save_matrix(m, path, raw=True)
-    stats = IoStats()
+    stats = IoDelta()
     with RowStore(path, 4, 512) as store:
         rows = fetch_rows(store, np.array([0]), None, stats)
     assert stats.bytes_requested == 4096
@@ -54,7 +53,7 @@ def test_page_aligned_row_reads_one_page(tmp_path):
 
 def test_small_row_amplifies_to_full_page(store_8):
     store, m = store_8
-    stats = IoStats()
+    stats = IoDelta()
     rows = fetch_rows(store, np.array([0]), None, stats)
     assert stats.bytes_requested == 64
     assert stats.bytes_read == 4096
@@ -63,7 +62,7 @@ def test_small_row_amplifies_to_full_page(store_8):
 
 def test_full_page_of_rows_reads_once(store_8):
     store, m = store_8
-    stats = IoStats()
+    stats = IoDelta()
     rows = fetch_rows(store, np.arange(64), None, stats)
     assert stats.bytes_read == 4096
     assert rows.tobytes() == m[:64].tobytes()
@@ -90,7 +89,7 @@ def test_row_straddling_pages_counts_both(tmp_path):
     m = gen_synthetic(SyntheticSpec("uniform", 10, 300, seed=2))  # 2400B rows
     path = tmp_path / "s.raw"
     save_matrix(m, path, raw=True)
-    stats = IoStats()
+    stats = IoDelta()
     with RowStore(path, 10, 300) as store:
         rows = fetch_rows(store, np.array([1]), None, stats)
     # row 1 spans bytes [2400, 4800): pages 0 and 1
@@ -98,7 +97,7 @@ def test_row_straddling_pages_counts_both(tmp_path):
     assert np.array_equal(rows[0], m[1])
     # most rows straddle a page boundary; the runs start mid-row
     for ids in (np.arange(10), np.array([1, 4, 8])):
-        stats = IoStats()
+        stats = IoDelta()
         store = CountingStore(path, 10, 300)
         rows = fetch_rows(store, ids, None, stats)
         store.close()
@@ -148,7 +147,7 @@ def test_bytes_read_matches_physical_shim(tmp_path, page_size):
     m = gen_synthetic(SyntheticSpec("uniform", 512, 8, seed=5))
     path = tmp_path / "c.raw"
     save_matrix(m, path, raw=True)  # 32768B = exactly 8 pages of 4096
-    stats = IoStats()
+    stats = IoDelta()
     store = CountingStore(path, 512, 8, page_size=page_size)
     ids = np.array([0, 1, 100, 101, 200, 511])
     rows = fetch_rows(store, ids, None, stats)
@@ -203,7 +202,7 @@ def test_fetch_through_partly_filled_cache(tmp_path):
     # misses 0, 5 | 100 | 250 | 400 | 511 sit on pages 0, 1, 3, 6, 7; page 4
     # holds only the cached row 300 and must not be read
     for cache_, hits, pages in ((cache, 4, 5), (RowCache(2, 0, 64), 0, 6)):
-        stats = IoStats()
+        stats = IoDelta()
         store = CountingStore(path, 512, 8)
         rows = fetch_rows(store, ids, cache_, stats)
         store.close()
