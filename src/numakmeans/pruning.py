@@ -17,6 +17,14 @@ skip work without changing any assignment:
 Half distances are what make the tests sound: d(v, x) >= d(a, x) - d(v, a),
 so d(v, a) <= d(a, x)/2 guarantees d(v, x) >= d(v, a).  There is no lower
 bound matrix; memory stays O(n + k^2).
+
+The candidate scan of the rows that fail the point skip runs in a few rounds
+over whole blocks, not one pass per centroid: each round tests every row
+against every centroid with a handful of large array operations, evaluates
+all surviving candidates at once, and sends only the rows that switched to
+the next round.  A round takes at most ``_SCAN_CHUNK_ELEMS`` (row, centroid)
+pairs, which caps its scratch whatever the task size.  The result, bounds
+and counters are those of a sequential per-row scan, bit for bit.
 """
 
 from __future__ import annotations
@@ -97,49 +105,101 @@ def inflate_bounds(st: PruneState, drift: np.ndarray) -> None:
     np.logical_and(st.tight, moved == 0.0, out=st.tight)
 
 
+# Rows are scanned in batches of at most this many (row, centroid) pairs,
+# which bounds the gap block and its masks (the engine's full-pass budget).
+_SCAN_CHUNK_ELEMS = 262144
+# Candidate distances are evaluated in slices of at most this many row
+# elements (512 KB), which keeps their operands in cache.
+_PAIR_SLICE_ELEMS = 65536
+
+
 def scan_block(rows: np.ndarray, c: CentroidSet, geo: CentroidGeometry,
                assign: np.ndarray, upper: np.ndarray, tight: np.ndarray,
                counters: PruneCounters):
     """Reassign the non-skipped rows of one task, all rows at once.
 
-    Each row's bound is tightened once, then candidates are visited in
-    ascending id order, each pruned against half the gap to the row's current
-    assignment, switching on strict improvement.  The original centroid is
-    never revisited: its exact distance is the tightened bound itself.
+    The result is that of a sequential scan of each row: tighten its bound
+    once, then visit candidates in ascending id order, each pruned against
+    half the gap to the row's current assignment, switching on strict
+    improvement.  The original centroid is never revisited: its exact
+    distance is the tightened bound itself.
+
+    The scan runs in rounds over whole blocks of rows.  A round gathers each
+    row's gaps to every centroid as one (rows, k) block, evaluates all of
+    its unpruned candidates at once and finds each row's first strict
+    improvement.  Rows that improved switch there and are queued for another
+    round, which scans only the columns after the switch; all others are
+    final.  A row takes one round more than it switches.  Counters count
+    only the pairs the sequential scan reaches, so they equal its counters.
+    A round takes at most ``_SCAN_CHUNK_ELEMS // k`` rows.
+
     ``assign``, ``upper`` and ``tight`` are the survivors' slices; the arrays
     are updated in place and ``counters`` accumulates the work done.  Returns
     the survivors' original assignments (before any reassignment).
     """
-    m = rows.shape[0]
     k = c.k
-    stale = upper.copy()
-    loose = ~tight
-    idx = np.flatnonzero(loose)
-    if idx.size:
-        upper[idx] = rowwise_distances(rows[idx], c.means[assign[idx]])
-        counters.computed += int(idx.size)
-    tight[:] = True
     orig = assign.copy()
-    cur = assign
-    for x in range(k):
-        consider = (cur != x) & (orig != x)
-        if not consider.any():
-            continue
-        gap = geo.half_dist[cur, x]
-        pruned = consider & (upper <= gap)
-        n_pruned = int(pruned.sum())
-        if n_pruned:
-            n_stale = int((pruned & (stale <= gap)).sum())
-            counters.pruned_stale += n_stale
-            counters.pruned_tight += n_pruned - n_stale
-        comp = np.flatnonzero(consider & ~pruned)
-        if comp.size == 0:
-            continue
-        dx = rowwise_distances(rows[comp], c.means[x])
-        counters.computed += int(comp.size)
-        better = dx < upper[comp]
-        if better.any():
-            sel = comp[better]
-            cur[sel] = x
-            upper[sel] = dx[better]
+    stale = upper.copy()
+    loose = np.flatnonzero(~tight)
+    upper[loose] = _pair_distances(rows, loose, c.means, orig[loose])
+    counters.computed += int(loose.size)
+    tight[:] = True
+    cols = np.arange(k)
+    # Row a of gaps holds half the distances from centroid a; row k + a the
+    # same with every column up to a made infinite, which prunes them.  A row
+    # assigned to a reads row a in its first round; once it has switched to
+    # a it has scanned every column up to a, so it reads row k + a.
+    half = geo.half_dist
+    gaps = np.concatenate((half, np.where(cols > cols[:, None], half, np.inf)))
+    act = np.arange(rows.shape[0])   # rows queued for a round
+    start = np.full(act.size, -1)    # the column each last switched to
+    step = max(1, _SCAN_CHUNK_ELEMS // k)
+    while act.size:
+        ids, st = act[:step], start[:step]
+        at = np.arange(ids.size)
+        og = orig[ids]
+        u = upper[ids]
+        gap = np.take(gaps, np.where(st < 0, assign[ids], k + st), axis=0)
+        cand = gap < u[:, None]
+        cand[at, og] = False
+        # pruned by both the tightened and the carried bound
+        stale_pruned = gap >= np.maximum(u, stale[ids])[:, None]
+        stale_pruned[at, og] = False
+        del gap  # the largest block; free it before the distances
+        r, x = np.divmod(np.flatnonzero(cand), k)
+        dx = _pair_distances(rows, ids[r], c.means, x)
+        better = np.flatnonzero(dx < u[r])
+        first = np.full(ids.size, k)
+        np.minimum.at(first, r[better], x[better])
+        # the sequential scan reaches the columns after st up to the first
+        # improvement (or the last column), except the original centroid
+        last = np.minimum(first, k - 1)
+        n_live = int((last - st).sum()) - int(np.count_nonzero((og > st) & (og <= last)))
+        n_comp = int(np.count_nonzero(x <= first[r]))
+        # stale prunes outside those columns, in rows that switched before
+        # or during this round, are not the sequential scan's
+        part = np.flatnonzero((st >= 0) | (first < k - 1))
+        outside = (cols <= st[part, None]) | (cols > first[part, None])
+        n_stale = int(np.count_nonzero(stale_pruned)) \
+            - int(np.count_nonzero(stale_pruned[part] & outside))
+        counters.computed += n_comp
+        counters.pruned_stale += n_stale
+        counters.pruned_tight += n_live - n_comp - n_stale
+        switch = better[x[better] == first[r[better]]]
+        moved = ids[r[switch]]
+        assign[moved] = x[switch]
+        upper[moved] = dx[switch]
+        act = np.concatenate((act[step:], moved))
+        start = np.concatenate((start[step:], x[switch]))
     return orig
+
+
+def _pair_distances(rows, ri, means, x):
+    # rowwise_distances(rows[ri], means[x]), in slices that stay in cache
+    out = np.empty(ri.size)
+    step = max(1, _PAIR_SLICE_ELEMS // rows.shape[1])
+    for lo in range(0, ri.size, step):
+        hi = lo + step
+        buf = np.take(rows, ri[lo:hi], axis=0)
+        rowwise_distances(buf, np.take(means, x[lo:hi], axis=0), buf=buf, out=out[lo:hi])
+    return out

@@ -77,8 +77,12 @@ def build_topology(requested_T: int, override_N: int | None = None) -> Topology:
 
 
 def bind_to_node(topology: Topology, worker: int) -> bool:
-    """Best-effort affinity of the calling thread to the worker's node CPUs."""
-    if topology.source != "detected" or topology.n_nodes <= 1:
+    """Best-effort affinity of the calling thread to the worker's node CPUs.
+
+    Binds whenever the topology has more than one node, detected or given,
+    and the platform reports CPUs for the worker's node.
+    """
+    if topology.n_nodes <= 1:
         return False
     cpus = node_cpus(topology.node_of[worker])
     if not cpus:

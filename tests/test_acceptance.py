@@ -341,3 +341,18 @@ def test_criterion_10_soft_parallel_speedup():
                   f"T={min(8, cores)} vs T=1 speedup {speedup:.2f}x")
     record_acceptance("criterion 10: soft performance check (non-gating)", ok, detail)
     # explicitly non-gating for CI; the summary line carries the measurement
+
+    # the pruned path on clustered data at k=64, where most candidates are
+    # pruned and the scan's work comes in many small pieces
+    clustered = gen_synthetic(SyntheticSpec("gaussian-mixture", 100_000, 16, seed=91,
+                                            k_true=32, separation=6.0))
+
+    def pruned_iter_time(T):
+        # iterations after the first: the first is a full pass in either path
+        cfg = EngineConfig(k=64, seed=2, T=T, max_iters=6, pruning=True, N=1)
+        res = kmeans(clustered, cfg)
+        return sum(s.wall_s for s in res.iterations[1:]) / (res.n_iterations - 1)
+
+    ratio = pruned_iter_time(2) / pruned_iter_time(1)
+    record_acceptance("criterion 10: pruned path, T=2 vs T=1 (non-gating)", True,
+                      f"per-iteration time T=2 / T=1 = {ratio:.2f} (speedup {1 / ratio:.2f}x)")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from numakmeans.distance import rowwise_distances
 from numakmeans.engine import EngineConfig, kmeans
 from numakmeans.matrix import SyntheticSpec, gen_synthetic
 from numakmeans.pruning import (
+    _SCAN_CHUNK_ELEMS,
     CentroidGeometry,
     PruneCounters,
     PruneState,
@@ -170,34 +173,114 @@ def test_scan_point_hand_trace():
     assert counters.pruned_stale + counters.pruned_tight == 1
 
 
+def assert_scan_matches_scalar(rows, means, assign, upper, tight):
+    """scan_block on the whole block equals scan_point row by row."""
+    c = CentroidSet.from_means(means)
+    geo = centroid_geometry(c)
+    st = PruneState(assignment=assign.copy(), upper=upper.copy(), tight=tight.copy())
+    scalar_counters = PruneCounters()
+    for i in range(len(rows)):
+        _, cnt = scan_point(i, rows[i], c, geo, st)
+        scalar_counters.add(cnt)
+
+    a2, u2, t2 = assign.copy(), upper.copy(), tight.copy()
+    block_counters = PruneCounters()
+    orig = scan_block(rows, c, geo, a2, u2, t2, block_counters)
+
+    assert np.array_equal(orig, assign)
+    assert np.array_equal(a2, st.assignment)
+    assert np.array_equal(u2, st.upper)
+    assert t2.all() and st.tight.all()
+    assert block_counters == scalar_counters
+    return st.assignment
+
+
 def test_scan_block_matches_scalar_scan(rng):
     for trial in range(20):
         k = int(rng.integers(2, 8))
         d = int(rng.integers(1, 6))
         m = int(rng.integers(1, 40))
         means = rng.normal(size=(k, d)) * 3
-        c = CentroidSet.from_means(means)
-        geo = centroid_geometry(c)
         rows = rng.normal(size=(m, d)) * 3
         assign = rng.integers(0, k, size=m).astype(np.int32)
         true_d = np.array([naive_distance(rows[i], means[assign[i]]) for i in range(m)])
         upper = true_d + rng.random(m)  # valid, possibly loose bounds
         tight = upper == true_d
+        assert_scan_matches_scalar(rows, means, assign, upper, tight)
 
-        st = PruneState(assignment=assign.copy(), upper=upper.copy(), tight=tight.copy())
-        scalar_counters = PruneCounters()
-        for i in range(m):
-            _, cnt = scan_point(i, rows[i], c, geo, st)
-            scalar_counters.add(cnt)
+    # k up to 70, with loose, tight and mixed bounds
+    for k in (33, 64, 70):
+        means = rng.normal(size=(k, 4)) * 3
+        rows = rng.normal(size=(300, 4)) * 3
+        assign = rng.integers(0, k, size=300).astype(np.int32)
+        exact = rowwise_distances(rows, means[assign])
+        for loose in (np.ones(300, bool), np.zeros(300, bool), rng.random(300) < 0.5):
+            upper = np.where(loose, exact + rng.random(300), exact)
+            assert_scan_matches_scalar(rows, means, assign, upper, ~loose)
 
-        a2, u2, t2 = assign.copy(), upper.copy(), tight.copy()
-        block_counters = PruneCounters()
-        scan_block(rows, c, geo, a2, u2, t2, block_counters)
+    # centroids on a line, every row assigned to the first: most rows switch
+    # many times within one scan
+    k = 70
+    means = np.zeros((k, 2))
+    means[:, 0] = 10.0 * np.arange(k)
+    rows = np.zeros((200, 2))
+    rows[:, 0] = rng.uniform(0, 10.0 * k, 200)
+    assign = np.zeros(200, dtype=np.int32)
+    final = assert_scan_matches_scalar(rows, means, assign,
+                                       rowwise_distances(rows, means[assign]), np.ones(200, bool))
+    assert np.count_nonzero(final >= 2) > 100  # each of them switched at least twice
 
-        assert np.array_equal(a2, st.assignment)
-        assert np.array_equal(u2, st.upper)
-        assert t2.all() and st.tight.all()
-        assert block_counters == scalar_counters
+    # duplicate centroids (zero half-distance) and integer rows and means,
+    # for exact ties of distances with the bounds and between candidates;
+    # bounds tight, loose by whole units, or below the exact distance (as
+    # rounding can leave a carried bound)
+    for trial in range(10):
+        k = int(rng.integers(2, 40))
+        means = rng.integers(-2, 3, size=(k, 2)).astype(float)
+        means[rng.integers(0, k, size=k // 2)] = means[0]
+        rows = rng.integers(-3, 4, size=(200, 2)).astype(float)
+        assign = rng.integers(0, k, size=200).astype(np.int32)
+        offset = rng.choice([-0.5, 0.0, 0.0, 1.0, 2.0], size=200)
+        upper = rowwise_distances(rows, means[assign]) + offset
+        assert_scan_matches_scalar(rows, means, assign, upper, offset == 0.0)
+
+    # an empty block
+    means = rng.normal(size=(5, 3))
+    empty = np.zeros(0)
+    assert_scan_matches_scalar(np.zeros((0, 3)), means, np.zeros(0, dtype=np.int32),
+                               empty, empty.astype(bool))
+
+    # a block longer than one round of the chunk cap
+    k = 64
+    m = _SCAN_CHUNK_ELEMS // k + 700
+    centers = rng.normal(size=(16, 3)) * 5
+    rows = centers[rng.integers(0, 16, size=m)] + rng.normal(size=(m, 3))
+    means = centers[np.arange(k) % 16] + rng.normal(size=(k, 3))
+    assign = rng.integers(0, k, size=m).astype(np.int32)
+    upper = rowwise_distances(rows, means[assign]) + rng.random(m)
+    assert_scan_matches_scalar(rows, means, assign, upper, np.zeros(m, bool))
+
+
+def test_scan_block_scratch_is_bounded_by_the_chunk(rng):
+    # random rows and centroids: nearly every pair is a candidate, the worst
+    # case for the candidate index and distance arrays
+    m, d, k = 20000, 16, 64
+    rows = rng.normal(size=(m, d))
+    c = CentroidSet.from_means(rng.normal(size=(k, d)))
+    geo = centroid_geometry(c)
+    assign = rng.integers(0, k, size=m).astype(np.int32)
+    upper = np.full(m, np.inf)
+    tight = np.zeros(m, dtype=bool)
+    counters = PruneCounters()
+    tracemalloc.start()
+    try:
+        scan_block(rows, c, geo, assign, upper, tight, counters)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert counters.computed > m * k // 2
+    # the row block plus one chunk's (k x rows) float64 scratch
+    assert peak <= 4 * (rows.nbytes + 8 * _SCAN_CHUNK_ELEMS)
 
 
 def test_inflate_by_drift():

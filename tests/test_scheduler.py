@@ -4,7 +4,7 @@ import threading
 import pytest
 
 from numakmeans.matrix import RowRange
-from numakmeans.scheduler import PartitionedTaskQueue, build_topology
+from numakmeans.scheduler import PartitionedTaskQueue, bind_to_node, build_topology
 
 
 def topo(T, N):
@@ -38,6 +38,22 @@ def test_topology_detection_fallback(monkeypatch):
     t = build_topology(3)
     assert t.source == "detected"
     assert t.n_nodes == 1
+
+
+def test_bind_to_node_with_given_node_count(monkeypatch):
+    # stubbed so the test process's own affinity is never changed
+    bound = []
+    monkeypatch.setattr("numakmeans.scheduler.node_cpus", lambda node: {10 + node})
+    monkeypatch.setattr("os.sched_setaffinity", lambda pid, cpus: bound.append((pid, cpus)),
+                        raising=False)
+    t = build_topology(2, 2)
+    assert t.source == "override"
+    assert bind_to_node(t, 0) and bind_to_node(t, 1)
+    assert bound == [(0, {10}), (0, {11})]
+    assert not bind_to_node(build_topology(2, 1), 0)
+    monkeypatch.setattr("numakmeans.scheduler.node_cpus", lambda node: set())
+    assert not bind_to_node(t, 0)
+    assert len(bound) == 2
 
 
 def test_enqueue_one_task_per_partition_at_default_size():
