@@ -29,9 +29,6 @@ from .outofcore import (
 from .report import format_report
 from .scheduler import POLICIES
 
-# EngineConfig fields that are inputs or test switches, not run settings.
-_NOT_ECHOED = ("initial_centroids", "collect_assignments", "validate_bounds")
-
 
 def _positive(value: str) -> int:
     iv = int(value)
@@ -182,7 +179,7 @@ def _cmd_train(args) -> int:
 
     sem = args.mode == "sem"
     config_echo = {f.name: getattr(cfg, f.name) for f in fields(cfg)
-                   if f.name not in _NOT_ECHOED}
+                   if f.name != "initial_centroids"}
     config_echo.update(
         data=args.data,
         cache=cache_enabled if sem else None,

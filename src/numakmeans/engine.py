@@ -20,6 +20,10 @@ cost neither distance work nor (out of core) any I/O.
 Per-task scratch buffers (distance blocks, fetched rows) are bounded and
 transient; the resident-state accounting covers the arrays the engine keeps
 alive across iterations.
+
+The barrier takes the row source's I/O counts for the iteration (``None`` in
+memory), adds the rows the point-skip test elided, and sums them into
+``io_totals``.  Per-iteration test oracles live in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .centroids import (
     init_centroids,
     merge_accumulators,
 )
-from .distance import NearestScratch, block_distances, nearest_block_into, row_sqnorms
+from .distance import NearestScratch, nearest_block_into, row_sqnorms
 from .matrix import check_matrix, partition_rows
 from .pruning import (
     PruneCounters,
@@ -72,8 +76,6 @@ class EngineConfig:
     tolerance: int = 0        # keep iterating while reassignments exceed this
     scheduler: str = "numa"
     initial_centroids: np.ndarray | None = None
-    collect_assignments: bool = False
-    validate_bounds: bool = False  # test mode: per-iteration oracle checks
 
     def validate(self) -> None:
         if self.k < 1:
@@ -110,9 +112,6 @@ class IoDelta:
         for f in fields(self):
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
         return self
-
-    def __sub__(self, other: "IoDelta") -> "IoDelta":
-        return IoDelta(*(getattr(self, f.name) - getattr(other, f.name) for f in fields(self)))
 
 
 @dataclass
@@ -153,7 +152,6 @@ class KmeansResult:
     converged: bool
     io_totals: IoDelta | None = None
     peak_state_bytes: int = 0
-    assignment_history: list[np.ndarray] | None = None
 
     @property
     def n_iterations(self) -> int:
@@ -176,16 +174,7 @@ class _MemorySource:
     def rows_by_ids(self, task, ids):
         return self.matrix[ids]
 
-    def note_elided(self, task, count):
-        pass
-
-    def begin_iteration(self, t):
-        pass
-
     def finish_iteration(self):
-        return None
-
-    def total_io(self):
         return None
 
     def state_bytes(self):
@@ -241,9 +230,7 @@ class _Engine:
         self.chunk_rows = max(1, _CHUNK_ELEMS // self.d)
         self.task_results: list[_TaskResult | None] = [None] * self.n_tasks
         self.iterations: list[IterationStats] = []
-        self.assignment_history: list[np.ndarray] | None = (
-            [] if cfg.collect_assignments else None
-        )
+        self.io_totals: IoDelta | None = None
         self.iter_t = 0
         self.full_pass = True
         self.stop = False
@@ -327,7 +314,6 @@ class _Engine:
         tg = self.state.tight[lo:hi]
         skip = u <= self.geometry.half_min[a]
         counters = PruneCounters(skips=int(skip.sum()))
-        self.source.note_elided(task, counters.skips)
         acc = Accumulator.zeros(k, d, owner=task.index)
         reassigned = 0
         surv = np.flatnonzero(~skip)
@@ -379,8 +365,6 @@ class _Engine:
         got = int(totals.counts.sum())
         if got != self.n:
             raise RuntimeError(f"iteration {t}: accumulator counts sum to {got}, expected {self.n}")
-        if cfg.validate_bounds and cfg.pruning and isinstance(self.source, _MemorySource):
-            self._validate_prune_state()
 
         new_centroids = finalize_centroids(totals, self.centroids)
         if cfg.pruning:
@@ -391,6 +375,11 @@ class _Engine:
             wcss = sum(r.wcss_sq for r in results)
 
         io = self.source.finish_iteration()
+        if io is not None:
+            io.rows_elided = counters.skips
+            if self.io_totals is None:
+                self.io_totals = IoDelta()
+            self.io_totals += io
         taken, same, remote = self.queue.counter_totals()
         self.queue.reset_counters()
         now = time.perf_counter()
@@ -406,8 +395,6 @@ class _Engine:
             io=io,
             sched=SchedCounters(taken, same, remote),
         ))
-        if self.assignment_history is not None:
-            self.assignment_history.append(self.assignment.copy())
 
         self._track_state_bytes()
         self.centroids = new_centroids
@@ -423,27 +410,7 @@ class _Engine:
             self.full_pass = False
         self.task_results = [None] * self.n_tasks
         self.queue.enqueue_iteration(self.ranges, cfg.task_size)
-        self.source.begin_iteration(self.iter_t)
         self._iter_start = time.perf_counter()
-
-    def _validate_prune_state(self) -> None:
-        # Test-mode oracle: every assignment (skipped points included) must
-        # equal the exhaustive argmin, and every bound must dominate the true
-        # distance to the assigned centroid (tiny slack for FP reassociation).
-        matrix = self.source.matrix
-        t = self.iter_t
-        for lo in range(0, self.n, 8192):
-            hi = min(lo + 8192, self.n)
-            dmat = block_distances(matrix[lo:hi], self.centroids.means)
-            ids = np.argmin(dmat, axis=1).astype(np.int32)
-            if not np.array_equal(ids, self.assignment[lo:hi]):
-                raise AssertionError(
-                    f"iteration {t}: stored assignment differs from exhaustive argmin"
-                )
-            true_d = dmat[np.arange(hi - lo), self.assignment[lo:hi]]
-            slack = 1e-9 * np.maximum(1.0, true_d)
-            if np.any(self.state.upper[lo:hi] + slack < true_d):
-                raise AssertionError(f"iteration {t}: upper bound below true distance")
 
     def _track_state_bytes(self) -> None:
         total = self.source.state_bytes()
@@ -464,7 +431,6 @@ class _Engine:
 
     def run(self) -> KmeansResult:
         self.queue.enqueue_iteration(self.ranges, self.cfg.task_size)
-        self.source.begin_iteration(0)
         self._iter_start = time.perf_counter()
         threads = [
             threading.Thread(target=self._worker, args=(w,), name=f"kmeans-worker-{w}")
@@ -481,9 +447,8 @@ class _Engine:
             assignments=self.assignment.copy(),
             iterations=self.iterations,
             converged=self.converged,
-            io_totals=self.source.total_io(),
+            io_totals=self.io_totals,
             peak_state_bytes=self.peak_state_bytes,
-            assignment_history=self.assignment_history,
         )
 
 

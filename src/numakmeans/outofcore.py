@@ -182,11 +182,11 @@ class _DiskSource:
         self.cache = (
             RowCache(T, cache_capacity, store.row_bytes) if cache_enabled else None
         )
-        self.stats = IoDelta()
+        self.stats = IoDelta()  # the current iteration's counts
         self._lock = threading.Lock()
+        self._iteration = 0
         self._collecting = False
         self._pending: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in range(T)]
-        self._last = IoDelta()
 
     def _fetch(self, task, ids: np.ndarray) -> np.ndarray:
         local = IoDelta()
@@ -203,25 +203,16 @@ class _DiskSource:
     def rows_by_ids(self, task, ids) -> np.ndarray:
         return self._fetch(task, np.asarray(ids, dtype=np.int64))
 
-    def note_elided(self, task, count: int) -> None:
-        if count:
-            with self._lock:
-                self.stats.rows_elided += count
-
-    def begin_iteration(self, t: int) -> None:
-        self._collecting = self.cache is not None and should_refresh(t, self.schedule)
-
     def finish_iteration(self) -> IoDelta:
+        """This iteration's counts; refreshes the cache from the rows it collected."""
         if self._collecting:
             self.cache.rebuild(self._pending)
             self._pending = [[] for _ in range(len(self._pending))]
-            self._collecting = False
-        delta = self.stats - self._last
-        self._last += delta
-        return delta
-
-    def total_io(self) -> IoDelta:
-        return self.stats
+        self._iteration += 1
+        self._collecting = self.cache is not None and should_refresh(self._iteration,
+                                                                     self.schedule)
+        io, self.stats = self.stats, IoDelta()
+        return io
 
     def state_bytes(self) -> int:
         # Row data lives on disk; the cache and fetch buffers are accounted

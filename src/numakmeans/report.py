@@ -19,11 +19,7 @@ ITER_FIELDS = (
     "taken_local", "stolen_same", "stolen_remote", "wall_ms",
 )
 
-SUMMED_FIELDS = (
-    "reassign", "dists", "skips", "pruned_stale", "pruned_tight",
-    "bytes_req", "bytes_read", "cache_hits", "cache_misses", "rows_elided",
-    "taken_local", "stolen_same", "stolen_remote",
-)
+SUMMED_FIELDS = tuple(f for f in ITER_FIELDS if f not in ("t", "wcss", "wall_ms"))
 
 # Timing-dependent fields, excluded when comparing reports for determinism.
 TIMING_FIELDS = ("wall_ms", "taken_local", "stolen_same", "stolen_remote")

@@ -24,7 +24,6 @@ class Topology:
     n_nodes: int
     n_workers: int
     node_of: tuple[int, ...]
-    source: str  # "detected" or "override"
 
 
 def detect_node_count() -> int:
@@ -59,8 +58,8 @@ def node_cpus(node: int) -> set[int]:
 def build_topology(requested_T: int, override_N: int | None = None) -> Topology:
     """Assign workers to nodes in contiguous blocks of T/N.
 
-    With ``override_N`` the layout is forced (useful on non-NUMA test
-    machines); otherwise the node count is detected, falling back to 1.
+    The node count is ``override_N`` when given, else detected (1 if
+    unknown); either way workers are laid out and bound the same way.
     """
     if requested_T < 1:
         raise ValueError("need at least one worker")
@@ -68,12 +67,10 @@ def build_topology(requested_T: int, override_N: int | None = None) -> Topology:
         if override_N < 1:
             raise ValueError("node override must be >= 1")
         n_nodes = min(override_N, requested_T)
-        source = "override"
     else:
         n_nodes = min(detect_node_count(), requested_T)
-        source = "detected"
     node_of = tuple(worker_nodes(requested_T, n_nodes))
-    return Topology(n_nodes=n_nodes, n_workers=requested_T, node_of=node_of, source=source)
+    return Topology(n_nodes=n_nodes, n_workers=requested_T, node_of=node_of)
 
 
 def bind_to_node(topology: Topology, worker: int) -> bool:

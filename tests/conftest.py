@@ -4,12 +4,20 @@ The reference implementations here are deliberately naive and independent of
 the package internals: plain Python loops for distances, a from-scratch
 Lloyd's iteration for clustering.  Tests freeze or derive expected values
 from these, never from the code under test.
+
+``run_with_history`` is the per-iteration window into a run: it records the
+assignment after every iteration and can check the pruned engine's stored
+assignments and bounds against an exhaustive pass before each update.  That
+check, ``check_prune_state``, uses the package's block distance kernel.
 """
 
 import math
 
 import numpy as np
 import pytest
+
+from numakmeans import engine, outofcore
+from numakmeans.distance import block_distances
 
 ACCEPTANCE_RESULTS: list[tuple[str, bool, str]] = []
 
@@ -82,6 +90,57 @@ def naive_lloyd(m, means0, max_iters=100, tolerance=0):
         if changed <= tolerance:
             break
     return means, assign, history
+
+
+# ---------------------------------------------------------------------------
+# per-iteration views of an engine run
+
+
+def check_prune_state(eng) -> None:
+    """Every stored assignment (skipped points included) must equal the
+    exhaustive argmin, and every bound must dominate the true distance to the
+    assigned centroid (tiny slack for FP reassociation).  Needs the in-memory
+    matrix and the centroids the iteration assigned against."""
+    matrix = eng.source.matrix
+    t = eng.iter_t
+    for lo in range(0, eng.n, 8192):
+        hi = min(lo + 8192, eng.n)
+        dmat = block_distances(matrix[lo:hi], eng.centroids.means)
+        ids = np.argmin(dmat, axis=1).astype(np.int32)
+        if not np.array_equal(ids, eng.assignment[lo:hi]):
+            raise AssertionError(
+                f"iteration {t}: stored assignment differs from exhaustive argmin"
+            )
+        true_d = dmat[np.arange(hi - lo), eng.assignment[lo:hi]]
+        slack = 1e-9 * np.maximum(1.0, true_d)
+        if np.any(eng.state.upper[lo:hi] + slack < true_d):
+            raise AssertionError(f"iteration {t}: upper bound below true distance")
+
+
+def run_with_history(run, *args, validate_bounds=False, **kwargs):
+    """``run(*args, **kwargs)`` (``kmeans`` or ``kmeans_ondisk``), returning
+    ``(result, history)`` where ``history[t]`` is the assignment after
+    iteration t.  With ``validate_bounds``, a pruned in-memory run is checked
+    by :func:`check_prune_state` at every barrier; a failed check ends the run
+    with its AssertionError."""
+    history = []
+
+    class Recording(engine._Engine):
+        def _finish_iteration(self):
+            if validate_bounds and self.cfg.pruning:
+                check_prune_state(self)  # before the centroids are updated
+            super()._finish_iteration()
+            history.append(self.assignment.copy())
+
+    saved = engine._Engine, outofcore._Engine
+    engine._Engine = outofcore._Engine = Recording
+    try:
+        result = run(*args, **kwargs)
+    finally:
+        engine._Engine, outofcore._Engine = saved
+    # an empty history would make every per-iteration comparison vacuous
+    assert len(history) == result.n_iterations
+    return result, history
 
 
 @pytest.fixture

@@ -23,7 +23,7 @@ from numakmeans.outofcore import (
 )
 from numakmeans.scheduler import PartitionedTaskQueue, build_topology
 
-from conftest import record_acceptance
+from conftest import record_acceptance, run_with_history
 
 
 def wcss_non_increasing(result) -> bool:
@@ -61,11 +61,11 @@ def test_criterion_1_and_8_oracle_exactness():
     for n, d, k, family, seed in criterion1_grid():
         spec = SyntheticSpec(family, n, d, seed=seed, k_true=8, separation=8.0)
         m = gen_synthetic(spec)
-        base = dict(k=k, seed=seed + 1, T=2, max_iters=8, collect_assignments=True)
-        pruned = kmeans(m, EngineConfig(pruning=True, **base))
-        plain = kmeans(m, EngineConfig(pruning=False, **base))
+        base = dict(k=k, seed=seed + 1, T=2, max_iters=8)
+        pruned, pruned_hist = run_with_history(kmeans, m, EngineConfig(pruning=True, **base))
+        plain, plain_hist = run_with_history(kmeans, m, EngineConfig(pruning=False, **base))
         assert pruned.n_iterations == plain.n_iterations, (n, d, k, family)
-        for a, b in zip(pruned.assignment_history, plain.assignment_history):
+        for a, b in zip(pruned_hist, plain_hist):
             assert np.array_equal(a, b), (n, d, k, family)
         gap = float(np.max(np.abs(pruned.centroids.means - plain.centroids.means)))
         assert gap < 1e-9, (n, d, k, family, gap)
@@ -91,21 +91,21 @@ def test_criterion_2_mode_equivalence(tmp_path):
         save_matrix(m, path, raw=True)
 
         for pruning in (True, False):
-            cfg = dict(k=6, seed=seed + 10, T=2, max_iters=40, pruning=pruning,
-                       collect_assignments=True)
-            im = kmeans(m, EngineConfig(**cfg))
+            cfg = dict(k=6, seed=seed + 10, T=2, max_iters=40, pruning=pruning)
+            im, im_hist = run_with_history(kmeans, m, EngineConfig(**cfg))
             sem_runs = []
             with RowStore(path, 5000, 8) as store:
-                sem_runs.append(kmeans_ondisk(store, EngineConfig(mode="sem", **cfg),
-                                              cache_enabled=False))
+                sem_runs.append(run_with_history(kmeans_ondisk, store,
+                                                 EngineConfig(mode="sem", **cfg),
+                                                 cache_enabled=False))
             for capacity in (0, data_bytes // 4, data_bytes):
                 with RowStore(path, 5000, 8) as store:
-                    sem_runs.append(kmeans_ondisk(
-                        store, EngineConfig(mode="sem", **cfg),
+                    sem_runs.append(run_with_history(
+                        kmeans_ondisk, store, EngineConfig(mode="sem", **cfg),
                         cache_capacity=capacity, schedule=CacheSchedule(2)))
-            for sem in sem_runs:
+            for sem, sem_hist in sem_runs:
                 assert sem.n_iterations == im.n_iterations
-                for a, b in zip(sem.assignment_history, im.assignment_history):
+                for a, b in zip(sem_hist, im_hist):
                     if not np.array_equal(a, b):
                         ok = False
                 assert np.max(np.abs(sem.centroids.means - im.centroids.means)) < 1e-9
@@ -121,25 +121,23 @@ def test_criterion_3_parallel_determinism():
     runs = {}
     for T in (1, 2, 4, 8):
         cfg = EngineConfig(k=8, seed=6, T=T, max_iters=30, pruning=True,
-                           task_size=512, collect_assignments=True)
-        runs[T] = kmeans(m, cfg)
-    base = runs[1]
+                           task_size=512)
+        runs[T] = run_with_history(kmeans, m, cfg)
+    base, base_hist = runs[1]
     ok = True
     for T in (2, 4, 8):
-        r = runs[T]
+        r, r_hist = runs[T]
         ok = ok and r.n_iterations == base.n_iterations
-        ok = ok and all(np.array_equal(a, b) for a, b in
-                        zip(r.assignment_history, base.assignment_history))
+        ok = ok and all(np.array_equal(a, b) for a, b in zip(r_hist, base_hist))
         ok = ok and float(np.max(np.abs(r.centroids.means - base.centroids.means))) < 1e-9
     for policy in ("fifo", "static"):
         cfg = EngineConfig(k=8, seed=6, T=4, max_iters=30, pruning=True,
-                           task_size=512, scheduler=policy, collect_assignments=True)
-        r = kmeans(m, cfg)
-        ref = kmeans(m, EngineConfig(k=8, seed=6, T=4, max_iters=30, pruning=True,
-                                     task_size=512, scheduler="numa",
-                                     collect_assignments=True))
-        ok = ok and all(np.array_equal(a, b) for a, b in
-                        zip(r.assignment_history, ref.assignment_history))
+                           task_size=512, scheduler=policy)
+        r, r_hist = run_with_history(kmeans, m, cfg)
+        ref, ref_hist = run_with_history(
+            kmeans, m, EngineConfig(k=8, seed=6, T=4, max_iters=30, pruning=True,
+                                    task_size=512, scheduler="numa"))
+        ok = ok and all(np.array_equal(a, b) for a, b in zip(r_hist, ref_hist))
         ok = ok and float(np.max(np.abs(r.centroids.means - ref.centroids.means))) < 1e-9
     record_acceptance(
         "criterion 3: T in {1,2,4,8} and all schedulers give identical results", ok)

@@ -1,0 +1,44 @@
+"""Every demo runs to completion against the current package.
+
+Each script runs in its own interpreter with ``src`` on ``PYTHONPATH`` and
+its temporary files under the test's ``tmp_path``.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("0*.py"))
+
+# Lines of demo 01 that compare the pruned and unpruned results.
+DEMO_01_CHECKS = (
+    "reassignment counts identical at every iteration:",
+    "wcss interleaves,",
+    "final assignments identical:",
+    "final centroids agree to 1e-9",
+)
+
+
+def test_demos_found():
+    assert DEMOS, "no demos found"
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ, TMPDIR=str(tmp_path))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    if demo.name.startswith("01_"):
+        lines = proc.stdout.splitlines()
+        for prefix in DEMO_01_CHECKS:
+            found = [line for line in lines if line.startswith(prefix)]
+            assert len(found) == 1, prefix
+            assert found[0].endswith(": True"), found[0]

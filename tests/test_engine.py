@@ -4,7 +4,7 @@ import pytest
 from numakmeans.engine import EngineConfig, kmeans
 from numakmeans.matrix import SyntheticSpec, gen_synthetic
 
-from conftest import naive_assign_all, naive_lloyd
+from conftest import naive_assign_all, naive_lloyd, run_with_history
 
 
 def test_hand_example_two_iterations():
@@ -39,14 +39,13 @@ def test_thread_count_invariance(pruning):
     m = gen_synthetic(spec)
     results = {}
     for T in (1, 2, 4):
-        cfg = EngineConfig(k=6, seed=8, T=T, pruning=pruning, max_iters=40,
-                           collect_assignments=True)
-        results[T] = kmeans(m, cfg)
-    base = results[1]
+        cfg = EngineConfig(k=6, seed=8, T=T, pruning=pruning, max_iters=40)
+        results[T] = run_with_history(kmeans, m, cfg)
+    base, base_hist = results[1]
     for T in (2, 4):
-        r = results[T]
+        r, r_hist = results[T]
         assert r.n_iterations == base.n_iterations
-        for a, b in zip(r.assignment_history, base.assignment_history):
+        for a, b in zip(r_hist, base_hist):
             assert np.array_equal(a, b)
         assert np.max(np.abs(r.centroids.means - base.centroids.means)) < 1e-9
 
@@ -58,12 +57,12 @@ def test_task_size_invariance(pruning):
     results = []
     for ts in (7, 64, 8192):
         cfg = EngineConfig(k=5, seed=5, T=2, task_size=ts, pruning=pruning,
-                           max_iters=25, collect_assignments=True)
-        results.append(kmeans(m, cfg))
-    base = results[0]
-    for r in results[1:]:
+                           max_iters=25)
+        results.append(run_with_history(kmeans, m, cfg))
+    base, base_hist = results[0]
+    for r, r_hist in results[1:]:
         assert r.n_iterations == base.n_iterations
-        for a, b in zip(r.assignment_history, base.assignment_history):
+        for a, b in zip(r_hist, base_hist):
             assert np.array_equal(a, b)
         assert np.max(np.abs(r.centroids.means - base.centroids.means)) < 1e-9
 
@@ -74,17 +73,17 @@ def test_scheduler_policy_does_not_change_results():
     results = {}
     for policy in ("numa", "fifo", "static"):
         cfg = EngineConfig(k=5, seed=3, T=4, N=2, scheduler=policy, pruning=True,
-                           max_iters=40, task_size=256, collect_assignments=True)
-        results[policy] = kmeans(m, cfg)
-    base = results["numa"]
+                           max_iters=40, task_size=256)
+        results[policy] = run_with_history(kmeans, m, cfg)
+    base, base_hist = results["numa"]
     for policy in ("fifo", "static"):
-        r = results[policy]
+        r, r_hist = results[policy]
         assert r.n_iterations == base.n_iterations
-        for a, b in zip(r.assignment_history, base.assignment_history):
+        for a, b in zip(r_hist, base_hist):
             assert np.array_equal(a, b)
         assert np.max(np.abs(r.centroids.means - base.centroids.means)) < 1e-9
     # static never steals
-    for st in results["static"].iterations:
+    for st in results["static"][0].iterations:
         assert st.sched.stolen_same_node == 0
         assert st.sched.stolen_remote == 0
 

@@ -17,7 +17,7 @@ from numakmeans.pruning import (
     scan_block,
 )
 
-from conftest import naive_distance
+from conftest import naive_distance, run_with_history
 
 
 # Scalar reference for the vectorized scan_block: one point at a time.
@@ -337,9 +337,12 @@ def test_inflated_bounds_remain_valid_after_move(rng):
 
 
 def run_pair(m, k, seed, T=2, max_iters=40):
-    base = dict(k=k, seed=seed, T=T, max_iters=max_iters, collect_assignments=True)
-    pruned = kmeans(m, EngineConfig(pruning=True, validate_bounds=True, **base))
-    plain = kmeans(m, EngineConfig(pruning=False, **base))
+    """Pruned (oracle-checked every iteration) and unpruned runs, each with
+    its assignment history."""
+    base = dict(k=k, seed=seed, T=T, max_iters=max_iters)
+    pruned = run_with_history(kmeans, m, EngineConfig(pruning=True, **base),
+                              validate_bounds=True)
+    plain = run_with_history(kmeans, m, EngineConfig(pruning=False, **base))
     return pruned, plain
 
 
@@ -350,9 +353,9 @@ def run_pair(m, k, seed, T=2, max_iters=40):
 def test_pruned_run_matches_unpruned_every_iteration(family, n, d, k):
     spec = SyntheticSpec(family, n, d, seed=21, k_true=k, separation=8.0)
     m = gen_synthetic(spec)
-    pruned, plain = run_pair(m, k, seed=4)
+    (pruned, pruned_hist), (plain, plain_hist) = run_pair(m, k, seed=4)
     assert pruned.n_iterations == plain.n_iterations
-    for a, b in zip(pruned.assignment_history, plain.assignment_history):
+    for a, b in zip(pruned_hist, plain_hist):
         assert np.array_equal(a, b)
     assert [s.reassignments for s in pruned.iterations] == \
            [s.reassignments for s in plain.iterations]
@@ -363,7 +366,7 @@ def test_distance_computation_caps():
     spec = SyntheticSpec("gaussian-mixture", 4000, 6, seed=3, k_true=8, separation=12.0)
     m = gen_synthetic(spec)
     k = 8
-    pruned, _ = run_pair(m, k, seed=9)
+    (pruned, _), _ = run_pair(m, k, seed=9)
     nk = 4000 * k
     assert pruned.iterations[0].dist_comps == nk
     for st in pruned.iterations[1:]:

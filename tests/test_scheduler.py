@@ -19,7 +19,6 @@ def even_ranges(n, T, node_of):
 def test_topology_single_node():
     t = topo(4, 1)
     assert t.node_of == (0, 0, 0, 0)
-    assert t.source == "override"
 
 
 def test_topology_two_node_blocks():
@@ -36,7 +35,6 @@ def test_topology_remainder_to_low_nodes():
 def test_topology_detection_fallback(monkeypatch):
     monkeypatch.setattr("numakmeans.scheduler.detect_node_count", lambda: 1)
     t = build_topology(3)
-    assert t.source == "detected"
     assert t.n_nodes == 1
 
 
@@ -47,7 +45,6 @@ def test_bind_to_node_with_given_node_count(monkeypatch):
     monkeypatch.setattr("os.sched_setaffinity", lambda pid, cpus: bound.append((pid, cpus)),
                         raising=False)
     t = build_topology(2, 2)
-    assert t.source == "override"
     assert bind_to_node(t, 0) and bind_to_node(t, 1)
     assert bound == [(0, {10}), (0, {11})]
     assert not bind_to_node(build_topology(2, 1), 0)

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from numakmeans.outofcore import (
     page_runs,
     should_refresh,
 )
+
+from conftest import run_with_history
 
 
 @pytest.fixture
@@ -233,14 +237,16 @@ def test_cache_zero_capacity_stays_empty(tmp_path):
     m = gen_synthetic(spec)
     path = tmp_path / "m.raw"
     save_matrix(m, path, raw=True)
-    base_cfg = dict(k=4, seed=2, T=2, max_iters=40, mode="sem", collect_assignments=True)
+    base_cfg = dict(k=4, seed=2, T=2, max_iters=40, mode="sem")
     with RowStore(path, 1500, 6) as store:
-        no_cache = kmeans_ondisk(store, EngineConfig(**base_cfg), cache_enabled=False)
+        no_cache, no_cache_hist = run_with_history(kmeans_ondisk, store,
+                                                   EngineConfig(**base_cfg),
+                                                   cache_enabled=False)
     with RowStore(path, 1500, 6) as store:
-        zero = kmeans_ondisk(store, EngineConfig(**base_cfg), cache_capacity=0,
-                             schedule=CacheSchedule(1))
+        zero, zero_hist = run_with_history(kmeans_ondisk, store, EngineConfig(**base_cfg),
+                                           cache_capacity=0, schedule=CacheSchedule(1))
     assert zero.io_totals.cache_hits == 0
-    for a, b in zip(no_cache.assignment_history, zero.assignment_history):
+    for a, b in zip(no_cache_hist, zero_hist):
         assert np.array_equal(a, b)
     assert np.array_equal(no_cache.centroids.means, zero.centroids.means)
 
@@ -252,15 +258,15 @@ def test_sem_matches_in_memory_and_capacity_is_transparent(tmp_path):
     save_matrix(m, path, raw=True)
     data_bytes = 2000 * 8 * 8
 
-    im = kmeans(m, EngineConfig(k=4, seed=6, T=2, max_iters=50, collect_assignments=True))
+    im, im_hist = run_with_history(kmeans, m, EngineConfig(k=4, seed=6, T=2, max_iters=50))
     for capacity in (0, data_bytes // 4, data_bytes):
-        cfg = EngineConfig(k=4, seed=6, T=2, max_iters=50, mode="sem",
-                           collect_assignments=True)
+        cfg = EngineConfig(k=4, seed=6, T=2, max_iters=50, mode="sem")
         with RowStore(path, 2000, 8) as store:
-            sem = kmeans_ondisk(store, cfg, cache_capacity=capacity,
-                                schedule=CacheSchedule(2))
+            sem, sem_hist = run_with_history(kmeans_ondisk, store, cfg,
+                                             cache_capacity=capacity,
+                                             schedule=CacheSchedule(2))
         assert sem.n_iterations == im.n_iterations
-        for a, b in zip(sem.assignment_history, im.assignment_history):
+        for a, b in zip(sem_hist, im_hist):
             assert np.array_equal(a, b)
         assert np.array_equal(sem.centroids.means, im.centroids.means)
 
@@ -314,13 +320,22 @@ def test_elided_rows_generate_no_fetch(tmp_path):
     path = tmp_path / "m.raw"
     save_matrix(m, path, raw=True)
     cfg = EngineConfig(k=4, seed=3, T=2, max_iters=40, mode="sem")
-    with RowStore(path, 1600, 8) as store:
-        res = kmeans_ondisk(store, cfg, cache_enabled=False)
-    for st in res.iterations:
-        io = st.io
-        assert io.rows_elided == st.skips
-        # requested bytes exactly cover the non-elided rows
-        assert io.bytes_requested == (1600 - st.skips) * 64
+    for cache_enabled in (False, True):
+        with RowStore(path, 1600, 8) as store:
+            res = kmeans_ondisk(store, cfg, cache_enabled=cache_enabled,
+                                schedule=CacheSchedule(1))
+        for st in res.iterations:
+            io = st.io
+            assert io.rows_elided == st.skips
+            # requested bytes exactly cover the non-elided rows
+            assert io.bytes_requested == (1600 - st.skips) * 64
+        # the run's totals are the per-iteration counts summed
+        for f in fields(IoDelta):
+            assert getattr(res.io_totals, f.name) == \
+                sum(getattr(st.io, f.name) for st in res.iterations), (cache_enabled, f.name)
+    im = kmeans(m, EngineConfig(k=4, seed=3, T=2, max_iters=40))
+    assert im.io_totals is None
+    assert all(st.io is None for st in im.iterations)
 
 
 def test_requested_vs_read_fragmentation(tmp_path):
