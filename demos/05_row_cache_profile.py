@@ -26,12 +26,12 @@ SCHEDULE = CacheSchedule(5)
 
 spec = SyntheticSpec("gaussian-mixture", N, D, seed=37, k_true=K, separation=4.0)
 matrix = gen_synthetic(spec)
-path = os.path.join(tempfile.mkdtemp(), "rows.raw")
-save_matrix(matrix, path, raw=True)
-
 cfg = EngineConfig(k=K, seed=13, T=2, pruning=True, mode="sem", max_iters=40)
-with RowStore(path, N, D) as store:
-    res = kmeans_ondisk(store, cfg, cache_capacity=N * D * 8, schedule=SCHEDULE)
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "rows.raw")
+    save_matrix(matrix, path, raw=True)
+    with RowStore(path, N, D) as store:
+        res = kmeans_ondisk(store, cfg, cache_capacity=N * D * 8, schedule=SCHEDULE)
 
 print(f"{res.n_iterations} iterations; cache refreshes marked with *\n")
 print(f"{'t':>3} {'max achievable':>15} {'cache hits':>11} {'hit rate':>9}")

@@ -30,7 +30,6 @@ from .engine import (
     kmeans,
 )
 from .matrix import (
-    RowRange,
     RowStore,
     SyntheticSpec,
     gen_synthetic,
@@ -67,7 +66,6 @@ __all__ = [
     "PartitionedTaskQueue",
     "PruneState",
     "RowCache",
-    "RowRange",
     "RowStore",
     "SyntheticSpec",
     "Task",

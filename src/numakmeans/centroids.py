@@ -57,26 +57,23 @@ class CentroidSet:
 
 @dataclass
 class Accumulator:
-    """Per-owner running sums used to rebuild centroids.
+    """Running sums used to rebuild centroids.
 
-    ``owner`` fixes the position of this accumulator in the deterministic
-    pairwise merge.  In full passes the fields hold plain totals; pruned
-    iterations use the same structure for signed reassignment deltas, in
-    which case counts may be negative.
+    In full passes the fields hold plain totals; pruned iterations use the
+    same structure for signed reassignment deltas, in which case counts may
+    be negative.
     """
 
     sums: np.ndarray    # (k, d)
     counts: np.ndarray  # (k,) int64
     sq: np.ndarray      # (k,) per-cluster sums of squared row norms
-    owner: int = 0
 
     @classmethod
-    def zeros(cls, k: int, d: int, owner: int = 0) -> "Accumulator":
+    def zeros(cls, k: int, d: int) -> "Accumulator":
         return cls(
             sums=np.zeros((k, d), dtype=np.float64),
             counts=np.zeros(k, dtype=np.int64),
             sq=np.zeros(k, dtype=np.float64),
-            owner=owner,
         )
 
     def add_(self, other: "Accumulator") -> None:
@@ -89,16 +86,16 @@ class Accumulator:
 
 
 def merge_accumulators(accs: list[Accumulator]) -> Accumulator:
-    """Pairwise tree reduction of accumulators, ordered by ascending owner.
+    """Pairwise tree reduction of accumulators in the order given.
 
     Each round adds accumulator 2i+1 into 2i; an odd trailing accumulator is
     carried to the next round.  The fixed pairing makes the floating-point
-    summation order, and therefore the result, reproducible for a given set
-    of owners.  Mutates the inputs.
+    summation order, and therefore the result, reproducible for a given
+    input order.  Mutates the inputs.
     """
     if not accs:
         raise ValueError("cannot merge an empty accumulator list")
-    level = sorted(accs, key=lambda a: a.owner)
+    level = list(accs)
     while len(level) > 1:
         nxt = []
         for i in range(0, len(level) - 1, 2):

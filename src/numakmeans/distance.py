@@ -9,11 +9,20 @@ the pruned and unpruned engines agree exactly.  The per-point reduction order
 depends only on d, never on the block being processed, so results are also
 invariant to task and chunk boundaries.  vecdot is a ufunc, so the hot loops
 drop the interpreter lock and worker threads overlap.
+
+The block kernels allocate their own scratch, sized by the block they are
+given; callers bound it by the blocks they pass, at most ``CHUNK_ELEMS``
+elements.  Nearest-centroid ties go to the lowest centroid id.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# Scratch budget of one vectorized block, in float64 elements: the engine's
+# full pass takes CHUNK_ELEMS // d rows at a time and the pruned scan
+# CHUNK_ELEMS // k rows per round.
+CHUNK_ELEMS = 262144
 
 
 def euclidean_distance(a, b) -> float:
@@ -39,20 +48,16 @@ def rowwise_distances(rows: np.ndarray, refs: np.ndarray, buf=None, out=None) ->
     return np.sqrt(sq, out=sq)
 
 
-def block_distances(rows: np.ndarray, centroids: np.ndarray,
-                    buf=None, out=None) -> np.ndarray:
+def block_distances(rows: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Full (m, k) distance matrix between ``rows`` and ``centroids``.
 
     Computed one centroid at a time so the scratch stays at O(m*d) and the
-    per-point arithmetic matches :func:`rowwise_distances` exactly.  ``buf``
-    (m, d) and ``out`` (m, k) may be preallocated by hot loops.
+    per-point arithmetic matches :func:`rowwise_distances` exactly.
     """
     m = rows.shape[0]
     k = centroids.shape[0]
-    if out is None:
-        out = np.empty((m, k), dtype=np.float64)
-    if buf is None:
-        buf = np.empty_like(rows)
+    out = np.empty((m, k), dtype=np.float64)
+    buf = np.empty_like(rows)
     # contract into a contiguous vector first: the contraction is the hot
     # loop and must not write through a strided view
     tmp = np.empty(m, dtype=np.float64)
@@ -82,35 +87,22 @@ def nearest_centroid(rows: np.ndarray, centroids: np.ndarray):
     return ids.astype(np.int32), dmat[np.arange(rows.shape[0]), ids]
 
 
-class NearestScratch:
-    """Reusable buffers for :func:`nearest_block_into`."""
-
-    def __init__(self, chunk_rows: int, d: int):
-        self.diff = np.empty((chunk_rows, d), dtype=np.float64)
-        self.tmp = np.empty(chunk_rows, dtype=np.float64)
-        self.mask = np.empty(chunk_rows, dtype=bool)
-
-
-def nearest_block_into(rows, centroids, scratch: NearestScratch, best, ids):
+def nearest_block_into(rows, centroids):
     """Streaming equivalent of :func:`nearest_centroid` for hot loops.
 
     Scans centroids in ascending id order with a strict-less update, so ids
-    and distances are bit-identical to the materialized argmin; only O(m)
-    scratch is touched and every step is a lock-dropping ufunc.  ``best`` and
-    ``ids`` are output arrays of length len(rows).
+    and distances are bit-identical to the materialized argmin; only O(m*d)
+    scratch is allocated and every step is a lock-dropping ufunc.  Returns
+    ``(ids, dists)`` like :func:`nearest_centroid`.
     """
-    m = rows.shape[0]
-    diff = scratch.diff[:m]
-    tmp = scratch.tmp[:m]
-    mask = scratch.mask[:m]
-    for j in range(centroids.shape[0]):
-        np.subtract(rows, centroids[j], out=diff)
-        np.vecdot(diff, diff, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        if j == 0:
-            best[:] = tmp
-            ids[:] = 0
-        else:
-            np.less(tmp, best, out=mask)
-            np.minimum(best, tmp, out=best)
-            np.copyto(ids, j, where=mask)
+    diff = np.empty_like(rows)
+    best = rowwise_distances(rows, centroids[0], buf=diff)
+    ids = np.zeros(rows.shape[0], dtype=np.int32)
+    tmp = np.empty_like(best)
+    mask = np.empty(best.shape, dtype=bool)
+    for j in range(1, centroids.shape[0]):
+        rowwise_distances(rows, centroids[j], buf=diff, out=tmp)
+        np.less(tmp, best, out=mask)
+        np.minimum(best, tmp, out=best)
+        np.copyto(ids, j, where=mask)
+    return ids, best

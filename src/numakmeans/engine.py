@@ -17,9 +17,10 @@ bounds; later iterations apply the triangle-inequality tests and maintain the
 cluster sums incrementally through signed per-task deltas, so skipped points
 cost neither distance work nor (out of core) any I/O.
 
-Per-task scratch buffers (distance blocks, fetched rows) are bounded and
-transient; the resident-state accounting covers the arrays the engine keeps
-alive across iterations.
+The queue is filled for iteration 0 when the engine is built, which fixes
+the task count, and refilled at each barrier.  Each task allocates its own
+transient scratch, bounded by ``CHUNK_ELEMS``; the resident-state accounting
+covers the arrays the engine keeps alive across iterations.
 
 The barrier takes the row source's I/O counts for the iteration (``None`` in
 memory), adds the rows the point-skip test elided, and sums them into
@@ -42,7 +43,7 @@ from .centroids import (
     init_centroids,
     merge_accumulators,
 )
-from .distance import NearestScratch, nearest_block_into, row_sqnorms
+from .distance import CHUNK_ELEMS, nearest_block_into, row_sqnorms
 from .matrix import check_matrix, partition_rows
 from .pruning import (
     PruneCounters,
@@ -54,10 +55,6 @@ from .pruning import (
 from .scheduler import POLICIES, PartitionedTaskQueue, bind_to_node, build_topology
 
 MODES = ("im", "sem")
-
-# Rows per vectorized chunk are capped so per-chunk scratch stays well under
-# the fixed-constant budget of the resident-memory contract.
-_CHUNK_ELEMS = 262144
 
 
 @dataclass
@@ -189,15 +186,6 @@ class _TaskResult:
     wcss_sq: float
 
 
-class _Scratch(NearestScratch):
-    """Per-worker reusable buffers for the assignment kernels."""
-
-    def __init__(self, chunk_rows: int, d: int):
-        super().__init__(chunk_rows, d)
-        self.best = np.empty(chunk_rows, dtype=np.float64)
-        self.ids = np.empty(chunk_rows, dtype=np.int32)
-
-
 class _Engine:
     def __init__(self, source, cfg: EngineConfig):
         cfg.validate()
@@ -205,11 +193,10 @@ class _Engine:
         self.cfg = cfg
         self.n, self.d = source.n, source.d
         self.topology = build_topology(cfg.T, cfg.N if cfg.N > 0 else None)
-        self.ranges = partition_rows(self.n, cfg.T, self.topology.n_nodes)
+        self.ranges = partition_rows(self.n, cfg.T)
         self.queue = PartitionedTaskQueue(self.topology)
-        self.n_tasks = sum(
-            (len(r) + cfg.task_size - 1) // cfg.task_size for r in self.ranges
-        )
+        self.queue.enqueue_iteration(self.ranges, cfg.task_size)
+        self.n_tasks = self.queue.remaining()
         self.centroids = source.init_centroids(cfg)
         self.k = self.centroids.k
 
@@ -220,14 +207,12 @@ class _Engine:
                 upper=np.full(self.n, np.inf),
                 tight=np.zeros(self.n, dtype=bool),
             )
-            self.run_sums = np.zeros((self.k, self.d), dtype=np.float64)
-            self.run_counts = np.zeros(self.k, dtype=np.int64)
-            self.run_sq = np.zeros(self.k, dtype=np.float64)
+            self.totals = Accumulator.zeros(self.k, self.d)
         else:
             self.state = None
         self.geometry = None
 
-        self.chunk_rows = max(1, _CHUNK_ELEMS // self.d)
+        self.chunk_rows = max(1, CHUNK_ELEMS // self.d)
         self.task_results: list[_TaskResult | None] = [None] * self.n_tasks
         self.iterations: list[IterationStats] = []
         self.io_totals: IoDelta | None = None
@@ -246,13 +231,12 @@ class _Engine:
     def _worker(self, w: int) -> None:
         try:
             bind_to_node(self.topology, w)
-            scratch = _Scratch(self.chunk_rows, self.d)
             while True:
                 while True:
                     task = self.queue.next_task(w, self.cfg.scheduler)
                     if task is None:
                         break
-                    self._process_task(task, scratch)
+                    self._process_task(task)
                 self.barrier.wait()
                 if self.stop:
                     return
@@ -264,30 +248,25 @@ class _Engine:
                     self.error = exc
             self.barrier.abort()
 
-    def _process_task(self, task, scratch) -> None:
-        if self.full_pass:
-            self.task_results[task.index] = self._task_full(task, scratch)
-        else:
-            self.task_results[task.index] = self._task_pruned(task)
+    def _process_task(self, task) -> None:
+        run = self._task_full if self.full_pass else self._task_pruned
+        self.task_results[task.index] = run(task)
 
-    def _task_full(self, task, scratch) -> _TaskResult:
+    def _task_full(self, task) -> _TaskResult:
         k, d = self.k, self.d
         lo, hi = task.start, task.stop
         rows = self.source.task_rows(task)
         m = hi - lo
-        acc = Accumulator.zeros(k, d, owner=task.index)
+        acc = Accumulator.zeros(k, d)
         reassigned = 0
         wcss_sq = 0.0
         want_sq = self.cfg.pruning
         means = self.centroids.means
         for base in range(0, m, self.chunk_rows):
             sub = rows[base:base + self.chunk_rows]
-            ms = sub.shape[0]
-            ids = scratch.ids[:ms]
-            ndist = scratch.best[:ms]
-            nearest_block_into(sub, means, scratch, ndist, ids)
+            ids, ndist = nearest_block_into(sub, means)
             gl = lo + base
-            gh = gl + ms
+            gh = gl + sub.shape[0]
             reassigned += int((ids != self.assignment[gl:gh]).sum())
             self.assignment[gl:gh] = ids
             if want_sq:
@@ -314,7 +293,7 @@ class _Engine:
         tg = self.state.tight[lo:hi]
         skip = u <= self.geometry.half_min[a]
         counters = PruneCounters(skips=int(skip.sum()))
-        acc = Accumulator.zeros(k, d, owner=task.index)
+        acc = Accumulator.zeros(k, d)
         reassigned = 0
         surv = np.flatnonzero(~skip)
         if surv.size:
@@ -345,21 +324,17 @@ class _Engine:
     def _finish_iteration(self) -> None:
         cfg = self.cfg
         t = self.iter_t
-        results = [r for r in self.task_results if r is not None]
+        # every task has been processed by the time the barrier action runs
+        results = self.task_results
         reassigned = sum(r.reassigned for r in results)
         counters = PruneCounters()
         for r in results:
             counters.add(r.counters)
 
-        if results:
-            merged = merge_accumulators([r.acc for r in results])
-        else:
-            merged = Accumulator.zeros(self.k, self.d)
+        merged = merge_accumulators([r.acc for r in results])
         if cfg.pruning:
-            self.run_sums += merged.sums
-            self.run_counts += merged.counts
-            self.run_sq += merged.sq
-            totals = Accumulator(self.run_sums, self.run_counts, self.run_sq)
+            self.totals.add_(merged)
+            totals = self.totals
         else:
             totals = merged
         got = int(totals.counts.sum())
@@ -381,7 +356,6 @@ class _Engine:
                 self.io_totals = IoDelta()
             self.io_totals += io
         taken, same, remote = self.queue.counter_totals()
-        self.queue.reset_counters()
         now = time.perf_counter()
         self.iterations.append(IterationStats(
             t=t,
@@ -417,20 +391,18 @@ class _Engine:
         total += self.assignment.nbytes
         if self.cfg.pruning:
             total += self.state.upper.nbytes + self.state.tight.nbytes
-            total += self.run_sums.nbytes + self.run_counts.nbytes + self.run_sq.nbytes
+            total += self.totals.state_bytes()
             if self.geometry is not None:
                 total += self.geometry.state_bytes()
         total += self.centroids.state_bytes()
         for r in self.task_results:
-            if r is not None:
-                total += r.acc.state_bytes()
+            total += r.acc.state_bytes()
         if total > self.peak_state_bytes:
             self.peak_state_bytes = total
 
     # ---- driver ----------------------------------------------------------
 
     def run(self) -> KmeansResult:
-        self.queue.enqueue_iteration(self.ranges, self.cfg.task_size)
         self._iter_start = time.perf_counter()
         threads = [
             threading.Thread(target=self._worker, args=(w,), name=f"kmeans-worker-{w}")

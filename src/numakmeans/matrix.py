@@ -15,7 +15,6 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -242,43 +241,20 @@ def generative_centers(spec: SyntheticSpec) -> np.ndarray:
     return _place_centers(rng, spec.k_true, spec.d, spec.separation)
 
 
-class RowRange(NamedTuple):
-    start: int
-    stop: int
-    node: int
-
-    def __len__(self):
-        return self.stop - self.start
-
-
-def worker_nodes(T: int, N: int) -> list[int]:
-    """Map worker ids to nodes in contiguous blocks of T/N, remainder to low nodes."""
-    if T < 1 or N < 1:
-        raise ValueError("T and N must be >= 1")
-    if T < N:
-        raise ValueError(f"need at least one worker per node (T={T} < N={N})")
-    base, rem = divmod(T, N)
-    out = []
-    for node in range(N):
-        out.extend([node] * (base + (1 if node < rem else 0)))
-    return out
-
-
-def partition_rows(n: int, T: int, N: int) -> list[RowRange]:
+def partition_rows(n: int, T: int) -> list[range]:
     """Split [0, n) into T contiguous ranges with sizes differing by at most 1.
 
-    Remainder rows go to the lowest-index workers; ranges map to nodes in
-    blocks of T/N workers.  T > n is allowed and yields empty ranges.
+    Remainder rows go to the lowest-index workers.  T > n is allowed and
+    yields empty ranges.
     """
-    if T < 1 or N < 1:
-        raise ValueError("T and N must be >= 1")
-    nodes = worker_nodes(T, N)
+    if T < 1:
+        raise ValueError("T must be >= 1")
     base, rem = divmod(n, T)
     ranges = []
     start = 0
     for w in range(T):
         size = base + (1 if w < rem else 0)
-        ranges.append(RowRange(start, start + size, nodes[w]))
+        ranges.append(range(start, start + size))
         start += size
     assert start == n
     return ranges

@@ -18,11 +18,16 @@ Half distances are what make the tests sound: d(v, x) >= d(a, x) - d(v, a),
 so d(v, a) <= d(a, x)/2 guarantees d(v, x) >= d(v, a).  There is no lower
 bound matrix; memory stays O(n + k^2).
 
+Ties go to the lower centroid id, as in a full pass: against an x below
+the assigned centroid each test is strict, which is the inclusive test
+against the half distance moved one ulp down (``_tie_gaps``), and an equal
+distance switches to x.
+
 The candidate scan of the rows that fail the point skip runs in a few rounds
 over whole blocks, not one pass per centroid: each round tests every row
 against every centroid with a handful of large array operations, evaluates
 all surviving candidates at once, and sends only the rows that switched to
-the next round.  A round takes at most ``_SCAN_CHUNK_ELEMS`` (row, centroid)
+the next round.  A round takes at most ``CHUNK_ELEMS`` (row, centroid)
 pairs, which caps its scratch whatever the task size.  The result, bounds
 and counters are those of a sequential per-row scan, bit for bit.
 """
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .centroids import CentroidSet
-from .distance import block_distances, rowwise_distances
+from .distance import CHUNK_ELEMS, block_distances, rowwise_distances
 
 
 @dataclass
@@ -42,8 +47,10 @@ class CentroidGeometry:
     """Pairwise half-distances between centroids and per-centroid row minima.
 
     ``half_dist[a, b]`` is d(c_a, c_b) / 2; ``half_min[a]`` is the smallest
-    off-diagonal entry of row a (+inf when k == 1, so single-cluster runs
-    always take the point-skip path).  Rebuilt every iteration.
+    off-diagonal entry of row a of ``_tie_gaps(half_dist)``, so a point
+    exactly halfway to a lower-id centroid is not skipped (+inf when k == 1,
+    so single-cluster runs always take the point-skip path).  Rebuilt every
+    iteration.
     """
 
     half_dist: np.ndarray  # (k, k) symmetric, zero diagonal
@@ -64,9 +71,19 @@ def centroid_geometry(c: CentroidSet) -> CentroidGeometry:
     if k == 1:
         half_min = np.array([np.inf])
     else:
-        masked = half + np.diag(np.full(k, np.inf))
+        masked = _tie_gaps(half) + np.diag(np.full(k, np.inf))
         half_min = masked.min(axis=1)
     return CentroidGeometry(half_dist=half, half_min=half_min)
+
+
+def _tie_gaps(half: np.ndarray) -> np.ndarray:
+    """``half`` with each entry [a, x], x < a, moved one ulp down.
+
+    Testing ``u <= gap`` against this table prunes a lower-id x only when
+    ``u < half[a, x]``, so an x exactly as close as a is still examined.
+    """
+    lower = np.tri(half.shape[0], k=-1, dtype=bool)
+    return np.where(lower, np.nextafter(half, -np.inf), half)
 
 
 @dataclass
@@ -105,9 +122,6 @@ def inflate_bounds(st: PruneState, drift: np.ndarray) -> None:
     np.logical_and(st.tight, moved == 0.0, out=st.tight)
 
 
-# Rows are scanned in batches of at most this many (row, centroid) pairs,
-# which bounds the gap block and its masks (the engine's full-pass budget).
-_SCAN_CHUNK_ELEMS = 262144
 # Candidate distances are evaluated in slices of at most this many row
 # elements (512 KB), which keeps their operands in cache.
 _PAIR_SLICE_ELEMS = 65536
@@ -121,8 +135,9 @@ def scan_block(rows: np.ndarray, c: CentroidSet, geo: CentroidGeometry,
     The result is that of a sequential scan of each row: tighten its bound
     once, then visit candidates in ascending id order, each pruned against
     half the gap to the row's current assignment, switching on strict
-    improvement.  The original centroid is never revisited: its exact
-    distance is the tightened bound itself.
+    improvement, or on an equal distance to a centroid below the original
+    one (ties go to the lower id).  The original centroid is never
+    revisited: its exact distance is the tightened bound itself.
 
     The scan runs in rounds over whole blocks of rows.  A round gathers each
     row's gaps to every centroid as one (rows, k) block, evaluates all of
@@ -131,7 +146,7 @@ def scan_block(rows: np.ndarray, c: CentroidSet, geo: CentroidGeometry,
     round, which scans only the columns after the switch; all others are
     final.  A row takes one round more than it switches.  Counters count
     only the pairs the sequential scan reaches, so they equal its counters.
-    A round takes at most ``_SCAN_CHUNK_ELEMS // k`` rows.
+    A round takes at most ``CHUNK_ELEMS // k`` rows.
 
     ``assign``, ``upper`` and ``tight`` are the survivors' slices; the arrays
     are updated in place and ``counters`` accumulates the work done.  Returns
@@ -145,15 +160,16 @@ def scan_block(rows: np.ndarray, c: CentroidSet, geo: CentroidGeometry,
     counters.computed += int(loose.size)
     tight[:] = True
     cols = np.arange(k)
-    # Row a of gaps holds half the distances from centroid a; row k + a the
-    # same with every column up to a made infinite, which prunes them.  A row
-    # assigned to a reads row a in its first round; once it has switched to
-    # a it has scanned every column up to a, so it reads row k + a.
+    # Row a of gaps holds half the distances from centroid a, with the tie
+    # rule's strict tests below a; row k + a the same with every column up to
+    # a made infinite, which prunes them.  A row assigned to a reads row a in
+    # its first round; once it has switched to a it has scanned every column
+    # up to a, so it reads row k + a.
     half = geo.half_dist
-    gaps = np.concatenate((half, np.where(cols > cols[:, None], half, np.inf)))
+    gaps = np.concatenate((_tie_gaps(half), np.where(cols > cols[:, None], half, np.inf)))
     act = np.arange(rows.shape[0])   # rows queued for a round
     start = np.full(act.size, -1)    # the column each last switched to
-    step = max(1, _SCAN_CHUNK_ELEMS // k)
+    step = max(1, CHUNK_ELEMS // k)
     while act.size:
         ids, st = act[:step], start[:step]
         at = np.arange(ids.size)
@@ -168,7 +184,9 @@ def scan_block(rows: np.ndarray, c: CentroidSet, geo: CentroidGeometry,
         del gap  # the largest block; free it before the distances
         r, x = np.divmod(np.flatnonzero(cand), k)
         dx = _pair_distances(rows, ids[r], c.means, x)
-        better = np.flatnonzero(dx < u[r])
+        # in its first round a row also switches to a lower id at a tie
+        ties = (st[r] < 0) & (x < og[r])
+        better = np.flatnonzero((dx < u[r]) | (ties & (dx == u[r])))
         first = np.full(ids.size, k)
         np.minimum.at(first, r[better], x[better])
         # the sequential scan reaches the columns after st up to the first

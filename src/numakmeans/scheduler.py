@@ -1,10 +1,12 @@
 """Topology-aware partitioned task queue with local-first work stealing.
 
-The queue holds one partition per worker, each under its own lock.  A worker
-drains its own partition first, then steals from workers bound to the same
-node, and only then from remote nodes; the front of a partition is its
-highest-priority task.  Tasks are only removed during an iteration, so a
-single scan that observes every partition empty is a safe exhaustion check.
+The topology lays workers out over NUMA nodes.  The queue holds one
+partition per worker, each under its own lock, and gives every worker a
+fixed victim order per policy: its own partition first, then (numa) the
+partitions of workers on the same node and only then remote ones; the front
+of a partition is its highest-priority task.  A request tries each victim
+once, under that victim's lock.  Tasks are only removed during an iteration,
+so one pass that finds every victim empty is a safe exhaustion check.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ import os
 import threading
 from collections import deque
 from dataclasses import dataclass
-
-from .matrix import RowRange, worker_nodes
 
 POLICIES = ("numa", "fifo", "static")
 
@@ -53,6 +53,19 @@ def node_cpus(node: int) -> set[int]:
         return cpus
     except (OSError, ValueError):
         return set()
+
+
+def worker_nodes(T: int, N: int) -> list[int]:
+    """Map worker ids to nodes in contiguous blocks of T/N, remainder to low nodes."""
+    if T < 1 or N < 1:
+        raise ValueError("T and N must be >= 1")
+    if T < N:
+        raise ValueError(f"need at least one worker per node (T={T} < N={N})")
+    base, rem = divmod(T, N)
+    out = []
+    for node in range(N):
+        out.extend([node] * (base + (1 if node < rem else 0)))
+    return out
 
 
 def build_topology(requested_T: int, override_N: int | None = None) -> Topology:
@@ -108,26 +121,20 @@ class PartitionedTaskQueue:
     def __init__(self, topology: Topology):
         self.topology = topology
         T = topology.n_workers
+        node_of = topology.node_of
         self._parts: list[deque[Task]] = [deque() for _ in range(T)]
         self._locks = [threading.Lock() for _ in range(T)]
-        self.taken_local = [0] * T
-        self.stolen_same_node = [0] * T
-        self.stolen_remote = [0] * T
-        self._steal_order = self._build_steal_orders()
+        others = [[p for p in range(T) if p != w] for w in range(T)]
+        # sorted() is stable: same-node victims ascending, then remote ascending
+        self._victims = {
+            "numa": [[w] + sorted(others[w], key=lambda p: node_of[p] != node_of[w])
+                     for w in range(T)],
+            "fifo": [[w] + others[w] for w in range(T)],
+            "static": [[w] for w in range(T)],
+        }
+        self._zero_counters()
 
-    def _build_steal_orders(self):
-        topo = self.topology
-        orders = {}
-        for w in range(topo.n_workers):
-            same = [p for p in range(topo.n_workers)
-                    if p != w and topo.node_of[p] == topo.node_of[w]]
-            remote = [p for p in range(topo.n_workers)
-                      if topo.node_of[p] != topo.node_of[w]]
-            any_order = [p for p in range(topo.n_workers) if p != w]
-            orders[w] = (same, remote, any_order)
-        return orders
-
-    def reset_counters(self) -> None:
+    def _zero_counters(self) -> None:
         T = self.topology.n_workers
         self.taken_local = [0] * T
         self.stolen_same_node = [0] * T
@@ -139,14 +146,16 @@ class PartitionedTaskQueue:
     def remaining(self) -> int:
         return sum(len(p) for p in self._parts)
 
-    def enqueue_iteration(self, ranges: list[RowRange], task_size: int) -> None:
-        """Fill each worker's partition with its range split into task blocks."""
+    def enqueue_iteration(self, ranges: list[range], task_size: int) -> None:
+        """Fill each worker's partition with its range split into task blocks,
+        and zero the dispensing counters."""
         if task_size < 1:
             raise ValueError("task_size must be >= 1")
         if len(ranges) != self.topology.n_workers:
             raise ValueError(f"expected {self.topology.n_workers} ranges, got {len(ranges)}")
         if self.remaining():
             raise RuntimeError("queue must be empty before a new iteration is enqueued")
+        self._zero_counters()
         index = 0
         for w, rr in enumerate(ranges):
             part = self._parts[w]
@@ -169,32 +178,18 @@ class PartitionedTaskQueue:
             return task
 
     def next_task(self, worker: int, policy: str = "numa") -> Task | None:
-        """Dispense one task to ``worker`` or None when every partition is empty.
+        """Dispense one task to ``worker`` or None when every victim is empty.
 
-        numa steals same-node first, then remote; fifo steals from any
-        partition in worker order; static never steals.  Tasks are removed,
-        never added, during an iteration, so observing all partitions empty
-        in one scan proves exhaustion.
+        numa tries the worker's own partition, then same-node partitions,
+        then remote ones; fifo its own, then all others in worker order;
+        static only its own.  Each victim is tried once.  Tasks are removed,
+        never added, during an iteration, so a victim found empty stays
+        empty and one pass proves exhaustion.
         """
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}")
-        task = self._pop_from(worker, worker)
-        if task is not None or policy == "static":
-            return task
-        if policy == "numa":
-            scan_groups = self._steal_order[worker][:2]
-        else:
-            scan_groups = (self._steal_order[worker][2],)
-        while True:
-            seen_any = False
-            for group in scan_groups:
-                for p in group:
-                    if self._parts[p]:
-                        seen_any = True
-                        task = self._pop_from(p, worker)
-                        if task is not None:
-                            return task
-            if not seen_any:
-                if self._parts[worker]:
-                    continue  # cannot happen mid-iteration; defensive re-scan
-                return None
+        for p in self._victims[policy][worker]:
+            task = self._pop_from(p, worker)
+            if task is not None:
+                return task
+        return None

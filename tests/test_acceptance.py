@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from numakmeans.engine import EngineConfig, kmeans
-from numakmeans.matrix import RowRange, SyntheticSpec, gen_synthetic, save_matrix
+from numakmeans.matrix import SyntheticSpec, gen_synthetic, save_matrix
 from numakmeans.outofcore import (
     CacheSchedule,
     RowStore,
@@ -283,7 +283,7 @@ def test_criterion_9_scheduler_exactly_once_stress():
         topo = build_topology(T, override_N=2)
         queue = PartitionedTaskQueue(topo)
         per = n_tasks // T
-        ranges = [RowRange(w * per, (w + 1) * per, topo.node_of[w]) for w in range(T)]
+        ranges = [range(w * per, (w + 1) * per) for w in range(T)]
         queue.enqueue_iteration(ranges, task_size=1)
         seen: list[list[int]] = [[] for _ in range(T)]
         premature = []

@@ -12,8 +12,8 @@ from numakmeans.centroids import (
 from conftest import naive_distance
 
 
-def make_acc(rng, k, d, owner):
-    acc = Accumulator.zeros(k, d, owner=owner)
+def make_acc(rng, k, d):
+    acc = Accumulator.zeros(k, d)
     acc.sums += rng.normal(size=(k, d))
     acc.counts += rng.integers(0, 10, size=k)
     acc.sq += rng.random(size=k)
@@ -64,7 +64,7 @@ def test_given_validates_shape_and_finiteness(rng):
 
 
 def test_merge_single_unchanged(rng):
-    acc = make_acc(rng, 3, 2, owner=0)
+    acc = make_acc(rng, 3, 2)
     sums = acc.sums.copy()
     merged = merge_accumulators([acc])
     assert merged is acc
@@ -72,9 +72,9 @@ def test_merge_single_unchanged(rng):
 
 
 def test_merge_adds_counts():
-    a = Accumulator.zeros(2, 1, owner=0)
+    a = Accumulator.zeros(2, 1)
     a.counts[:] = (3, 0)
-    b = Accumulator.zeros(2, 1, owner=1)
+    b = Accumulator.zeros(2, 1)
     b.counts[:] = (2, 5)
     merged = merge_accumulators([a, b])
     assert merged.counts.tolist() == [5, 5]
@@ -83,7 +83,7 @@ def test_merge_adds_counts():
 def test_merge_tree_matches_serial_fold_and_is_reproducible(rng):
     def fresh(seed):
         r = np.random.default_rng(seed)
-        return [make_acc(r, 4, 3, owner=i) for i in range(8)]
+        return [make_acc(r, 4, 3) for _ in range(8)]
 
     serial = fresh(7)
     want_sums = serial[0].sums.copy()

@@ -1,7 +1,8 @@
 """Every demo runs to completion against the current package.
 
-Each script runs in its own interpreter with ``src`` on ``PYTHONPATH`` and
-its temporary files under the test's ``tmp_path``.
+Each script runs in its own interpreter with ``src`` on ``PYTHONPATH``, in
+the test's ``tmp_path``, which is also its temporary directory; a demo must
+leave nothing behind there.
 """
 
 import os
@@ -14,13 +15,18 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 
-# Lines of demo 01 that compare the pruned and unpruned results.
-DEMO_01_CHECKS = (
-    "reassignment counts identical at every iteration:",
-    "wcss interleaves,",
-    "final assignments identical:",
-    "final centroids agree to 1e-9",
-)
+# Per demo, the lines that check its results; each must end in True.
+CHECKS = {
+    "01_cluster_in_memory.py": (
+        "reassignment counts identical at every iteration:",
+        "wcss interleaves,",
+        "final assignments identical:",
+        "final centroids agree to 1e-9",
+    ),
+    "04_out_of_core_io.py": (
+        "same assignments in every variant, and the cache reads fewer bytes:",
+    ),
+}
 
 
 def test_demos_found():
@@ -36,9 +42,9 @@ def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    if demo.name.startswith("01_"):
-        lines = proc.stdout.splitlines()
-        for prefix in DEMO_01_CHECKS:
-            found = [line for line in lines if line.startswith(prefix)]
-            assert len(found) == 1, prefix
-            assert found[0].endswith(": True"), found[0]
+    assert not list(tmp_path.iterdir()), "the demo left files behind"
+    lines = proc.stdout.splitlines()
+    for prefix in CHECKS.get(demo.name, ()):
+        found = [line for line in lines if line.startswith(prefix)]
+        assert len(found) == 1, prefix
+        assert found[0].endswith(": True"), found[0]

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from numakmeans.distance import (
-    NearestScratch,
     block_distances,
     euclidean_distance,
     nearest_block_into,
@@ -83,10 +82,7 @@ def test_streaming_nearest_matches_materialized(rng):
         rows = rng.normal(size=(m, d))
         means = rng.normal(size=(k, d))
         want_ids, want_dist = nearest_centroid(rows, means)
-        scratch = NearestScratch(m, d)
-        best = np.empty(m)
-        ids = np.empty(m, dtype=np.int32)
-        nearest_block_into(rows, means, scratch, best, ids)
+        ids, best = nearest_block_into(rows, means)
         assert np.array_equal(ids, want_ids)
         assert np.array_equal(best, want_dist)
 

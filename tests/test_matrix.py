@@ -167,39 +167,30 @@ def test_gaussian_centers_respect_separation(k, d, sep, seed):
 
 
 def test_partition_even_split():
-    assert partition_rows(10, 2, 1) == [(0, 5, 0), (5, 10, 0)]
+    assert partition_rows(10, 2) == [range(0, 5), range(5, 10)]
 
 
-def test_partition_remainder_and_nodes():
-    assert partition_rows(10, 4, 2) == [(0, 3, 0), (3, 6, 0), (6, 8, 1), (8, 10, 1)]
+def test_partition_remainder():
+    assert partition_rows(10, 4) == [range(0, 3), range(3, 6), range(6, 8), range(8, 10)]
 
 
 def test_partition_more_threads_than_rows():
-    parts = partition_rows(3, 4, 1)
+    parts = partition_rows(3, 4)
     assert [len(p) for p in parts] == [1, 1, 1, 0]
 
 
 def test_partition_rejects_zero():
     with pytest.raises(ValueError):
-        partition_rows(10, 0, 1)
-    with pytest.raises(ValueError):
-        partition_rows(10, 2, 0)
-    with pytest.raises(ValueError):
-        partition_rows(10, 1, 2)
+        partition_rows(10, 0)
 
 
 @given(
     n=st.integers(min_value=0, max_value=5000),
     T=st.integers(min_value=1, max_value=32),
-    N=st.integers(min_value=1, max_value=8),
 )
 @settings(max_examples=200, deadline=None)
-def test_partition_properties(n, T, N):
-    if T < N:
-        with pytest.raises(ValueError):
-            partition_rows(n, T, N)
-        return
-    parts = partition_rows(n, T, N)
+def test_partition_properties(n, T):
+    parts = partition_rows(n, T)
     assert len(parts) == T
     cursor = 0
     sizes = []
@@ -208,8 +199,5 @@ def test_partition_properties(n, T, N):
         assert p.stop >= p.start
         cursor = p.stop
         sizes.append(len(p))
-        assert 0 <= p.node < N
     assert cursor == n
     assert max(sizes) - min(sizes) <= 1
-    nodes = [p.node for p in parts]
-    assert nodes == sorted(nodes)

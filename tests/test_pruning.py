@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from numakmeans.centroids import CentroidSet
-from numakmeans.distance import rowwise_distances
+from numakmeans.distance import CHUNK_ELEMS, rowwise_distances
 from numakmeans.engine import EngineConfig, kmeans
-from numakmeans.matrix import SyntheticSpec, gen_synthetic
+from numakmeans.matrix import RowStore, SyntheticSpec, gen_synthetic, save_matrix
+from numakmeans.outofcore import kmeans_ondisk
 from numakmeans.pruning import (
-    _SCAN_CHUNK_ELEMS,
     CentroidGeometry,
     PruneCounters,
     PruneState,
@@ -17,7 +17,7 @@ from numakmeans.pruning import (
     scan_block,
 )
 
-from conftest import naive_distance, run_with_history
+from conftest import naive_distance, naive_lloyd, run_with_history
 
 
 # Scalar reference for the vectorized scan_block: one point at a time.
@@ -34,15 +34,24 @@ def tighten_bound(i: int, v: np.ndarray, c: CentroidSet, st: PruneState) -> floa
     return float(st.upper[i])
 
 
+def beyond(bound: float, gap: float, x: int, cur: int) -> bool:
+    """True when ``bound <= gap`` proves that x cannot beat cur.
+
+    It proves d(v, x) >= d(v, cur); a lower-id x also wins an exact tie, so
+    for it the test must be strict.
+    """
+    return bound < gap or (bound == gap and x > cur)
+
+
 def scan_point(i: int, v: np.ndarray, c: CentroidSet, geo: CentroidGeometry,
                st: PruneState) -> tuple[int, PruneCounters]:
     """Reassign point i after it failed the point-skip test.
 
     Tightens the bound once, then visits candidates in ascending id order,
     pruning each against half the gap to the current assignment and switching
-    on strict improvement.  The original centroid is never revisited: its
-    exact distance is the tightened bound itself.  Returns the final id and
-    the work counters.
+    to a closer centroid, or to an equally close one with a lower id.  The
+    original centroid is never revisited: its exact distance is the tightened
+    bound itself.  Returns the final id and the work counters.
     """
     counters = PruneCounters()
     stale = float(st.upper[i])
@@ -56,15 +65,15 @@ def scan_point(i: int, v: np.ndarray, c: CentroidSet, geo: CentroidGeometry,
         if x == cur or x == orig:
             continue
         gap = geo.half_dist[cur, x]
-        if u <= gap:
-            if stale <= gap:
+        if beyond(u, gap, x, cur):
+            if beyond(stale, gap, x, cur):
                 counters.pruned_stale += 1
             else:
                 counters.pruned_tight += 1
             continue
         dx = rowwise_distances(v[None, :], c.means[x])[0]
         counters.computed += 1
-        if dx < u:
+        if (dx, x) < (u, cur):
             cur = x
             u = float(dx)
     st.assignment[i] = cur
@@ -95,8 +104,10 @@ def test_geometry_hand_values():
     assert geo.half_dist[0, 2] == 3.0
     assert geo.half_dist[1, 2] == 2.0
     assert np.array_equal(geo.half_dist, geo.half_dist.T)
-    # row minima excluding the diagonal: min(1,3), min(1,2), min(3,2)
-    assert geo.half_min.tolist() == [1.0, 1.0, 2.0]
+    # row minima excluding the diagonal, entries below it one ulp down so
+    # that a point halfway to a lower id is not skipped: min(1,3), min(1-,2),
+    # min(3-,2-)
+    assert geo.half_min.tolist() == [1.0, np.nextafter(1.0, 0.0), np.nextafter(2.0, 0.0)]
 
 
 def test_geometry_matches_brute_force(rng):
@@ -107,7 +118,8 @@ def test_geometry_matches_brute_force(rng):
             want = 0.5 * naive_distance(means[a], means[b])
             assert geo.half_dist[a, b] == pytest.approx(want, rel=1e-12, abs=1e-15)
     for a in range(10):
-        want = min(geo.half_dist[a, b] for b in range(10) if b != a)
+        want = min(np.nextafter(geo.half_dist[a, b], -np.inf) if b < a else geo.half_dist[a, b]
+                   for b in range(10) if b != a)
         assert geo.half_min[a] == want
 
 
@@ -252,7 +264,7 @@ def test_scan_block_matches_scalar_scan(rng):
 
     # a block longer than one round of the chunk cap
     k = 64
-    m = _SCAN_CHUNK_ELEMS // k + 700
+    m = CHUNK_ELEMS // k + 700
     centers = rng.normal(size=(16, 3)) * 5
     rows = centers[rng.integers(0, 16, size=m)] + rng.normal(size=(m, 3))
     means = centers[np.arange(k) % 16] + rng.normal(size=(k, 3))
@@ -280,7 +292,7 @@ def test_scan_block_scratch_is_bounded_by_the_chunk(rng):
         tracemalloc.stop()
     assert counters.computed > m * k // 2
     # the row block plus one chunk's (k x rows) float64 scratch
-    assert peak <= 4 * (rows.nbytes + 8 * _SCAN_CHUNK_ELEMS)
+    assert peak <= 4 * (rows.nbytes + 8 * CHUNK_ELEMS)
 
 
 def test_inflate_by_drift():
@@ -360,6 +372,41 @@ def test_pruned_run_matches_unpruned_every_iteration(family, n, d, k):
     assert [s.reassignments for s in pruned.iterations] == \
            [s.reassignments for s in plain.iterations]
     assert np.max(np.abs(pruned.centroids.means - plain.centroids.means)) < 1e-9
+
+
+# After iteration 0 the last row is exactly as far from centroid 0 as from
+# centroid 1, to which it is assigned: a full pass moves it to the lower id.
+EXACT_TIES = {
+    "1d": ([[1.0], [4.0], [2.0]], [[0.5], [3.0]]),
+    "2d": ([[3.0, 2.0], [2.0, 4.0], [2.0, 2.0]], [[3.0, 2.0], [2.0, 2.0]]),
+}
+
+
+@pytest.mark.parametrize("mode", ["im", "sem"])
+@pytest.mark.parametrize("case", sorted(EXACT_TIES))
+def test_exact_tie_goes_to_the_lower_id_every_iteration(case, mode, tmp_path):
+    m, init = (np.array(v) for v in EXACT_TIES[case])
+    base = dict(k=2, init="given", initial_centroids=init, mode=mode)
+    path = tmp_path / "m.raw"
+    save_matrix(m, path, raw=True)
+
+    def run(cfg):
+        if mode == "im":  # the bound oracle reads the in-memory matrix
+            return run_with_history(kmeans, m, cfg, validate_bounds=True)
+        with RowStore(path, *m.shape) as store:
+            return run_with_history(kmeans_ondisk, store, cfg)
+
+    pruned, pruned_hist = run(EngineConfig(pruning=True, **base))
+    plain, plain_hist = run(EngineConfig(pruning=False, **base))
+    _, want, want_hist = naive_lloyd(m, init)
+    assert [s.reassignments for s in plain.iterations] == [2, 1, 0]
+    assert [s.reassignments for s in pruned.iterations] == [2, 1, 0]
+    for got in (pruned_hist, plain_hist):
+        assert len(got) == len(want_hist)
+        for a, b in zip(got, want_hist):
+            assert np.array_equal(a, b)
+    assert want.tolist() == [0, 1, 0]
+    assert np.array_equal(pruned.assignments, want)
 
 
 def test_distance_computation_caps():

@@ -2,18 +2,24 @@ import random
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from numakmeans.matrix import RowRange
-from numakmeans.scheduler import PartitionedTaskQueue, bind_to_node, build_topology
+from numakmeans.scheduler import (
+    PartitionedTaskQueue,
+    bind_to_node,
+    build_topology,
+    worker_nodes,
+)
 
 
 def topo(T, N):
     return build_topology(T, override_N=N)
 
 
-def even_ranges(n, T, node_of):
+def even_ranges(n, T):
     size = n // T
-    return [RowRange(w * size, (w + 1) * size, node_of[w]) for w in range(T)]
+    return [range(w * size, (w + 1) * size) for w in range(T)]
 
 
 def test_topology_single_node():
@@ -38,6 +44,32 @@ def test_topology_detection_fallback(monkeypatch):
     assert t.n_nodes == 1
 
 
+def test_worker_nodes_blocks_and_rejects_bad_counts():
+    assert worker_nodes(4, 2) == [0, 0, 1, 1]
+    with pytest.raises(ValueError):
+        worker_nodes(0, 1)
+    with pytest.raises(ValueError):
+        worker_nodes(2, 0)
+    with pytest.raises(ValueError):
+        worker_nodes(1, 2)
+
+
+@given(
+    T=st.integers(min_value=1, max_value=32),
+    N=st.integers(min_value=1, max_value=8),
+)
+@settings(max_examples=200, deadline=None)
+def test_worker_nodes_properties(T, N):
+    if T < N:
+        with pytest.raises(ValueError):
+            worker_nodes(T, N)
+        return
+    nodes = worker_nodes(T, N)
+    assert len(nodes) == T
+    assert all(0 <= node < N for node in nodes)
+    assert nodes == sorted(nodes)
+
+
 def test_bind_to_node_with_given_node_count(monkeypatch):
     # stubbed so the test process's own affinity is never changed
     bound = []
@@ -55,7 +87,7 @@ def test_bind_to_node_with_given_node_count(monkeypatch):
 
 def test_enqueue_one_task_per_partition_at_default_size():
     q = PartitionedTaskQueue(topo(2, 1))
-    q.enqueue_iteration(even_ranges(16384, 2, (0, 0)), task_size=8192)
+    q.enqueue_iteration(even_ranges(16384, 2), task_size=8192)
     assert q.remaining() == 2
     a = q.next_task(0, "static")
     b = q.next_task(1, "static")
@@ -65,7 +97,7 @@ def test_enqueue_one_task_per_partition_at_default_size():
 
 def test_enqueue_splits_with_short_tail():
     q = PartitionedTaskQueue(topo(1, 1))
-    q.enqueue_iteration([RowRange(0, 10, 0)], task_size=3)
+    q.enqueue_iteration([range(0, 10)], task_size=3)
     sizes = []
     while (t := q.next_task(0)) is not None:
         sizes.append(len(t))
@@ -74,21 +106,21 @@ def test_enqueue_splits_with_short_tail():
 
 def test_empty_input_is_immediately_exhausted():
     q = PartitionedTaskQueue(topo(2, 1))
-    q.enqueue_iteration([RowRange(0, 0, 0), RowRange(0, 0, 0)], task_size=4)
+    q.enqueue_iteration([range(0, 0), range(0, 0)], task_size=4)
     assert q.next_task(0) is None
     assert q.next_task(1) is None
 
 
 def test_enqueue_requires_empty_queue():
     q = PartitionedTaskQueue(topo(1, 1))
-    q.enqueue_iteration([RowRange(0, 4, 0)], task_size=4)
+    q.enqueue_iteration([range(0, 4)], task_size=4)
     with pytest.raises(RuntimeError):
-        q.enqueue_iteration([RowRange(0, 4, 0)], task_size=4)
+        q.enqueue_iteration([range(0, 4)], task_size=4)
 
 
 def test_own_partition_first():
     q = PartitionedTaskQueue(topo(2, 1))
-    q.enqueue_iteration(even_ranges(8, 2, (0, 0)), task_size=4)
+    q.enqueue_iteration(even_ranges(8, 2), task_size=4)
     t = q.next_task(1)
     assert t.owner == 1
     assert q.taken_local == [0, 1]
@@ -98,7 +130,7 @@ def test_same_node_steal_preferred():
     # worker 1 (node 0) must steal from worker 0 (node 0) before 2/3 (node 1)
     q = PartitionedTaskQueue(topo(4, 2))
     q.enqueue_iteration(
-        [RowRange(0, 4, 0), RowRange(4, 4, 0), RowRange(4, 8, 1), RowRange(8, 12, 1)],
+        [range(0, 4), range(4, 4), range(4, 8), range(8, 12)],
         task_size=4,
     )
     t = q.next_task(1, "numa")
@@ -110,7 +142,7 @@ def test_same_node_steal_preferred():
 def test_remote_steal_when_same_node_empty():
     q = PartitionedTaskQueue(topo(4, 2))
     q.enqueue_iteration(
-        [RowRange(0, 0, 0), RowRange(0, 0, 0), RowRange(0, 4, 1), RowRange(4, 8, 1)],
+        [range(0, 0), range(0, 0), range(0, 4), range(4, 8)],
         task_size=4,
     )
     t = q.next_task(0, "numa")
@@ -120,18 +152,21 @@ def test_remote_steal_when_same_node_empty():
 
 def test_static_never_steals():
     q = PartitionedTaskQueue(topo(2, 1))
-    q.enqueue_iteration([RowRange(0, 0, 0), RowRange(0, 8, 0)], task_size=4)
+    q.enqueue_iteration([range(0, 0), range(0, 8)], task_size=4)
     assert q.next_task(0, "static") is None
     assert q.remaining() == 2
     while q.next_task(1, "static") is not None:
         pass
     assert q.counter_totals() == (2, 0, 0)
+    # a new iteration starts its counts from zero
+    q.enqueue_iteration([range(0, 0), range(0, 8)], task_size=4)
+    assert q.counter_totals() == (0, 0, 0)
 
 
 def test_fifo_steals_in_worker_order():
     q = PartitionedTaskQueue(topo(4, 2))
     q.enqueue_iteration(
-        [RowRange(0, 0, 0), RowRange(0, 0, 0), RowRange(0, 4, 1), RowRange(4, 8, 1)],
+        [range(0, 0), range(0, 0), range(0, 4), range(4, 8)],
         task_size=4,
     )
     t = q.next_task(0, "fifo")
@@ -170,7 +205,7 @@ def test_concurrent_drain_dispenses_exactly_once(policy):
     q = PartitionedTaskQueue(topo(T, 2))
     # heavy skew: all tasks in partitions 0 and 2
     q.enqueue_iteration(
-        [RowRange(0, 500, 0), RowRange(500, 500, 0), RowRange(500, 1000, 1), RowRange(1000, 1000, 1)],
+        [range(0, 500), range(500, 500), range(500, 1000), range(1000, 1000)],
         task_size=2,
     )
     total = q.remaining()
@@ -186,7 +221,7 @@ def test_straggler_partition_fully_drained_by_thieves():
     T = 4
     q = PartitionedTaskQueue(topo(T, 2))
     q.enqueue_iteration(
-        [RowRange(0, 40, 0), RowRange(40, 40, 0), RowRange(40, 40, 1), RowRange(40, 40, 1)],
+        [range(0, 40), range(40, 40), range(40, 40), range(40, 40)],
         task_size=4,
     )
     out, premature = drain_concurrently(q, T, "numa", stall_prob=0.2, seed=3)
@@ -201,8 +236,8 @@ def test_numa_policy_prefers_same_node_steals_under_skew():
     for trial in range(trials):
         q = PartitionedTaskQueue(topo(T, 2))
         q.enqueue_iteration(
-            [RowRange(0, 600, 0), RowRange(600, 600, 0),
-             RowRange(600, 1200, 1), RowRange(1200, 1200, 1)],
+            [range(0, 600), range(600, 600),
+             range(600, 1200), range(1200, 1200)],
             task_size=2,
         )
         drain_concurrently(q, T, "numa", stall_prob=0.01, seed=trial)
