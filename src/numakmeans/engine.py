@@ -171,7 +171,7 @@ class _MemorySource:
     def rows_by_ids(self, task, ids):
         return self.matrix[ids]
 
-    def finish_iteration(self):
+    def finish_iteration(self, next_t):
         return None
 
     def state_bytes(self):
@@ -349,7 +349,7 @@ class _Engine:
         else:
             wcss = sum(r.wcss_sq for r in results)
 
-        io = self.source.finish_iteration()
+        io = self.source.finish_iteration(t + 1)
         if io is not None:
             io.rows_elided = counters.skips
             if self.io_totals is None:

@@ -9,13 +9,13 @@ in one call and viewed as the whole rows that start inside it, so rows need
 not align with pages, and the fetched rows are checked finite once per call.
 A partitioned row cache pins active rows in memory at row granularity and is
 refreshed lazily on an exponential schedule, because rows that stay active
-tend to keep staying active.  The cache is one sorted id array and one row
-block, searched in a single call.
+tend to keep staying active.  The cache keeps one (ids, rows) slot per task:
+a task covers the same rows every iteration, so it searches only its own
+slot, and a refresh replaces each slot with that task's own fetch.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,16 +46,18 @@ def page_runs(ids: np.ndarray, row_bytes: int, page_size: int):
     return first[lo], last[cuts[1:] - 1] - first[lo] + 1, cuts
 
 
-def fetch_rows(store: RowStore, ids: np.ndarray, cache: "RowCache | None" = None,
+def fetch_rows(store: RowStore, ids: np.ndarray,
+               cached: tuple[np.ndarray, np.ndarray] | None = None,
                stats: IoDelta | None = None) -> np.ndarray:
     """Row data for ascending ids; rows[i] corresponds to ids[i].
 
-    Cached rows are served from the published cache.  The rest are read one
-    coalesced page run at a time, and each run's ids are gathered from the
-    whole rows that start inside it.  One finiteness check per call rejects a
-    non-finite row.  ``bytes_requested`` grows by one row width per id,
-    ``bytes_read`` by page_size per distinct uncached page, the payload's
-    last page counting only up to the end of the payload.
+    Ids in ``cached``, one ``(ids, rows)`` pair such as a task's cache slot,
+    are served from it; hits and misses are counted only when it is given.
+    The rest are read one coalesced page run at a time, each run's ids
+    gathered from the whole rows that start inside it.  One finiteness check
+    per call rejects a non-finite row.  ``bytes_requested`` grows by one row
+    width per id, ``bytes_read`` by page_size per distinct uncached page, the
+    payload's last page counting only up to the end of the payload.
     """
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size:
@@ -71,24 +73,22 @@ def fetch_rows(store: RowStore, ids: np.ndarray, cache: "RowCache | None" = None
     if ids.size == 0:
         return out
 
-    if cache is not None:
-        cached_ids, cached_rows = cache.published
+    miss_ids = ids
+    if cached is not None and cached[0].size:
+        cached_ids, cached_rows = cached
         pos = np.searchsorted(cached_ids, ids)
         hit = pos < cached_ids.size
         hit[hit] = cached_ids[pos[hit]] == ids[hit]
         out[hit] = cached_rows[pos[hit]]
-        hits = int(np.count_nonzero(hit))
-        if stats is not None:
-            stats.cache_hits += hits
-            stats.cache_misses += ids.size - hits
-        if hits == ids.size:
-            return out
         miss_pos = np.flatnonzero(~hit)
         miss_ids = ids[miss_pos]
     else:
-        # No cache configured: hit/miss counters stay untouched.
         miss_pos = np.arange(ids.size, dtype=np.int64)
-        miss_ids = ids
+    if cached is not None and stats is not None:
+        stats.cache_hits += ids.size - miss_ids.size
+        stats.cache_misses += miss_ids.size
+    if miss_ids.size == 0:
+        return out
 
     first_pages, n_pages, cuts = page_runs(miss_ids, store.row_bytes, store.page_size)
     for first_page, pages, lo, hi in zip(first_pages.tolist(), n_pages.tolist(),
@@ -110,12 +110,12 @@ def fetch_rows(store: RowStore, ids: np.ndarray, cache: "RowCache | None" = None
 
 
 class RowCache:
-    """Partitioned row cache published as one sorted id array and one row block.
+    """Partitioned row cache kept as one ``(ids, rows)`` slot per task.
 
-    Each partition holds its owner's active rows up to an equal share of the
-    byte capacity, admitted in ascending id order.  ``published = (ids, rows)``
-    holds ascending int64 ids and their contiguous (len(ids), d) row block; it
-    is replaced in one store at refresh barriers and read lock-free between.
+    The task layout is fixed for a run, so task i covers the same rows every
+    iteration and looks up only ``slot(i)``.  A refresh iteration's fetches
+    replace their tasks' slots; :meth:`rebuild` then trims each partition to
+    an equal share of the byte capacity, admitted in ascending id order.
     """
 
     def __init__(self, n_partitions: int, capacity_bytes: int, row_bytes: int):
@@ -127,29 +127,32 @@ class RowCache:
         self.capacity_bytes = capacity_bytes
         self.row_bytes = row_bytes
         self.rows_per_partition = (capacity_bytes // n_partitions) // row_bytes
-        self.rebuild([])
+        self.slots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._empty = (np.empty(0, dtype=np.int64), np.empty((0, row_bytes // 8)))
 
-    def cached_rows(self) -> int:
-        return self.published[0].size
+    def slot(self, index: int) -> tuple[np.ndarray, np.ndarray]:
+        return self.slots.get(index, self._empty)
 
     def cached_bytes(self) -> int:
-        return self.cached_rows() * self.row_bytes
+        return sum(ids.size for ids, _ in self.slots.values()) * self.row_bytes
 
-    def rebuild(self, collected: list[list[tuple[np.ndarray, np.ndarray]]]) -> None:
-        """Flush and repopulate each partition from its active rows, then publish.
+    def rebuild(self, owners: dict[int, int]) -> None:
+        """Keep the slots of ``owners`` (task index -> partition), drop the rest.
 
-        Partition p's ids must lie below partition p+1's, as the engine's
-        per-worker row ranges do, so the concatenation stays sorted.
+        In task order, i.e. ascending ids, each partition keeps rows until it
+        holds ``rows_per_partition``; a slot cut short keeps a copy of its head.
         """
-        ids = [np.empty(0, dtype=np.int64)]
-        rows = [np.empty((0, self.row_bytes // 8), dtype=np.float64)]
-        for chunks in collected:
-            if chunks and self.rows_per_partition > 0:
-                part_ids = np.concatenate([c[0] for c in chunks])
-                keep = np.argsort(part_ids, kind="stable")[: self.rows_per_partition]
-                ids.append(part_ids[keep])
-                rows.append(np.concatenate([c[1] for c in chunks], axis=0)[keep])
-        self.published = (np.concatenate(ids), np.concatenate(rows, axis=0))
+        room = [self.rows_per_partition] * self.n_partitions
+        slots = {}
+        for index in sorted(owners):
+            ids, rows = self.slots[index]
+            keep = min(ids.size, room[owners[index]])
+            room[owners[index]] -= keep
+            if keep == ids.size:
+                slots[index] = ids, rows
+            elif keep:
+                slots[index] = ids[:keep].copy(), rows[:keep].copy()
+        self.slots = slots
 
 
 @dataclass(frozen=True)
@@ -182,19 +185,17 @@ class _DiskSource:
         self.cache = (
             RowCache(T, cache_capacity, store.row_bytes) if cache_enabled else None
         )
-        self.stats = IoDelta()  # the current iteration's counts
-        self._lock = threading.Lock()
-        self._iteration = 0
-        self._collecting = False
-        self._pending: list[list[tuple[np.ndarray, np.ndarray]]] = [[] for _ in range(T)]
+        # A task fetches at most once per iteration, and alone writes its
+        # counts here and, in a refresh iteration, its cache slot.
+        self._io: dict = {}
+        self._refresh = False
 
     def _fetch(self, task, ids: np.ndarray) -> np.ndarray:
-        local = IoDelta()
-        rows = fetch_rows(self.store, ids, self.cache, local)
-        with self._lock:
-            self.stats += local
-            if self._collecting:
-                self._pending[task.owner].append((ids, rows))
+        local = self._io[task] = IoDelta()
+        slot = None if self.cache is None else self.cache.slot(task.index)
+        rows = fetch_rows(self.store, ids, slot, local)
+        if self._refresh:
+            self.cache.slots[task.index] = ids, rows
         return rows
 
     def task_rows(self, task) -> np.ndarray:
@@ -203,15 +204,16 @@ class _DiskSource:
     def rows_by_ids(self, task, ids) -> np.ndarray:
         return self._fetch(task, np.asarray(ids, dtype=np.int64))
 
-    def finish_iteration(self) -> IoDelta:
-        """This iteration's counts; refreshes the cache from the rows it collected."""
-        if self._collecting:
-            self.cache.rebuild(self._pending)
-            self._pending = [[] for _ in range(len(self._pending))]
-        self._iteration += 1
-        self._collecting = self.cache is not None and should_refresh(self._iteration,
-                                                                     self.schedule)
-        io, self.stats = self.stats, IoDelta()
+    def finish_iteration(self, next_t: int) -> IoDelta:
+        """This iteration's counts; a refresh iteration's slots become the cache."""
+        io = IoDelta()
+        for local in self._io.values():
+            io += local
+        if self._refresh:
+            self.cache.rebuild({task.index: task.owner for task in self._io})
+        self._io = {}
+        self._refresh = (self.cache is not None and self.cache.rows_per_partition > 0
+                         and should_refresh(next_t, self.schedule))
         return io
 
     def state_bytes(self) -> int:
@@ -229,10 +231,8 @@ def _init_from_store(store: RowStore, cfg: EngineConfig) -> CentroidSet:
     """Seeded initialization from disk; the draws are the in-memory path's."""
 
     def take(ids):
-        order = np.argsort(ids, kind="stable")
-        rows = np.empty((ids.size, store.d), dtype=np.float64)
-        rows[order] = fetch_rows(store, ids[order])
-        return rows
+        unique, inverse = np.unique(ids, return_inverse=True)
+        return fetch_rows(store, unique)[inverse]
 
     def block(lo, hi):
         return fetch_rows(store, np.arange(lo, hi, dtype=np.int64))

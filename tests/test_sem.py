@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -177,19 +178,39 @@ def test_refresh_before_start_is_false():
     assert not any(should_refresh(t, sched) for t in range(1, 5))
 
 
+def _published(cache):
+    """The cached ids and rows of every slot, in task order."""
+    order = sorted(cache.slots)
+    ids = np.concatenate([cache.slots[i][0] for i in order] + [np.empty(0, np.int64)])
+    rows = np.concatenate([cache.slots[i][1] for i in order]
+                          + [np.empty((0, cache.row_bytes // 8))])
+    return ids, rows
+
+
 def test_cache_rebuild_truncates_by_ascending_id(rng):
-    cache = RowCache(n_partitions=2, capacity_bytes=4 * 64, row_bytes=64)
-    assert cache.rows_per_partition == 2
     rows = rng.normal(size=(6, 8))
-    collected = [
-        [(np.array([5, 9]), rows[0:2]), (np.array([1]), rows[2:3])],
-        [(np.array([20, 30, 40]), rows[3:6])],
-    ]
-    cache.rebuild(collected)
-    ids, cached = cache.published
-    assert ids.tolist() == [1, 5, 20, 30]
-    assert cache.cached_bytes() <= cache.capacity_bytes
-    assert np.array_equal(cached[0], rows[2])
+    # tasks 0 and 1 belong to partition 0, tasks 2 and 3 to partition 1
+    fetched = {0: (np.array([1]), rows[2:3]), 1: (np.array([5, 9]), rows[0:2]),
+               2: (np.array([20, 30, 40]), rows[3:6])}
+    owners = {0: 0, 1: 0, 2: 1}
+    for reverse in (False, True):  # slots handed over in either completion order
+        order = sorted(fetched, reverse=reverse)
+        cache = RowCache(n_partitions=2, capacity_bytes=4 * 64, row_bytes=64)
+        assert cache.rows_per_partition == 2
+        # task 3 holds a slot from an earlier refresh and fetched nothing since
+        cache.slots[3] = (np.array([50, 60]), rng.normal(size=(2, 8)))
+        for index in order:
+            cache.slots[index] = fetched[index]
+        cache.rebuild({index: owners[index] for index in order})
+        ids, cached = _published(cache)
+        assert ids.tolist() == [1, 5, 20, 30]
+        assert cache.cached_bytes() <= cache.capacity_bytes
+        assert np.array_equal(cached[0], rows[2])
+        assert cached.tobytes() == rows[[2, 0, 3, 4]].tobytes()
+        assert 3 not in cache.slots
+        # a whole slot is kept as fetched; a trimmed one owns a copy of its head
+        assert cache.slots[0][1] is fetched[0][1]
+        assert cache.slots[1][1].base is None and cache.slots[2][1].base is None
 
 
 def test_fetch_through_partly_filled_cache(tmp_path):
@@ -200,15 +221,15 @@ def test_fetch_through_partly_filled_cache(tmp_path):
     ids = np.array([0, 5, 10, 11, 100, 200, 250, 300, 400, 511])
     with RowStore(path, 512, 8) as store:
         plain = fetch_rows(store, ids)
-    cache = RowCache(n_partitions=2, capacity_bytes=512 * 64, row_bytes=64)
-    cache.rebuild([[(np.array([200, 10, 11]), m[[200, 10, 11]])],
-                   [(np.array([300]), m[[300]])]])
+    cache = RowCache(n_partitions=1, capacity_bytes=512 * 64, row_bytes=64)
+    cache.slots[0] = (np.array([10, 11, 200, 300]), m[[10, 11, 200, 300]])
+    cache.rebuild({0: 0})
     # misses 0, 5 | 100 | 250 | 400 | 511 sit on pages 0, 1, 3, 6, 7; page 4
     # holds only the cached row 300 and must not be read
-    for cache_, hits, pages in ((cache, 4, 5), (RowCache(2, 0, 64), 0, 6)):
+    for slot, hits, pages in ((cache.slot(0), 4, 5), (RowCache(2, 0, 64).slot(0), 0, 6)):
         stats = IoDelta()
         store = CountingStore(path, 512, 8)
-        rows = fetch_rows(store, ids, cache_, stats)
+        rows = fetch_rows(store, ids, slot, stats)
         store.close()
         assert rows.tobytes() == plain.tobytes()
         assert (stats.cache_hits, stats.cache_misses) == (hits, ids.size - hits)
@@ -309,7 +330,8 @@ def test_cached_rows_bit_identical_to_disk(tmp_path):
             kmeans_ondisk(store, cfg, cache_capacity=10**7, schedule=CacheSchedule(1))
         finally:
             outofcore._DiskSource = orig
-        ids, rows = source_holder["src"].cache.published
+        ids, rows = _published(source_holder["src"].cache)
+        assert ids.size
         for rid, row in zip(ids, rows):
             assert row.tobytes() == m[rid].tobytes()
 
@@ -439,3 +461,59 @@ def test_cache_hits_accumulate_after_refresh(tmp_path):
     misses = sum(st.io.cache_misses for st in post)
     assert hits > 0
     assert hits / max(1, hits + misses) > 0.5
+
+
+@pytest.fixture(scope="module")
+def traced_runs(tmp_path_factory):
+    """Traced-memory peaks of three kmeans_ondisk runs, and the cache after each rebuild.
+
+    A peak moves by up to about 1 MB with how the two workers' temporaries
+    happen to overlap, so the tests compare the lowest peak of a cache run
+    with the highest of three cache-off runs.
+    """
+    n, d = 40000, 16
+    spec = SyntheticSpec("gaussian-mixture", n, d, seed=11, k_true=32, separation=6.0)
+    path = tmp_path_factory.mktemp("mem") / "m.raw"
+    save_matrix(gen_synthetic(spec), path, raw=True)
+    cfg = EngineConfig(k=64, seed=1, T=2, max_iters=16, mode="sem")
+
+    def runs(**kw):
+        peaks, sizes = [], []
+        rebuild = RowCache.rebuild
+
+        def spy(self, owners):
+            rebuild(self, owners)
+            sizes.append(self.cached_bytes())
+
+        RowCache.rebuild = spy
+        try:
+            for _ in range(3):
+                with RowStore(path, n, d) as store:
+                    tracemalloc.start()
+                    try:
+                        res = kmeans_ondisk(store, cfg, schedule=CacheSchedule(1), **kw)
+                        peaks.append(tracemalloc.get_traced_memory()[1])
+                    finally:
+                        tracemalloc.stop()
+                assert res.n_iterations == 16
+        finally:
+            RowCache.rebuild = rebuild
+        return peaks, sizes
+
+    return runs, max(runs(cache_enabled=False)[0]), n * d * 8
+
+
+def test_cache_costs_its_rows_plus_one_task(traced_runs):
+    runs, off, data_bytes = traced_runs
+    peaks, sizes = runs(cache_capacity=data_bytes)
+    # the cache at its largest, plus one 8192-row task fetched while the
+    # slot it replaces is still held
+    assert min(peaks) - off <= max(sizes) + 8192 * 16 * 8
+    assert len(sizes) == 3 * 4  # refreshes at iterations 1, 3, 7 and 15
+
+
+def test_zero_capacity_cache_collects_nothing(traced_runs):
+    runs, off, _ = traced_runs
+    peaks, sizes = runs(cache_capacity=0)
+    assert min(peaks) - off <= 250_000
+    assert sizes == []
