@@ -10,6 +10,14 @@ depends only on d, never on the block being processed, so results are also
 invariant to task and chunk boundaries.  vecdot is a ufunc, so the hot loops
 drop the interpreter lock and worker threads overlap.
 
+The full pass, :func:`nearest_block_into`, still answers with the recipe: the
+recipe decides every id and computes every distance it returns.  A GEMM only
+filters.  It ranks all centroids for a block of rows at BLAS speed, and a row
+whose runner-up lies beyond a proven rounding bound takes the GEMM's choice,
+which is then the recipe's; the few rows left go through the recipe's own
+centroid loop.  :func:`single_thread_blas` keeps the engine's workers from
+each starting a threaded GEMM on the same cores.
+
 The block kernels allocate their own scratch, sized by the block they are
 given; callers bound it by the blocks they pass, at most ``CHUNK_ELEMS``
 elements.  Nearest-centroid ties go to the lowest centroid id.
@@ -17,11 +25,17 @@ elements.  Nearest-centroid ties go to the lowest centroid id.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import os
+from contextlib import contextmanager
+
 import numpy as np
 
 # Scratch budget of one vectorized block, in float64 elements: the engine's
-# full pass takes CHUNK_ELEMS // d rows at a time and the pruned scan
-# CHUNK_ELEMS // k rows per round.
+# full pass takes CHUNK_ELEMS // d rows at a time, its GEMM filter
+# CHUNK_ELEMS // (k + d + 1) and the pruned scan CHUNK_ELEMS // k rows per step.
 CHUNK_ELEMS = 262144
 
 
@@ -87,14 +101,9 @@ def nearest_centroid(rows: np.ndarray, centroids: np.ndarray):
     return ids.astype(np.int32), dmat[np.arange(rows.shape[0]), ids]
 
 
-def nearest_block_into(rows, centroids):
-    """Streaming equivalent of :func:`nearest_centroid` for hot loops.
-
-    Scans centroids in ascending id order with a strict-less update, so ids
-    and distances are bit-identical to the materialized argmin; only O(m*d)
-    scratch is allocated and every step is a lock-dropping ufunc.  Returns
-    ``(ids, dists)`` like :func:`nearest_centroid`.
-    """
+def _recipe_nearest(rows, centroids):
+    # ascending ids with a strict-less update: the first occurrence of the
+    # minimum recipe distance, as nearest_centroid's argmin takes it
     diff = np.empty_like(rows)
     best = rowwise_distances(rows, centroids[0], buf=diff)
     ids = np.zeros(rows.shape[0], dtype=np.int32)
@@ -105,4 +114,129 @@ def nearest_block_into(rows, centroids):
         np.less(tmp, best, out=mask)
         np.minimum(best, tmp, out=best)
         np.copyto(ids, j, where=mask)
-    return ids, best
+    return ids
+
+
+# Why a row may take the filter's choice.  For a row x, centroids c_j and any
+# shift s, let x' = fl(x - s), c'_j = fl(c_j - s), B = |x - s| + max_j |c_j - s|,
+# u = eps / 2 and gamma_n = n*u / (1 - n*u) (Higham, Accuracy and Stability of
+# Numerical Algorithms, sec. 3.1); to first order in u:
+# - shift: each component of x' - c'_j is off by at most u of the shifted
+#   values, so |x' - c'_j|^2 is within 3u*B^2 of the true D_j = |x - c_j|^2;
+# - GEMM: g_j = |c'_j|^2 - 2 x'.c'_j equals |x' - c'_j|^2 - |x'|^2, whose last
+#   term is the same for every j.  It is one (d + 1)-term inner product of
+#   [x', 1] with [-2 c'_j, n_j], where the vecdot norm n_j is within
+#   gamma_d |c'_j|^2 of |c'_j|^2.  In any summation order, fused or not, the
+#   product is within gamma_(d+1) (2 |x'||c'_j| + n_j) (Cauchy-Schwarz on the
+#   first d terms), so the computed g_j is within gamma_(2d+1) * B^2 of g_j;
+# - recipe: fl(x - c_j) then vecdot puts the recipe's D^_j within
+#   gamma_(d+2) * B^2 of D_j, and its rounded sqrt is monotone, so the recipe's
+#   winner w has sqrt-rounded D^_w <= that of the filter's argmin a, which
+#   gives D^_w <= D^_a * (1 + u)^2 / (1 - u)^2 <= D^_a + 5u*B^2.
+# Together g_w - g_a <= (2*3 + 2(2d + 1) + 2(d + 2) + 5) u*B^2
+# = (3d + 8.5) eps*B^2, so when w != a, w lies within the band 6(d + 3) eps*B^2
+# of the minimum; the factor of over two covers the second-order terms and
+# the rounding of B and of the threshold.  Gradual underflow adds at most half
+# the smallest subnormal per product, 6d of them in all, which the band's
+# absolute 6(d + 3) subnormals cover.  So a row with no second centroid inside
+# the band has w = a.  Non-finite g (overflow) fails every comparison and
+# falls to the recipe, which then decides alone.
+_BAND_REL = 6 * np.finfo(np.float64).eps
+_BAND_ABS = 6 * np.finfo(np.float64).smallest_subnormal
+
+
+def nearest_block_into(rows, centroids):
+    """Nearest-centroid ids and distances, equal bit for bit to :func:`nearest_centroid`.
+
+    The centroids are ranked for a step of rows by one GEMM, shifted to the
+    centroids' mean so far-off data keeps its precision; a step holds
+    ``CHUNK_ELEMS // (k + d + 1)`` rows, so its scratch stays within
+    ``CHUNK_ELEMS``.  A row takes the GEMM's argmin when no other centroid
+    falls within the rounding band derived above; the other rows go through
+    the recipe's ascending-id, strict-less loop.  Every returned distance is
+    the recipe's distance to the chosen centroid.  Returns ``(ids, dists)``.
+    """
+    m, d = rows.shape
+    k = centroids.shape[0]
+    ids = np.empty(m, dtype=np.int32)
+    dists = np.empty(m, dtype=np.float64)
+    if m == 0:
+        return ids, dists
+    shift = centroids.mean(axis=0)
+    cs = centroids - shift
+    # [x', 1] @ weights = -2 x'.c'_j + n_j, the filter's g for every j
+    weights = np.empty((d + 1, k))
+    np.multiply(cs.T, -2.0, out=weights[:d])
+    weights[d] = row_sqnorms(cs)
+    cmax = np.sqrt(weights[d].max())
+    band_rel = (d + 3) * _BAND_REL
+    band_abs = (d + 3) * _BAND_ABS
+    step = max(1, CHUNK_ELEMS // (k + d + 1))
+    xbuf = np.empty((min(step, m), d + 1))
+    gbuf = np.empty((min(step, m), k))
+    for lo in range(0, m, step):
+        x = rows[lo:lo + step]
+        b = x.shape[0]
+        xs, g, at = xbuf[:b], gbuf[:b], np.arange(b)
+        np.subtract(x, shift, out=xs[:, :d])
+        xs[:, d] = 1.0
+        np.matmul(xs, weights, out=g)
+        best = np.argmin(g, axis=1)
+        band = np.sqrt(row_sqnorms(xs[:, :d]))
+        band += cmax
+        np.square(band, out=band)
+        band *= band_rel
+        band += band_abs
+        thresh = g[at, best]
+        thresh += band
+        g[at, best] = np.inf
+        runner_up = g[at, np.argmin(g, axis=1)]
+        recheck = np.flatnonzero(~(runner_up > thresh))
+        if recheck.size:
+            best[recheck] = _recipe_nearest(x[recheck], centroids)
+        ids[lo:lo + b] = best
+        # the recipe's distances, with xs's memory reused as a contiguous block
+        near = xbuf.reshape(-1)[:b * d].reshape(b, d)
+        np.take(centroids, best, axis=0, out=near, mode="clip")
+        rowwise_distances(x, near, buf=near, out=dists[lo:lo + b])
+    return ids, dists
+
+
+@functools.cache
+def _blas_threads():
+    """The (get, set) thread-count calls of numpy's bundled OpenBLAS, or None."""
+    pattern = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                           "libscipy_openblas64_*.so")
+    for path in glob.glob(pattern):
+        try:
+            lib = ctypes.CDLL(path)
+            get_threads = lib.scipy_openblas_get_num_threads64_
+            set_threads = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        return get_threads, set_threads
+    return None
+
+
+@contextmanager
+def single_thread_blas():
+    """Run the block with numpy's OpenBLAS at one thread, then restore its count.
+
+    Each engine worker makes its own GEMM calls, so a threaded BLAS under
+    them would oversubscribe the cores.  The count is process-wide: runs
+    that overlap in one process restore it in the order they finish.
+    Without the bundled library's thread calls this does nothing.
+    """
+    calls = _blas_threads()
+    if calls is None:
+        yield
+        return
+    get_threads, set_threads = calls
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)

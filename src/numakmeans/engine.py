@@ -43,7 +43,7 @@ from .centroids import (
     init_centroids,
     merge_accumulators,
 )
-from .distance import CHUNK_ELEMS, nearest_block_into, row_sqnorms
+from .distance import CHUNK_ELEMS, nearest_block_into, row_sqnorms, single_thread_blas
 from .matrix import check_matrix, partition_rows
 from .pruning import (
     PruneCounters,
@@ -408,10 +408,11 @@ class _Engine:
             threading.Thread(target=self._worker, args=(w,), name=f"kmeans-worker-{w}")
             for w in range(self.cfg.T)
         ]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join()
+        with single_thread_blas():
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join()
         if self.error is not None:
             raise self.error
         return KmeansResult(

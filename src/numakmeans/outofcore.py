@@ -102,7 +102,12 @@ def fetch_rows(store: RowStore, ids: np.ndarray,
         skip = r0 * store.row_bytes - start
         whole = (len(blob) - skip) // store.row_bytes
         view = np.frombuffer(blob, ROW_DTYPE, whole * d, skip).reshape(whole, d)
-        out[miss_pos[lo:hi]] = view[miss_ids[lo:hi] - r0]
+        p0 = int(miss_pos[lo])
+        if miss_pos[hi - 1] - p0 == hi - lo - 1:
+            # contiguous output (always so without cache hits): gather in place
+            np.take(view, miss_ids[lo:hi] - r0, axis=0, out=out[p0:p0 + hi - lo], mode="clip")
+        else:
+            out[miss_pos[lo:hi]] = view[miss_ids[lo:hi] - r0]
     if not np.isfinite(out).all():
         bad = int(ids[~np.isfinite(out).all(axis=1)][0])
         raise MatrixFormatError(f"non-finite value in row {bad}")

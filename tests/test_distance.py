@@ -3,13 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from numakmeans import distance
 from numakmeans.distance import (
+    CHUNK_ELEMS,
     block_distances,
     euclidean_distance,
     nearest_block_into,
     nearest_centroid,
     rowwise_distances,
 )
+from numakmeans.matrix import SyntheticSpec, gen_synthetic
 
 from conftest import naive_distance, naive_nearest
 
@@ -78,13 +81,77 @@ def test_nearest_matches_exhaustive_oracle(rng):
 
 
 def test_streaming_nearest_matches_materialized(rng):
-    for m, d, k in ((1, 1, 1), (37, 3, 4), (777, 12, 9), (100, 16, 25)):
-        rows = rng.normal(size=(m, d))
-        means = rng.normal(size=(k, d))
-        want_ids, want_dist = nearest_centroid(rows, means)
-        ids, best = nearest_block_into(rows, means)
-        assert np.array_equal(ids, want_ids)
-        assert np.array_equal(best, want_dist)
+    for m, d, k in ((1, 1, 1), (37, 3, 4), (777, 12, 9), (100, 16, 25),
+                    (50, 4, 1), (50, 1, 5), (0, 3, 4)):
+        assert_matches_oracle(rng.normal(size=(m, d)), rng.normal(size=(k, d)))
+
+
+def assert_matches_oracle(rows, means):
+    ids, dists = nearest_block_into(rows, means)
+    want_ids, want_dists = nearest_centroid(rows, means)
+    assert ids.dtype == np.int32
+    assert np.array_equal(ids, want_ids)
+    assert np.array_equal(dists, want_dists)  # bit for bit, not approx
+    return ids
+
+
+@pytest.fixture
+def rechecked(monkeypatch):
+    """Rows the full pass hands back to the recipe's own centroid loop."""
+    count = [0]
+    recipe = distance._recipe_nearest
+
+    def counting(rows, centroids):
+        count[0] += rows.shape[0]
+        return recipe(rows, centroids)
+
+    monkeypatch.setattr(distance, "_recipe_nearest", counting)
+    return count
+
+
+def test_filter_defers_an_ulp_near_tie_to_the_recipe(rechecked):
+    # equidistant in exact arithmetic; rounding puts id 1 one ulp closer
+    rows = np.array([[1.0, 2.0]])
+    means = np.array([[2.0, 4 / 3], [0.0, 8 / 3]])
+    assert block_distances(rows, means).tolist() == [[1.2018504251546631, 1.201850425154663]]
+    assert assert_matches_oracle(rows, means)[0] == 1
+    assert rechecked[0] == 1
+
+
+def test_near_ties_on_small_integer_grids(rechecked):
+    r = np.random.default_rng(5)
+    for case in range(400):
+        d = 1 + case % 3
+        rows = r.integers(0, 6, size=(40, d)).astype(np.float64)
+        means = r.integers(0, 6, size=(2 + case % 4, d)) / 3.0
+        assert_matches_oracle(rows, means)
+    assert rechecked[0] > 0  # the recheck path was exercised
+
+
+def test_duplicate_centroids_go_to_the_lower_id(rng):
+    rows = rng.normal(size=(500, 3))
+    means = rng.normal(size=(4, 3))
+    means = np.concatenate([means[:2], means[:1], means[2:], means[1:2]])
+    ids = assert_matches_oracle(rows, means)
+    assert not np.isin(ids, [2, 5]).any()
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e6, 1e8])
+def test_offset_data_matches_the_recipe(offset):
+    data = gen_synthetic(SyntheticSpec("gaussian-mixture", 5000, 16, seed=3,
+                                       k_true=16, separation=6.0))
+    means = data[np.random.default_rng(4).choice(5000, 64, replace=False)] + 0.25
+    assert_matches_oracle(data + offset, means + offset)
+
+
+def test_block_longer_than_one_filter_step(rng, rechecked):
+    k = 64
+    means = rng.normal(size=(k, 3))
+    means[-1] = means[0]  # rows nearest to centroid 0 tie, in every filter step
+    rows = rng.normal(size=(2 * (CHUNK_ELEMS // k) + 7, 3))
+    ids = assert_matches_oracle(rows, means)
+    assert rechecked[0] > 0
+    assert not (ids == k - 1).any()
 
 
 @given(st.integers(min_value=1, max_value=64), st.integers(min_value=0, max_value=2**31))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from numakmeans import distance, engine
 from numakmeans.engine import EngineConfig, kmeans
 from numakmeans.matrix import SyntheticSpec, gen_synthetic
 
@@ -186,3 +187,64 @@ def test_worker_errors_propagate(rng):
     m = rng.normal(size=(50, 3))
     with pytest.raises(ValueError):
         kmeans(m, EngineConfig(k=2, init="given", initial_centroids=np.ones((2, 4))))
+
+
+@pytest.mark.skipif(distance._blas_threads() is None,
+                    reason="numpy's bundled OpenBLAS thread calls not found")
+def test_run_pins_blas_to_one_thread_and_restores_it(rng, monkeypatch):
+    get_threads, set_threads = distance._blas_threads()
+    m = rng.normal(size=(3000, 4))
+    cfg = EngineConfig(k=5, seed=1, T=2, pruning=False, max_iters=4)
+    seen = []
+    kernel = engine.nearest_block_into
+
+    def spy(rows, means):
+        seen.append(get_threads())
+        return kernel(rows, means)
+
+    def unreadable(self, task):
+        raise OSError("unreadable rows")
+
+    before = get_threads()
+    set_threads(2)
+    try:
+        want = get_threads()
+        monkeypatch.setattr(engine, "nearest_block_into", spy)
+        pinned = kmeans(m, cfg)
+        assert get_threads() == want
+        assert set(seen) == {1}
+        with monkeypatch.context() as mp:
+            mp.setattr(engine._MemorySource, "task_rows", unreadable)
+            with pytest.raises(OSError, match="unreadable"):
+                kmeans(m, cfg)
+        assert get_threads() == want
+        # without the thread calls the run goes on unpinned, with the same result
+        monkeypatch.setattr(distance, "_blas_threads", lambda: None)
+        seen.clear()
+        unpinned = kmeans(m, cfg)
+        assert set(seen) == {want}
+        assert np.array_equal(unpinned.assignments, pinned.assignments)
+        assert [s.wcss for s in unpinned.iterations] == [s.wcss for s in pinned.iterations]
+    finally:
+        set_threads(before)
+
+
+def test_full_pass_goes_through_the_traced_kernel_name(rng, monkeypatch):
+    # perfbench's tracer wraps engine.nearest_block_into by name and counts
+    # rows x centroids from its first two arguments; a renamed call site
+    # would read as a zero-cost full pass
+    n, d, k = 3000, 5, 6
+    m = rng.normal(size=(n, d))
+    calls = []
+    kernel = engine.nearest_block_into
+
+    def counting(*args):
+        calls.append((args[0].shape, args[1].shape))
+        return kernel(*args)
+
+    monkeypatch.setattr(engine, "nearest_block_into", counting)
+    res = kmeans(m, EngineConfig(k=k, seed=1, T=2, pruning=False, max_iters=5, task_size=512))
+    assert all(rows[1] == d and means == (k, d) for rows, means in calls)
+    assert sum(rows[0] for rows, _ in calls) == n * res.n_iterations
+    assert sum(rows[0] * means[0] for rows, means in calls) \
+        == sum(st.dist_comps for st in res.iterations)
