@@ -59,9 +59,14 @@ class CentroidSet:
 class Accumulator:
     """Running sums used to rebuild centroids.
 
-    In full passes the fields hold plain totals; pruned iterations use the
-    same structure for signed reassignment deltas, in which case counts may
-    be negative.
+    ``sums`` and ``sq`` are taken relative to the run's shift s: they hold
+    the per-cluster sums of ``x - s`` and of ``|x - s|^2``.  With s near the
+    data, the centroid ``s + sums / count`` and the within-cluster sum of
+    squares ``sq - |sums|^2 / count`` keep their precision however far the
+    data lie from the origin (Chan, Golub and LeVeque, 1983).  In full
+    passes the fields hold plain totals; pruned iterations use the same
+    structure for signed reassignment deltas, in which case counts may be
+    negative.
     """
 
     sums: np.ndarray    # (k, d)
@@ -107,16 +112,17 @@ def merge_accumulators(accs: list[Accumulator]) -> Accumulator:
     return level[0]
 
 
-def finalize_centroids(merged: Accumulator, prev: CentroidSet) -> CentroidSet:
-    """Turn merged totals into the next centroid set.
+def finalize_centroids(merged: Accumulator, prev: CentroidSet, shift: np.ndarray) -> CentroidSet:
+    """Turn merged totals, summed relative to ``shift``, into the next centroid set.
 
-    Empty clusters keep their previous position (drift 0); drift is the
-    distance each centroid moved.
+    An occupied cluster's mean is ``shift + sums / count``.  Empty clusters
+    keep their previous position (drift 0); drift is the distance each
+    centroid moved.
     """
     k, d = merged.sums.shape
     means = np.empty((k, d), dtype=np.float64)
     occupied = merged.counts > 0
-    means[occupied] = merged.sums[occupied] / merged.counts[occupied, None]
+    means[occupied] = shift + merged.sums[occupied] / merged.counts[occupied, None]
     means[~occupied] = prev.means[~occupied]
     drift = rowwise_distances(means, prev.means)
     drift[~occupied] = 0.0

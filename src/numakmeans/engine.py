@@ -10,7 +10,9 @@ range, and every task owns its own accumulator.
 Accumulators are kept per task (not per thread) and reduced in task order at
 the barrier.  Work stealing then has no effect on the floating-point
 summation order, so a run is bit-reproducible for a fixed thread count and
-task size regardless of scheduling policy or timing.
+task size regardless of scheduling policy or timing.  Rows are summed
+relative to one shift per run, the initial centroids' mean, with one flat
+``bincount`` per chunk that adds each cluster's rows in row order.
 
 With pruning enabled, iteration 0 performs a full assignment pass to seed the
 bounds; later iterations apply the triangle-inequality tests and maintain the
@@ -125,8 +127,11 @@ class IterationStats:
     ``wcss`` is the within-cluster sum of squared distances: against the
     centroids current at assignment time for unpruned runs (the distances are
     already in hand), and against the updated means for pruned runs (computed
-    from the incrementally maintained cluster sums, so skipped points need no
-    extra work).  Both sequences are non-increasing.
+    as ``sq - |sums|^2 / count`` from the incrementally maintained cluster
+    sums, which are relative to the run's shift, so skipped points need no
+    extra work and rows far from the origin lose no precision).  Both
+    sequences are non-increasing.  A run whose means or WCSS overflow to a
+    non-finite value ends in ``FloatingPointError``.
     """
 
     t: int
@@ -153,6 +158,15 @@ class KmeansResult:
     @property
     def n_iterations(self) -> int:
         return len(self.iterations)
+
+
+def _cluster_sums(ids: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
+    """(k, d) per-cluster column sums of the rows of ``x``, each cluster's
+    rows added in row order, by one ``bincount`` over the flat index
+    ``id * d + column`` (gathered by row from a (k, d) table of them)."""
+    d = x.shape[1]
+    flat = np.take(np.arange(k * d).reshape(k, d), ids, axis=0)
+    return np.bincount(flat.ravel(), weights=x.ravel(), minlength=k * d).reshape(k, d)
 
 
 class _MemorySource:
@@ -199,6 +213,7 @@ class _Engine:
         self.n_tasks = self.queue.remaining()
         self.centroids = source.init_centroids(cfg)
         self.k = self.centroids.k
+        self.shift = self.centroids.means.mean(axis=0)
 
         self.assignment = np.zeros(self.n, dtype=np.int32)
         if cfg.pruning:
@@ -269,20 +284,15 @@ class _Engine:
             gh = gl + sub.shape[0]
             reassigned += int((ids != self.assignment[gl:gh]).sum())
             self.assignment[gl:gh] = ids
+            x = sub - self.shift
             if want_sq:
                 self.state.upper[gl:gh] = ndist
                 self.state.tight[gl:gh] = True
-                acc.sq += np.bincount(ids, weights=row_sqnorms(sub), minlength=k)
+                acc.sq += np.bincount(ids, weights=row_sqnorms(x), minlength=k)
             else:
                 wcss_sq += float(np.vecdot(ndist, ndist))
             acc.counts += np.bincount(ids, minlength=k)
-            # segment-reduce the rows in ascending cluster order; sequential
-            # within a segment, so the result is reproducible for this layout
-            order = np.argsort(ids, kind="stable")
-            seg_rows = sub[order]
-            seg_ids = ids[order]
-            starts = np.concatenate(([0], np.flatnonzero(np.diff(seg_ids)) + 1))
-            acc.sums[seg_ids[starts]] += np.add.reduceat(seg_rows, starts, axis=0)
+            acc.sums += _cluster_sums(ids, x, k)
         return _TaskResult(acc, reassigned, PruneCounters(computed=m * k), wcss_sq)
 
     def _task_pruned(self, task) -> _TaskResult:
@@ -308,11 +318,10 @@ class _Engine:
             changed = np.flatnonzero(a_s != orig)
             reassigned = int(changed.size)
             if changed.size:
-                moved = rows[changed]
+                moved = rows[changed] - self.shift
                 frm = orig[changed]
                 to = a_s[changed]
-                np.add.at(acc.sums, to, moved)
-                np.subtract.at(acc.sums, frm, moved)
+                acc.sums += _cluster_sums(to, moved, k) - _cluster_sums(frm, moved, k)
                 acc.counts += np.bincount(to, minlength=k) - np.bincount(frm, minlength=k)
                 sq = row_sqnorms(moved)
                 acc.sq += np.bincount(to, weights=sq, minlength=k) \
@@ -341,13 +350,16 @@ class _Engine:
         if got != self.n:
             raise RuntimeError(f"iteration {t}: accumulator counts sum to {got}, expected {self.n}")
 
-        new_centroids = finalize_centroids(totals, self.centroids)
+        new_centroids = finalize_centroids(totals, self.centroids, self.shift)
         if cfg.pruning:
             occupied = totals.counts > 0
             terms = totals.sq[occupied] - (totals.sums[occupied] ** 2).sum(axis=1) / totals.counts[occupied]
             wcss = float(np.maximum(terms, 0.0).sum())
         else:
             wcss = sum(r.wcss_sq for r in results)
+        if not (np.isfinite(new_centroids.means).all() and np.isfinite(wcss)):
+            raise FloatingPointError(
+                f"iteration {t}: centroid means or WCSS not finite (the data overflow float64)")
 
         io = self.source.finish_iteration(t + 1)
         if io is not None:

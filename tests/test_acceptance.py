@@ -84,10 +84,11 @@ def test_criterion_1_and_8_oracle_exactness():
 def test_criterion_2_mode_equivalence(tmp_path):
     data_bytes = 5000 * 8 * 8
     ok = True
-    for family, seed in (("gaussian-mixture", 3), ("uniform", 4)):
+    for family, seed, offset in (("gaussian-mixture", 3, 0.0), ("uniform", 4, 0.0),
+                                 ("gaussian-mixture", 3, 1e8)):
         spec = SyntheticSpec(family, 5000, 8, seed=seed, k_true=6, separation=7.0)
-        m = gen_synthetic(spec)
-        path = tmp_path / f"{family}.raw"
+        m = gen_synthetic(spec) + offset
+        path = tmp_path / f"{family}-{offset:g}.raw"
         save_matrix(m, path, raw=True)
 
         for pruning in (True, False):
@@ -117,28 +118,29 @@ def test_criterion_2_mode_equivalence(tmp_path):
 
 def test_criterion_3_parallel_determinism():
     spec = SyntheticSpec("gaussian-mixture", 10000, 8, seed=5, k_true=8, separation=6.0)
-    m = gen_synthetic(spec)
-    runs = {}
-    for T in (1, 2, 4, 8):
-        cfg = EngineConfig(k=8, seed=6, T=T, max_iters=30, pruning=True,
-                           task_size=512)
-        runs[T] = run_with_history(kmeans, m, cfg)
-    base, base_hist = runs[1]
     ok = True
-    for T in (2, 4, 8):
-        r, r_hist = runs[T]
-        ok = ok and r.n_iterations == base.n_iterations
-        ok = ok and all(np.array_equal(a, b) for a, b in zip(r_hist, base_hist))
-        ok = ok and float(np.max(np.abs(r.centroids.means - base.centroids.means))) < 1e-9
-    for policy in ("fifo", "static"):
-        cfg = EngineConfig(k=8, seed=6, T=4, max_iters=30, pruning=True,
-                           task_size=512, scheduler=policy)
-        r, r_hist = run_with_history(kmeans, m, cfg)
-        ref, ref_hist = run_with_history(
-            kmeans, m, EngineConfig(k=8, seed=6, T=4, max_iters=30, pruning=True,
-                                    task_size=512, scheduler="numa"))
-        ok = ok and all(np.array_equal(a, b) for a, b in zip(r_hist, ref_hist))
-        ok = ok and float(np.max(np.abs(r.centroids.means - ref.centroids.means))) < 1e-9
+    for offset in (0.0, 1e8):
+        m = gen_synthetic(spec) + offset
+        runs = {}
+        for T in (1, 2, 4, 8):
+            cfg = EngineConfig(k=8, seed=6, T=T, max_iters=30, pruning=True,
+                               task_size=512)
+            runs[T] = run_with_history(kmeans, m, cfg)
+        base, base_hist = runs[1]
+        for T in (2, 4, 8):
+            r, r_hist = runs[T]
+            ok = ok and r.n_iterations == base.n_iterations
+            ok = ok and all(np.array_equal(a, b) for a, b in zip(r_hist, base_hist))
+            ok = ok and float(np.max(np.abs(r.centroids.means - base.centroids.means))) < 1e-9
+        for policy in ("fifo", "static"):
+            cfg = EngineConfig(k=8, seed=6, T=4, max_iters=30, pruning=True,
+                               task_size=512, scheduler=policy)
+            r, r_hist = run_with_history(kmeans, m, cfg)
+            ref, ref_hist = run_with_history(
+                kmeans, m, EngineConfig(k=8, seed=6, T=4, max_iters=30, pruning=True,
+                                        task_size=512, scheduler="numa"))
+            ok = ok and all(np.array_equal(a, b) for a, b in zip(r_hist, ref_hist))
+            ok = ok and float(np.max(np.abs(r.centroids.means - ref.centroids.means))) < 1e-9
     record_acceptance(
         "criterion 3: T in {1,2,4,8} and all schedulers give identical results", ok)
     assert ok

@@ -111,7 +111,7 @@ def test_finalize_empty_cluster_keeps_previous(rng):
     acc.counts[:] = (4, 0, 2)
     acc.sums[0] = (4.0, 8.0)
     acc.sums[2] = (2.0, 2.0)
-    c = finalize_centroids(acc, prev)
+    c = finalize_centroids(acc, prev, np.zeros(2))
     assert np.array_equal(c.means[1], prev.means[1])
     assert c.drift[1] == 0.0
     assert np.allclose(c.means[0], (1.0, 2.0))
@@ -122,8 +122,19 @@ def test_finalize_mean_of_all_points():
     acc = Accumulator.zeros(1, 2)
     acc.counts[0] = 3
     acc.sums[0] = np.array([0.0, 0.0]) + np.array([2.0, 0.0]) + np.array([4.0, 0.0])
-    c = finalize_centroids(acc, prev)
+    c = finalize_centroids(acc, prev, np.zeros(2))
     assert np.allclose(c.means[0], (2.0, 0.0))
+
+
+def test_finalize_adds_the_shift_back():
+    shift = np.array([1e8, -3.0])
+    prev = CentroidSet.from_means(np.zeros((2, 2)))
+    acc = Accumulator.zeros(2, 2)
+    acc.counts[:] = (2, 0)
+    acc.sums[0] = (1.0, 4.0)  # members (1e8, -2) and (1e8 + 1, 0), less the shift
+    c = finalize_centroids(acc, prev, shift)
+    assert np.array_equal(c.means[0], (1e8 + 0.5, -1.0))
+    assert np.array_equal(c.means[1], prev.means[1])
 
 
 def test_finalize_drift_matches_recomputation(rng):
@@ -131,7 +142,7 @@ def test_finalize_drift_matches_recomputation(rng):
     acc = Accumulator.zeros(5, 4)
     acc.counts += rng.integers(1, 20, size=5)
     acc.sums += rng.normal(size=(5, 4)) * acc.counts[:, None]
-    c = finalize_centroids(acc, prev)
+    c = finalize_centroids(acc, prev, np.zeros(4))
     for j in range(5):
         want = naive_distance(c.means[j], prev.means[j])
         assert c.drift[j] == pytest.approx(want, rel=1e-12, abs=1e-15)

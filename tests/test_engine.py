@@ -3,7 +3,8 @@ import pytest
 
 from numakmeans import distance, engine
 from numakmeans.engine import EngineConfig, kmeans
-from numakmeans.matrix import SyntheticSpec, gen_synthetic
+from numakmeans.matrix import SyntheticSpec, gen_synthetic, save_matrix
+from numakmeans.outofcore import RowStore, kmeans_ondisk
 
 from conftest import naive_assign_all, naive_lloyd, run_with_history
 
@@ -248,3 +249,81 @@ def test_full_pass_goes_through_the_traced_kernel_name(rng, monkeypatch):
     assert sum(rows[0] for rows, _ in calls) == n * res.n_iterations
     assert sum(rows[0] * means[0] for rows, means in calls) \
         == sum(st.dist_comps for st in res.iterations)
+
+
+def exact_wcss(centred, assignment, k):
+    """Within-cluster sum of squares about the member means, from rows
+    centred near the origin."""
+    total = 0.0
+    for j in range(k):
+        members = centred[assignment == j]
+        if len(members):
+            total += float(((members - members.mean(axis=0)) ** 2).sum())
+    return total
+
+
+@pytest.mark.parametrize("offset", [1e6, 1e8])
+def test_offset_data_keeps_the_pruned_wcss_exact(offset):
+    # far from the origin sq - |sum|^2 / count cancels unless the sums are
+    # taken relative to a shift near the data
+    base = gen_synthetic(SyntheticSpec("gaussian-mixture", 20000, 8, seed=5, k_true=8,
+                                       separation=6.0))
+    m = base + offset
+    centred = m - offset  # exact: every row lies within a factor 2 of the offset
+    cfg = dict(k=8, seed=3, T=2, max_iters=30)
+    pruned, pruned_hist = run_with_history(kmeans, m, EngineConfig(pruning=True, **cfg))
+    plain, plain_hist = run_with_history(kmeans, m, EngineConfig(pruning=False, **cfg))
+    assert pruned.n_iterations == plain.n_iterations == 30
+    for a, b in zip(pruned_hist, plain_hist):
+        assert np.array_equal(a, b)
+    for st, assignment in zip(pruned.iterations, pruned_hist):
+        want = exact_wcss(centred, assignment, 8)
+        assert abs(st.wcss - want) <= 1e-9 * want, st.t
+    for res in (pruned, plain):
+        seq = [st.wcss for st in res.iterations]
+        assert all(b <= a for a, b in zip(seq, seq[1:]))
+
+
+def test_long_signed_delta_run_keeps_the_means_exact(monkeypatch):
+    # a slow uniform run far from the origin: every pruned iteration adds
+    # signed deltas to the cluster sums, and none may drift off the member
+    # means by more than a sliver of the data's spread
+    offset = 1e8
+    m = gen_synthetic(SyntheticSpec("uniform", 20000, 8, seed=5)) + offset
+    centred = m - offset
+    tol = 1e-9 * float(centred.std())
+    gaps = []
+
+    class Checked(engine._Engine):
+        def _finish_iteration(self):
+            super()._finish_iteration()
+            for j in range(self.k):
+                members = self.assignment == j
+                if members.any():
+                    want = offset + centred[members].mean(axis=0)
+                    gaps.append(float(np.abs(self.centroids.means[j] - want).max()))
+
+    monkeypatch.setattr(engine, "_Engine", Checked)
+    res = kmeans(m, EngineConfig(k=8, seed=3, T=2, max_iters=200, tolerance=0))
+    assert res.n_iterations > 100
+    assert sum(st.reassignments for st in res.iterations[1:]) > 10000
+    assert len(gaps) == 8 * res.n_iterations
+    assert max(gaps) <= tol
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("mode,pruning", [("im", True), ("im", False), ("sem", True)])
+def test_overflowing_data_ends_in_an_error(mode, pruning, tmp_path):
+    # finite rows whose squares and sums overflow float64
+    rng = np.random.default_rng(9)
+    m = rng.choice([-1e305, 1e305], size=(4000, 4))
+    cfg = EngineConfig(k=3, seed=1, T=2, pruning=pruning, mode=mode, max_iters=10)
+    with pytest.raises(FloatingPointError, match="not finite"):
+        if mode == "im":
+            kmeans(m, cfg)
+        else:
+            path = tmp_path / "big.raw"
+            save_matrix(m, path, raw=True)
+            with RowStore(path, 4000, 4) as store:
+                kmeans_ondisk(store, cfg)
