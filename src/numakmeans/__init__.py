@@ -21,7 +21,7 @@ from .centroids import (
     init_centroids,
     merge_accumulators,
 )
-from .distance import block_distances, euclidean_distance, nearest_centroid
+from .distance import block_distances, nearest_centroid
 from .engine import (
     EngineConfig,
     IoDelta,
@@ -73,7 +73,6 @@ __all__ = [
     "block_distances",
     "build_topology",
     "centroid_geometry",
-    "euclidean_distance",
     "fetch_rows",
     "finalize_centroids",
     "gen_synthetic",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,16 +136,21 @@ def finalize_centroids(merged: Accumulator, prev: CentroidSet, shift: np.ndarray
 
 
 def init_centroids(m: np.ndarray, k: int, method: str = "forgy", seed: int = 0,
-                   initial: np.ndarray | None = None) -> CentroidSet:
-    """Seeded initial centroids drawn from an in-memory matrix."""
+                   initial: np.ndarray | None = None, *,
+                   ranges: list[range] | None = None) -> CentroidSet:
+    """Seeded initial centroids drawn from an in-memory matrix.
+
+    ``ranges`` splits kmeans++'s distance passes as :func:`init_from_rows`
+    does; the default is one range over all rows.
+    """
     m = check_matrix(m)
     n, d = m.shape
     return init_from_rows(lambda ids: m[ids], lambda lo, hi: m[lo:hi],
-                          n, d, k, method, seed, initial)
+                          n, d, k, method, seed, initial, ranges or [range(n)])
 
 
 def init_from_rows(take, block, n: int, d: int, k: int, method: str, seed: int,
-                   initial: np.ndarray | None) -> CentroidSet:
+                   initial: np.ndarray | None, ranges: list[range]) -> CentroidSet:
     """Seeded initial centroids from n rows of width d, wherever they live.
 
     ``take(ids)`` returns the rows at ``ids`` in that order; ``block(lo, hi)``
@@ -156,6 +162,13 @@ def init_from_rows(take, block, n: int, d: int, k: int, method: str, seed: int,
     (groups left empty when k > n take the mean of all rows); kmeanspp
     applies the usual squared-distance weighting; given takes caller-supplied
     (k, d) values.
+
+    kmeanspp's squared distances to each new centre are computed on one
+    thread per range of ``ranges``, which together cover rows 0..n-1, in
+    blocks of ``_INIT_CHUNK`` rows.  Each row's value is the same for any
+    split, and the draws read the whole array, so the centres do not depend
+    on the ranges.  Every thread is joined before this returns or raises;
+    when several ranges fail, the lowest range's error is raised.
     """
     if method not in INIT_METHODS:
         raise ValueError(f"unknown init method {method!r}")
@@ -193,23 +206,31 @@ def init_from_rows(take, block, n: int, d: int, k: int, method: str, seed: int,
     # kmeanspp
     if k > n:
         raise ValueError(f"kmeanspp needs k <= n (k={k}, n={n})")
+    ranges = [r for r in ranges if len(r)]
+    d2 = np.full(n, np.inf)
 
-    def sqdist_to(idx: int) -> np.ndarray:
+    def lower_d2(r: range, center: np.ndarray) -> None:
+        for lo in range(r.start, r.stop, _INIT_CHUNK):
+            hi = min(lo + _INIT_CHUNK, r.stop)
+            np.minimum(d2[lo:hi], block_distances(block(lo, hi), center)[:, 0] ** 2,
+                       out=d2[lo:hi])
+
+    def lower_to(pool: ThreadPoolExecutor, idx: int) -> None:
         center = take(np.array([idx]))
-        d2 = np.empty(n, dtype=np.float64)
-        for lo in range(0, n, _INIT_CHUNK):
-            hi = min(lo + _INIT_CHUNK, n)
-            d2[lo:hi] = block_distances(block(lo, hi), center)[:, 0] ** 2
-        return d2
+        passes = [pool.submit(lower_d2, r, center) for r in ranges]
+        wait(passes)
+        for p in passes:  # in range order: the lowest failing range raises
+            p.result()
 
-    chosen = [int(rng.integers(n))]
-    d2 = sqdist_to(chosen[-1])
-    for _ in range(1, k):
-        total = d2.sum()
-        if total > 0:
-            idx = int(rng.choice(n, p=d2 / total))
-        else:
-            idx = int(rng.integers(n))
-        chosen.append(idx)
-        np.minimum(d2, sqdist_to(idx), out=d2)
+    with ThreadPoolExecutor(len(ranges), thread_name_prefix="kmeanspp") as pool:
+        chosen = [int(rng.integers(n))]
+        lower_to(pool, chosen[-1])
+        for _ in range(1, k):
+            total = d2.sum()
+            if total > 0:
+                idx = int(rng.choice(n, p=d2 / total))
+            else:
+                idx = int(rng.integers(n))
+            chosen.append(idx)
+            lower_to(pool, idx)
     return CentroidSet.from_means(take(np.array(chosen)))

@@ -14,9 +14,9 @@ The full pass, :func:`nearest_block_into`, still answers with the recipe: the
 recipe decides every id and computes every distance it returns.  A GEMM only
 filters.  It ranks all centroids for a block of rows at BLAS speed, and a row
 whose runner-up lies beyond a proven rounding bound takes the GEMM's choice,
-which is then the recipe's; the few rows left go through the recipe's own
-centroid loop.  :func:`single_thread_blas` keeps the engine's workers from
-each starting a threaded GEMM on the same cores.
+which is then the recipe's; the few rows left go through
+:func:`nearest_centroid`.  :func:`single_thread_blas` keeps the engine's
+workers from each starting a threaded GEMM on the same cores.
 
 The block kernels allocate their own scratch, sized by the block they are
 given; callers bound it by the blocks they pass, at most ``CHUNK_ELEMS``
@@ -37,15 +37,6 @@ import numpy as np
 # full pass takes CHUNK_ELEMS // d rows at a time, its GEMM filter
 # CHUNK_ELEMS // (k + d + 1) and the pruned scan CHUNK_ELEMS // k rows per step.
 CHUNK_ELEMS = 262144
-
-
-def euclidean_distance(a, b) -> float:
-    """Distance between two equal-length vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    return float(np.sqrt(_sq_rowwise(a[None, :], b[None, :])[0]))
 
 
 def _sq_rowwise(rows, refs, buf=None, out=None):
@@ -101,22 +92,6 @@ def nearest_centroid(rows: np.ndarray, centroids: np.ndarray):
     return ids.astype(np.int32), dmat[np.arange(rows.shape[0]), ids]
 
 
-def _recipe_nearest(rows, centroids):
-    # ascending ids with a strict-less update: the first occurrence of the
-    # minimum recipe distance, as nearest_centroid's argmin takes it
-    diff = np.empty_like(rows)
-    best = rowwise_distances(rows, centroids[0], buf=diff)
-    ids = np.zeros(rows.shape[0], dtype=np.int32)
-    tmp = np.empty_like(best)
-    mask = np.empty(best.shape, dtype=bool)
-    for j in range(1, centroids.shape[0]):
-        rowwise_distances(rows, centroids[j], buf=diff, out=tmp)
-        np.less(tmp, best, out=mask)
-        np.minimum(best, tmp, out=best)
-        np.copyto(ids, j, where=mask)
-    return ids
-
-
 # Why a row may take the filter's choice.  For a row x, centroids c_j and any
 # shift s, let x' = fl(x - s), c'_j = fl(c_j - s), B = |x - s| + max_j |c_j - s|,
 # u = eps / 2 and gamma_n = n*u / (1 - n*u) (Higham, Accuracy and Stability of
@@ -153,8 +128,8 @@ def nearest_block_into(rows, centroids):
     ``CHUNK_ELEMS // (k + d + 1)`` rows, so its scratch stays within
     ``CHUNK_ELEMS``.  A row takes the GEMM's argmin when no other centroid
     falls within the rounding band derived above; the other rows go through
-    the recipe's ascending-id, strict-less loop.  Every returned distance is
-    the recipe's distance to the chosen centroid.  Returns ``(ids, dists)``.
+    :func:`nearest_centroid`.  Every returned distance is the recipe's
+    distance to the chosen centroid.  Returns ``(ids, dists)``.
     """
     m, d = rows.shape
     k = centroids.shape[0]
@@ -193,7 +168,7 @@ def nearest_block_into(rows, centroids):
         runner_up = g[at, np.argmin(g, axis=1)]
         recheck = np.flatnonzero(~(runner_up > thresh))
         if recheck.size:
-            best[recheck] = _recipe_nearest(x[recheck], centroids)
+            best[recheck] = nearest_centroid(x[recheck], centroids)[0]
         ids[lo:lo + b] = best
         # the recipe's distances, with xs's memory reused as a contiguous block
         near = xbuf.reshape(-1)[:b * d].reshape(b, d)

@@ -176,8 +176,9 @@ class _MemorySource:
         self.matrix = matrix
         self.n, self.d = matrix.shape
 
-    def init_centroids(self, cfg: "EngineConfig") -> CentroidSet:
-        return init_centroids(self.matrix, cfg.k, cfg.init, cfg.seed, cfg.initial_centroids)
+    def init_centroids(self, cfg: "EngineConfig", ranges: list[range]) -> CentroidSet:
+        return init_centroids(self.matrix, cfg.k, cfg.init, cfg.seed, cfg.initial_centroids,
+                              ranges=ranges)
 
     def task_rows(self, task):
         return self.matrix[task.start:task.stop]
@@ -211,7 +212,7 @@ class _Engine:
         self.queue = PartitionedTaskQueue(self.topology)
         self.queue.enqueue_iteration(self.ranges, cfg.task_size)
         self.n_tasks = self.queue.remaining()
-        self.centroids = source.init_centroids(cfg)
+        self.centroids = source.init_centroids(cfg, self.ranges)
         self.k = self.centroids.k
         self.shift = self.centroids.means.mean(axis=0)
 

@@ -233,14 +233,6 @@ def gen_synthetic(spec: SyntheticSpec) -> np.ndarray:
     return np.ascontiguousarray(points)
 
 
-def generative_centers(spec: SyntheticSpec) -> np.ndarray:
-    """The gaussian-mixture centers that :func:`gen_synthetic` would use."""
-    if spec.family != "gaussian-mixture":
-        raise ValueError("generative_centers applies to gaussian-mixture specs only")
-    rng = np.random.default_rng(spec.seed)
-    return _place_centers(rng, spec.k_true, spec.d, spec.separation)
-
-
 def partition_rows(n: int, T: int) -> list[range]:
     """Split [0, n) into T contiguous ranges with sizes differing by at most 1.
 

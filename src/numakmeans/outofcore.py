@@ -6,7 +6,8 @@ Reads happen at page granularity (4KB by default, any positive number of
 bytes), so fetching scattered rows pulls in more bytes than requested; the
 accounting here tracks both quantities.  Each coalesced run of pages is read
 in one call and viewed as the whole rows that start inside it, so rows need
-not align with pages, and the fetched rows are checked finite once per call.
+not align with pages; an uncached contiguous range is returned as that view
+itself.  The fetched rows are checked finite once per call.
 A partitioned row cache pins active rows in memory at row granularity and is
 refreshed lazily on an exponential schedule, because rows that stay active
 tend to keep staying active.  The cache keeps one (ids, rows) slot per task:
@@ -54,24 +55,31 @@ def fetch_rows(store: RowStore, ids: np.ndarray,
     Ids in ``cached``, one ``(ids, rows)`` pair such as a task's cache slot,
     are served from it; hits and misses are counted only when it is given.
     The rest are read one coalesced page run at a time, each run's ids
-    gathered from the whole rows that start inside it.  One finiteness check
-    per call rejects a non-finite row.  ``bytes_requested`` grows by one row
-    width per id, ``bytes_read`` by page_size per distinct uncached page, the
-    payload's last page counting only up to the end of the payload.
+    gathered from the whole rows that start inside it.  Without ``cached``,
+    ids that form one contiguous range are read as one page run and returned
+    as a read-only view of its bytes, with no gather or output buffer.  One
+    finiteness check per call rejects a non-finite row.  ``bytes_requested``
+    grows by one row width per id, ``bytes_read`` by page_size per distinct
+    uncached page, the payload's last page counting only up to the end of the
+    payload.
     """
     ids = np.asarray(ids, dtype=np.int64)
+    steps = np.diff(ids)
     if ids.size:
-        if np.any(np.diff(ids) < 0):
+        if np.any(steps < 0):
             raise ValueError("row ids must be sorted ascending")
         if ids[0] < 0 or ids[-1] >= store.n:
             bad = ids[0] if ids[0] < 0 else ids[-1]
             raise IndexError(f"row id {int(bad)} out of range [0, {store.n})")
     d = store.d
-    out = np.empty((ids.size, d), dtype=np.float64)
     if stats is not None:
         stats.bytes_requested += store.row_bytes * int(ids.size)
     if ids.size == 0:
-        return out
+        return np.empty((0, d), dtype=np.float64)
+    if cached is None and (steps == 1).all():
+        return _read_range(store, int(ids[0]), int(ids[-1]) + 1, stats)
+
+    out = np.empty((ids.size, d), dtype=np.float64)
 
     miss_ids = ids
     if cached is not None and cached[0].size:
@@ -108,10 +116,29 @@ def fetch_rows(store: RowStore, ids: np.ndarray,
             np.take(view, miss_ids[lo:hi] - r0, axis=0, out=out[p0:p0 + hi - lo], mode="clip")
         else:
             out[miss_pos[lo:hi]] = view[miss_ids[lo:hi] - r0]
-    if not np.isfinite(out).all():
-        bad = int(ids[~np.isfinite(out).all(axis=1)][0])
+    return _check_finite(out, ids)
+
+
+def _read_range(store: RowStore, lo: int, hi: int, stats: IoDelta | None = None) -> np.ndarray:
+    """Rows lo..hi-1, checked finite, as a read-only view of the one page run
+    that holds them; ``bytes_read`` grows by that run's length."""
+    start = lo * store.row_bytes
+    first = start // store.page_size
+    last = (hi * store.row_bytes - 1) // store.page_size
+    blob = store.read_pages(first, last - first + 1)
+    if stats is not None:
+        stats.bytes_read += len(blob)
+    rows = np.frombuffer(blob, ROW_DTYPE, (hi - lo) * store.d, start - first * store.page_size)
+    return _check_finite(rows.reshape(hi - lo, store.d), range(lo, hi))
+
+
+def _check_finite(rows: np.ndarray, ids) -> np.ndarray:
+    """``rows``, unless one holds a non-finite value: then the error names the
+    first such row's id, ``ids[i]`` for row i."""
+    if not np.isfinite(rows).all():
+        bad = int(ids[int(np.argmin(np.isfinite(rows).all(axis=1)))])
         raise MatrixFormatError(f"non-finite value in row {bad}")
-    return out
+    return rows
 
 
 class RowCache:
@@ -226,24 +253,26 @@ class _DiskSource:
         # separately from resident engine state.
         return 0
 
-    def init_centroids(self, cfg: EngineConfig) -> CentroidSet:
+    def init_centroids(self, cfg: EngineConfig, ranges: list[range]) -> CentroidSet:
         # Initialization fetches pass no counter: their reads are setup cost
         # and stay out of the per-iteration I/O report and the run totals.
-        return _init_from_store(self.store, cfg)
+        return _init_from_store(self.store, cfg, ranges)
 
 
-def _init_from_store(store: RowStore, cfg: EngineConfig) -> CentroidSet:
-    """Seeded initialization from disk; the draws are the in-memory path's."""
+def _init_from_store(store: RowStore, cfg: EngineConfig,
+                     ranges: list[range] | None = None) -> CentroidSet:
+    """Seeded initialization from disk; the draws are the in-memory path's.
+
+    A block of rows is read once, as a view of the page run that holds it.
+    """
 
     def take(ids):
         unique, inverse = np.unique(ids, return_inverse=True)
         return fetch_rows(store, unique)[inverse]
 
-    def block(lo, hi):
-        return fetch_rows(store, np.arange(lo, hi, dtype=np.int64))
-
-    return init_from_rows(take, block, store.n, store.d, cfg.k, cfg.init, cfg.seed,
-                          cfg.initial_centroids)
+    return init_from_rows(take, lambda lo, hi: _read_range(store, lo, hi),
+                          store.n, store.d, cfg.k, cfg.init, cfg.seed,
+                          cfg.initial_centroids, ranges or [range(store.n)])
 
 
 def kmeans_ondisk(store: RowStore, cfg: EngineConfig, *,

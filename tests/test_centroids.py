@@ -8,6 +8,10 @@ from numakmeans.centroids import (
     init_centroids,
     merge_accumulators,
 )
+from numakmeans.distance import block_distances
+from numakmeans.engine import EngineConfig, _Engine, _MemorySource
+from numakmeans.matrix import RowStore, SyntheticSpec, gen_synthetic, partition_rows, save_matrix
+from numakmeans.outofcore import _init_from_store
 
 from conftest import naive_distance
 
@@ -48,6 +52,55 @@ def test_forgy_requires_k_at_most_n(rng):
         init_centroids(m, k=5, method="forgy", seed=0)
     with pytest.raises(ValueError, match="k <= n"):
         init_centroids(m, k=5, method="kmeanspp", seed=0)
+
+
+def reference_kmeanspp(m, k, seed):
+    """kmeans++ as one sequential loop over 8192-row blocks, kept as the
+    reference that the split distance passes must reproduce bit for bit."""
+    n = m.shape[0]
+    rng = np.random.default_rng(seed)
+
+    def sqdist_to(idx):
+        d2 = np.empty(n)
+        for lo in range(0, n, 8192):
+            d2[lo:lo + 8192] = block_distances(m[lo:lo + 8192], m[[idx]])[:, 0] ** 2
+        return d2
+
+    chosen = [int(rng.integers(n))]
+    d2 = sqdist_to(chosen[-1])
+    for _ in range(1, k):
+        total = d2.sum()
+        idx = int(rng.choice(n, p=d2 / total)) if total > 0 else int(rng.integers(n))
+        chosen.append(idx)
+        np.minimum(d2, sqdist_to(idx), out=d2)
+    return m[chosen]
+
+
+@pytest.mark.parametrize("case", ["blocks", "n-below-T", "all-equal"])
+def test_kmeanspp_centres_are_equal_for_every_split(tmp_path, case):
+    if case == "blocks":  # several blocks per range; n divisible by none of 2, 3, 5
+        m = gen_synthetic(SyntheticSpec("gaussian-mixture", 2 * 8192 + 37, 5, seed=4,
+                                        k_true=6, separation=5.0))
+        k = 9
+    elif case == "n-below-T":
+        m = gen_synthetic(SyntheticSpec("uniform", 3, 2, seed=4))
+        k = 3
+    else:  # every d2 total is zero
+        m = np.full((40, 5), 2.5)
+        k = 6
+    n, d = m.shape
+    want = reference_kmeanspp(m, k, seed=17)
+    path = tmp_path / "m.raw"
+    save_matrix(m, path, raw=True)
+    with RowStore(path, n, d) as store:
+        for T in (1, 2, 3, 5):
+            ranges = partition_rows(n, T)
+            cfg = EngineConfig(k=k, init="kmeanspp", seed=17, T=T)
+            im = init_centroids(m, k, "kmeanspp", seed=17, ranges=ranges)
+            sem = _init_from_store(store, cfg, ranges)
+            engine = _Engine(_MemorySource(m), cfg).centroids
+            for got in (im, sem, engine):
+                assert np.array_equal(got.means, want), (case, T)
 
 
 def test_given_validates_shape_and_finiteness(rng):

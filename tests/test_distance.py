@@ -7,7 +7,6 @@ from numakmeans import distance
 from numakmeans.distance import (
     CHUNK_ELEMS,
     block_distances,
-    euclidean_distance,
     nearest_block_into,
     nearest_centroid,
     rowwise_distances,
@@ -15,6 +14,7 @@ from numakmeans.distance import (
 from numakmeans.matrix import SyntheticSpec, gen_synthetic
 
 from conftest import naive_distance, naive_nearest
+from helpers import euclidean_distance
 
 
 def test_three_four_five():
@@ -97,15 +97,15 @@ def assert_matches_oracle(rows, means):
 
 @pytest.fixture
 def rechecked(monkeypatch):
-    """Rows the full pass hands back to the recipe's own centroid loop."""
+    """Rows the full pass hands back to ``nearest_centroid``."""
     count = [0]
-    recipe = distance._recipe_nearest
+    recipe = distance.nearest_centroid
 
     def counting(rows, centroids):
         count[0] += rows.shape[0]
         return recipe(rows, centroids)
 
-    monkeypatch.setattr(distance, "_recipe_nearest", counting)
+    monkeypatch.setattr(distance, "nearest_centroid", counting)
     return count
 
 

@@ -12,13 +12,13 @@ from numakmeans.matrix import (
     MatrixIOError,
     SyntheticSpec,
     gen_synthetic,
-    generative_centers,
     load_matrix,
     partition_rows,
     save_matrix,
 )
 
 from conftest import naive_distance, naive_lloyd
+from helpers import generative_centers
 
 
 def test_save_raw_is_plain_little_endian(tmp_path):

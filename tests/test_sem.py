@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 from dataclasses import fields
 
@@ -261,6 +262,33 @@ def test_fetch_gathers_page_runs_in_place(tmp_path):
         assert stats.cache_hits == cached[0].size
 
 
+@pytest.mark.parametrize("page_size", [4096, 100])
+def test_contiguous_uncached_fetch_is_a_view_of_one_page_run(tmp_path, page_size):
+    n, d = 4000, 8
+    m = gen_synthetic(SyntheticSpec("uniform", n, d, seed=3))
+    path = tmp_path / "v.raw"
+    save_matrix(m, path, raw=True)
+    ids = np.arange(1000, 2999)  # starts and ends inside a page
+    with CountingStore(path, n, d, page_size=page_size) as store:
+        stats = IoDelta()
+        tracemalloc.start()
+        try:
+            rows = fetch_rows(store, ids, stats=stats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(rows, m[ids])
+        assert not rows.flags.writeable  # the page run's own bytes
+        pages = (3000 * 64 - 1) // page_size - 1000 * 64 // page_size + 1
+        assert store.calls == 1
+        assert stats.bytes_read == store.physical_bytes == pages * page_size
+        # one page run's bytes and the id checks' differences and masks, no
+        # copy of rows (which here is 8 times ids.nbytes)
+        assert peak <= rows.nbytes + 2 * page_size + 3 * ids.nbytes
+        # a repeated id spans as many rows as a contiguous range but is gathered
+        assert np.array_equal(fetch_rows(store, np.array([3, 3, 5])), m[[3, 3, 5]])
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_sem_rejects_non_finite_rows(tmp_path, bad):
     m = gen_synthetic(SyntheticSpec("uniform", 300, 4, seed=8))
@@ -276,6 +304,40 @@ def test_sem_rejects_non_finite_rows(tmp_path, bad):
                 with pytest.raises(MatrixFormatError, match="non-finite value in row 137"):
                     kmeans_ondisk(store, cfg, cache_enabled=cache_enabled,
                                   schedule=CacheSchedule(1))
+
+
+def test_kmeanspp_error_names_the_lowest_bad_row_and_joins_its_threads(tmp_path):
+    m = gen_synthetic(SyntheticSpec("uniform", 3000, 4, seed=8))
+    m[[700, 2300], 1] = np.nan  # one in each of the two ranges
+    path = tmp_path / "bad.raw"
+    m.tofile(path)
+    cfg = EngineConfig(k=3, init="kmeanspp", seed=1, T=2, mode="sem")
+    before = threading.active_count()
+    for _ in range(20):
+        with RowStore(path, 3000, 4) as store:
+            with pytest.raises(MatrixFormatError, match="non-finite value in row 700$"):
+                kmeans_ondisk(store, cfg, cache_enabled=False)
+        assert threading.active_count() == before
+
+
+class ShortInSecondHalf(RowStore):
+    """Returns one byte short for any read that starts in the second half."""
+
+    def _pread(self, offset, size):
+        blob = super()._pread(offset, size)
+        return blob[:-1] if offset - self.payload_offset >= self.payload_bytes // 2 else blob
+
+
+def test_kmeanspp_short_read_in_the_second_range_raises(tmp_path):
+    m = gen_synthetic(SyntheticSpec("uniform", 3000, 4, seed=8))
+    path = tmp_path / "m.raw"
+    save_matrix(m, path, raw=True)
+    cfg = EngineConfig(k=3, init="kmeanspp", seed=1, T=2, mode="sem")
+    before = threading.active_count()
+    with ShortInSecondHalf(path, 3000, 4) as store:
+        with pytest.raises(MatrixFormatError, match="short read"):
+            kmeans_ondisk(store, cfg, cache_enabled=False)
+    assert threading.active_count() == before
 
 
 def test_cache_zero_capacity_stays_empty(tmp_path):
