@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor, wait
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,7 +146,8 @@ def init_centroids(m: np.ndarray, k: int, method: str = "forgy", seed: int = 0,
     m = check_matrix(m)
     n, d = m.shape
     return init_from_rows(lambda ids: m[ids], lambda lo, hi: m[lo:hi],
-                          n, d, k, method, seed, initial, ranges or [range(n)])
+                          n, d, k, method, seed, initial,
+                          [range(n)] if ranges is None else ranges)
 
 
 def init_from_rows(take, block, n: int, d: int, k: int, method: str, seed: int,
@@ -164,10 +165,11 @@ def init_from_rows(take, block, n: int, d: int, k: int, method: str, seed: int,
     (k, d) values.
 
     kmeanspp's squared distances to each new centre are computed on one
-    thread per range of ``ranges``, which together cover rows 0..n-1, in
-    blocks of ``_INIT_CHUNK`` rows.  Each row's value is the same for any
-    split, and the draws read the whole array, so the centres do not depend
-    on the ranges.  Every thread is joined before this returns or raises;
+    thread per non-empty range of ``ranges``, the first on the calling thread,
+    in blocks of ``_INIT_CHUNK`` rows; the ranges must cover rows 0..n-1 in
+    order, as ``partition_rows(n, T)`` does.  Each row's value is the same for
+    any split, and the draws read the whole array, so the centres do not
+    depend on the ranges.  Every thread is joined before this returns or raises;
     when several ranges fail, the lowest range's error is raised.
     """
     if method not in INIT_METHODS:
@@ -206,6 +208,9 @@ def init_from_rows(take, block, n: int, d: int, k: int, method: str, seed: int,
     # kmeanspp
     if k > n:
         raise ValueError(f"kmeanspp needs k <= n (k={k}, n={n})")
+    bounds = [0, *(r.stop for r in ranges)]
+    if bounds[-1] != n or any(r != range(lo, hi) for r, lo, hi in zip(ranges, bounds, bounds[1:])):
+        raise ValueError(f"ranges must cover rows 0..{n - 1} in order, got {ranges}")
     ranges = [r for r in ranges if len(r)]
     d2 = np.full(n, np.inf)
 
@@ -215,22 +220,35 @@ def init_from_rows(take, block, n: int, d: int, k: int, method: str, seed: int,
             np.minimum(d2[lo:hi], block_distances(block(lo, hi), center)[:, 0] ** 2,
                        out=d2[lo:hi])
 
-    def lower_to(pool: ThreadPoolExecutor, idx: int) -> None:
+    def lower_to(idx: int) -> None:
         center = take(np.array([idx]))
-        passes = [pool.submit(lower_d2, r, center) for r in ranges]
-        wait(passes)
-        for p in passes:  # in range order: the lowest failing range raises
-            p.result()
+        errors: list[BaseException | None] = [None] * len(ranges)
 
-    with ThreadPoolExecutor(len(ranges), thread_name_prefix="kmeanspp") as pool:
-        chosen = [int(rng.integers(n))]
-        lower_to(pool, chosen[-1])
-        for _ in range(1, k):
-            total = d2.sum()
-            if total > 0:
-                idx = int(rng.choice(n, p=d2 / total))
-            else:
-                idx = int(rng.integers(n))
-            chosen.append(idx)
-            lower_to(pool, idx)
+        def run(i: int) -> None:
+            try:
+                lower_d2(ranges[i], center)
+            except BaseException as e:
+                errors[i] = e
+
+        helpers = [threading.Thread(target=run, args=(i,), name=f"kmeanspp-{i}")
+                   for i in range(1, len(ranges))]
+        for t in helpers:
+            t.start()
+        run(0)  # the first range on the calling thread
+        for t in helpers:
+            t.join()
+        for e in errors:  # in range order: the lowest failing range raises
+            if e is not None:
+                raise e
+
+    chosen = [int(rng.integers(n))]
+    lower_to(chosen[-1])
+    for _ in range(1, k):
+        total = d2.sum()
+        if total > 0:
+            idx = int(rng.choice(n, p=d2 / total))
+        else:
+            idx = int(rng.integers(n))
+        chosen.append(idx)
+        lower_to(idx)
     return CentroidSet.from_means(take(np.array(chosen)))

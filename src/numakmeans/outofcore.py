@@ -6,8 +6,7 @@ Reads happen at page granularity (4KB by default, any positive number of
 bytes), so fetching scattered rows pulls in more bytes than requested; the
 accounting here tracks both quantities.  Each coalesced run of pages is read
 in one call and viewed as the whole rows that start inside it, so rows need
-not align with pages; an uncached contiguous range is returned as that view
-itself.  The fetched rows are checked finite once per call.
+not align with pages, and the fetched rows are checked finite once per call.
 A partitioned row cache pins active rows in memory at row granularity and is
 refreshed lazily on an exponential schedule, because rows that stay active
 tend to keep staying active.  The cache keeps one (ids, rows) slot per task:
@@ -55,31 +54,24 @@ def fetch_rows(store: RowStore, ids: np.ndarray,
     Ids in ``cached``, one ``(ids, rows)`` pair such as a task's cache slot,
     are served from it; hits and misses are counted only when it is given.
     The rest are read one coalesced page run at a time, each run's ids
-    gathered from the whole rows that start inside it.  Without ``cached``,
-    ids that form one contiguous range are read as one page run and returned
-    as a read-only view of its bytes, with no gather or output buffer.  One
-    finiteness check per call rejects a non-finite row.  ``bytes_requested``
-    grows by one row width per id, ``bytes_read`` by page_size per distinct
-    uncached page, the payload's last page counting only up to the end of the
-    payload.
+    gathered from the whole rows that start inside it.  One finiteness check
+    per call rejects a non-finite row.  ``bytes_requested`` grows by one row
+    width per id, ``bytes_read`` by page_size per distinct uncached page, the
+    payload's last page counting only up to the end of the payload.
     """
     ids = np.asarray(ids, dtype=np.int64)
-    steps = np.diff(ids)
     if ids.size:
-        if np.any(steps < 0):
+        if np.any(np.diff(ids) < 0):
             raise ValueError("row ids must be sorted ascending")
         if ids[0] < 0 or ids[-1] >= store.n:
             bad = ids[0] if ids[0] < 0 else ids[-1]
             raise IndexError(f"row id {int(bad)} out of range [0, {store.n})")
     d = store.d
+    out = np.empty((ids.size, d), dtype=np.float64)
     if stats is not None:
         stats.bytes_requested += store.row_bytes * int(ids.size)
     if ids.size == 0:
-        return np.empty((0, d), dtype=np.float64)
-    if cached is None and (steps == 1).all():
-        return _read_range(store, int(ids[0]), int(ids[-1]) + 1, stats)
-
-    out = np.empty((ids.size, d), dtype=np.float64)
+        return out
 
     miss_ids = ids
     if cached is not None and cached[0].size:
@@ -119,15 +111,13 @@ def fetch_rows(store: RowStore, ids: np.ndarray,
     return _check_finite(out, ids)
 
 
-def _read_range(store: RowStore, lo: int, hi: int, stats: IoDelta | None = None) -> np.ndarray:
+def _read_range(store: RowStore, lo: int, hi: int) -> np.ndarray:
     """Rows lo..hi-1, checked finite, as a read-only view of the one page run
-    that holds them; ``bytes_read`` grows by that run's length."""
+    that holds them: no gather and no output buffer."""
     start = lo * store.row_bytes
     first = start // store.page_size
     last = (hi * store.row_bytes - 1) // store.page_size
     blob = store.read_pages(first, last - first + 1)
-    if stats is not None:
-        stats.bytes_read += len(blob)
     rows = np.frombuffer(blob, ROW_DTYPE, (hi - lo) * store.d, start - first * store.page_size)
     return _check_finite(rows.reshape(hi - lo, store.d), range(lo, hi))
 
@@ -272,7 +262,7 @@ def _init_from_store(store: RowStore, cfg: EngineConfig,
 
     return init_from_rows(take, lambda lo, hi: _read_range(store, lo, hi),
                           store.n, store.d, cfg.k, cfg.init, cfg.seed,
-                          cfg.initial_centroids, ranges or [range(store.n)])
+                          cfg.initial_centroids, [range(store.n)] if ranges is None else ranges)
 
 
 def kmeans_ondisk(store: RowStore, cfg: EngineConfig, *,

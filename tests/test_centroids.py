@@ -101,6 +101,15 @@ def test_kmeanspp_centres_are_equal_for_every_split(tmp_path, case):
             engine = _Engine(_MemorySource(m), cfg).centroids
             for got in (im, sem, engine):
                 assert np.array_equal(got.means, want), (case, T)
+        assert np.array_equal(init_centroids(m, k, "kmeanspp", seed=17).means, want)
+
+
+@pytest.mark.parametrize("ranges", [partition_rows(99, 2), [range(0, 60), range(50, 100)],
+                                    [range(50, 100), range(0, 50)], [range(0, 100, 2)], []])
+def test_kmeanspp_rejects_ranges_that_do_not_cover_the_rows_in_order(ranges):
+    m = np.arange(200.0).reshape(100, 2)
+    with pytest.raises(ValueError, match="ranges must cover rows 0..99 in order"):
+        init_centroids(m, 3, "kmeanspp", ranges=ranges)
 
 
 def test_given_validates_shape_and_finiteness(rng):

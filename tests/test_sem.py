@@ -12,6 +12,7 @@ from numakmeans.outofcore import (
     RowCache,
     RowStore,
     _init_from_store,
+    _read_range,
     fetch_rows,
     kmeans_ondisk,
     page_runs,
@@ -263,30 +264,25 @@ def test_fetch_gathers_page_runs_in_place(tmp_path):
 
 
 @pytest.mark.parametrize("page_size", [4096, 100])
-def test_contiguous_uncached_fetch_is_a_view_of_one_page_run(tmp_path, page_size):
+def test_init_block_read_is_a_view_of_one_page_run(tmp_path, page_size):
     n, d = 4000, 8
     m = gen_synthetic(SyntheticSpec("uniform", n, d, seed=3))
     path = tmp_path / "v.raw"
     save_matrix(m, path, raw=True)
-    ids = np.arange(1000, 2999)  # starts and ends inside a page
     with CountingStore(path, n, d, page_size=page_size) as store:
-        stats = IoDelta()
         tracemalloc.start()
         try:
-            rows = fetch_rows(store, ids, stats=stats)
+            rows = _read_range(store, 1000, 2999)  # starts and ends inside a page
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.array_equal(rows, m[ids])
+        assert np.array_equal(rows, m[1000:2999])
         assert not rows.flags.writeable  # the page run's own bytes
-        pages = (3000 * 64 - 1) // page_size - 1000 * 64 // page_size + 1
+        pages = (2999 * 64 - 1) // page_size - 1000 * 64 // page_size + 1
         assert store.calls == 1
-        assert stats.bytes_read == store.physical_bytes == pages * page_size
-        # one page run's bytes and the id checks' differences and masks, no
-        # copy of rows (which here is 8 times ids.nbytes)
-        assert peak <= rows.nbytes + 2 * page_size + 3 * ids.nbytes
-        # a repeated id spans as many rows as a contiguous range but is gathered
-        assert np.array_equal(fetch_rows(store, np.array([3, 3, 5])), m[[3, 3, 5]])
+        assert store.physical_bytes == pages * page_size
+        # one page run's bytes and the finiteness check's masks, no copy of rows
+        assert peak <= rows.nbytes + 2 * page_size + rows.size + 3 * (2999 - 1000)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
