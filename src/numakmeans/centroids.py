@@ -7,13 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import block_distances, rowwise_distances
+from .distance import CHUNK_ELEMS, rowwise_distances
 from .matrix import check_matrix
 
 INIT_METHODS = ("forgy", "random-partition", "kmeanspp", "given")
-
-# Rows per block in the kmeans++ distance scans.
-_INIT_CHUNK = 8192
 
 
 @dataclass
@@ -164,13 +161,15 @@ def init_from_rows(take, block, n: int, d: int, k: int, method: str, seed: int,
     applies the usual squared-distance weighting; given takes caller-supplied
     (k, d) values.
 
-    kmeanspp's squared distances to each new centre are computed on one
-    thread per non-empty range of ``ranges``, the first on the calling thread,
-    in blocks of ``_INIT_CHUNK`` rows; the ranges must cover rows 0..n-1 in
-    order, as ``partition_rows(n, T)`` does.  Each row's value is the same for
-    any split, and the draws read the whole array, so the centres do not
-    depend on the ranges.  Every thread is joined before this returns or raises;
-    when several ranges fail, the lowest range's error is raised.
+    kmeanspp's squared distances to each centre but the last are computed on
+    one thread per non-empty range of ``ranges``, the first on the calling
+    thread, in blocks of ``CHUNK_ELEMS // (2 * d)`` rows, so that a block and
+    its difference scratch stay within ``CHUNK_ELEMS`` elements; the ranges
+    must cover rows 0..n-1 in order, as ``partition_rows(n, T)`` does.  Each
+    row's value is the same for any split, and the draws read the whole
+    array, so the centres do not depend on the ranges.  Every thread is
+    joined before this returns or raises; when several ranges fail, the
+    lowest range's error is raised.
     """
     if method not in INIT_METHODS:
         raise ValueError(f"unknown init method {method!r}")
@@ -213,12 +212,14 @@ def init_from_rows(take, block, n: int, d: int, k: int, method: str, seed: int,
         raise ValueError(f"ranges must cover rows 0..{n - 1} in order, got {ranges}")
     ranges = [r for r in ranges if len(r)]
     d2 = np.full(n, np.inf)
+    step = max(1, CHUNK_ELEMS // (2 * d))
 
     def lower_d2(r: range, center: np.ndarray) -> None:
-        for lo in range(r.start, r.stop, _INIT_CHUNK):
-            hi = min(lo + _INIT_CHUNK, r.stop)
-            np.minimum(d2[lo:hi], block_distances(block(lo, hi), center)[:, 0] ** 2,
-                       out=d2[lo:hi])
+        for lo in range(r.start, r.stop, step):
+            hi = min(lo + step, r.stop)
+            sq = rowwise_distances(block(lo, hi), center[0])
+            np.square(sq, out=sq)
+            np.minimum(d2[lo:hi], sq, out=d2[lo:hi])
 
     def lower_to(idx: int) -> None:
         center = take(np.array([idx]))
@@ -242,13 +243,12 @@ def init_from_rows(take, block, n: int, d: int, k: int, method: str, seed: int,
                 raise e
 
     chosen = [int(rng.integers(n))]
-    lower_to(chosen[-1])
     for _ in range(1, k):
+        lower_to(chosen[-1])
         total = d2.sum()
         if total > 0:
             idx = int(rng.choice(n, p=d2 / total))
         else:
             idx = int(rng.integers(n))
         chosen.append(idx)
-        lower_to(idx)
     return CentroidSet.from_means(take(np.array(chosen)))

@@ -23,13 +23,13 @@ the assigned centroid each test is strict, which is the inclusive test
 against the half distance moved one ulp down (``_tie_gaps``), and an equal
 distance switches to x.
 
-The candidate scan of the rows that fail the point skip runs in a few rounds
-over whole blocks, not one pass per centroid: each round tests every row
-against every centroid with a handful of large array operations, evaluates
-all surviving candidates at once, and sends only the rows that switched to
-the next round.  A round takes at most ``CHUNK_ELEMS`` (row, centroid)
-pairs, which caps its scratch whatever the task size.  The result, bounds
-and counters are those of a sequential per-row scan, bit for bit.
+The rows that fail the point skip are scanned in one pass over whole blocks,
+not one pass per centroid: every candidate is tested against the row's
+assigned centroid with a handful of large array operations, and the
+surviving candidates are evaluated at once.  A block takes at most
+``CHUNK_ELEMS`` (row, centroid) pairs, which caps its scratch whatever the
+task size.  The result and bounds are those of a sequential per-row scan,
+bit for bit; the counters count the work the pass does.
 """
 
 from __future__ import annotations
@@ -97,7 +97,12 @@ class PruneState:
 
 @dataclass
 class PruneCounters:
-    """Work avoided (or spent) during one scan."""
+    """Work avoided (or spent) during one scan.
+
+    Each scanned row adds one computed distance when its bound was loose,
+    and each of its k - 1 other centroids to exactly one of ``computed``,
+    ``pruned_stale`` and ``pruned_tight``.
+    """
 
     skips: int = 0          # whole points skipped by the point-skip test
     pruned_stale: int = 0   # candidates pruned by the carried-over bound
@@ -122,34 +127,24 @@ def inflate_bounds(st: PruneState, drift: np.ndarray) -> None:
     np.logical_and(st.tight, moved == 0.0, out=st.tight)
 
 
-# Candidate distances are evaluated in slices of at most this many row
-# elements (512 KB), which keeps their operands in cache.
-_PAIR_SLICE_ELEMS = 65536
-
-
 def scan_block(rows: np.ndarray, c: CentroidSet, geo: CentroidGeometry,
                assign: np.ndarray, upper: np.ndarray, tight: np.ndarray,
                counters: PruneCounters):
-    """Reassign the non-skipped rows of one task, all rows at once.
+    """Reassign the non-skipped rows of one task in one pass over each block.
 
-    The result is that of a sequential scan of each row: tighten its bound
-    once, then visit candidates in ascending id order, each pruned against
-    half the gap to the row's current assignment, switching on strict
-    improvement, or on an equal distance to a centroid below the original
-    one (ties go to the lower id).  The original centroid is never
-    revisited: its exact distance is the tightened bound itself.
-
-    The scan runs in rounds over whole blocks of rows.  A round gathers each
-    row's gaps to every centroid as one (rows, k) block, evaluates all of
-    its unpruned candidates at once and finds each row's first strict
-    improvement.  Rows that improved switch there and are queued for another
-    round, which scans only the columns after the switch; all others are
-    final.  A row takes one round more than it switches.  Counters count
-    only the pairs the sequential scan reaches, so they equal its counters.
-    A round takes at most ``CHUNK_ELEMS // k`` rows.
+    Each loose bound is tightened to the exact distance u to the row's
+    assigned centroid a.  The candidates are the centroids x that the test
+    against a leaves standing: ``_tie_gaps(half)[a, x] < u``.  Each is
+    evaluated once, and the row takes the closest candidate that beats
+    (u, a), strictly closer or as close with a lower id; a tie between
+    candidates goes to the lower id.  Any centroid that beats (u, a) passes
+    that test, so the row ends where a sequential scan in id order, switching
+    on each improvement, would leave it.  A block holds at most
+    ``CHUNK_ELEMS // k`` rows.
 
     ``assign``, ``upper`` and ``tight`` are the survivors' slices; the arrays
-    are updated in place and ``counters`` accumulates the work done.  Returns
+    are updated in place and ``counters`` accumulates the work done: every
+    (row, x != a) pair is either a computed candidate or pruned.  Returns
     the survivors' original assignments (before any reassignment).
     """
     k = c.k
@@ -159,63 +154,38 @@ def scan_block(rows: np.ndarray, c: CentroidSet, geo: CentroidGeometry,
     upper[loose] = _pair_distances(rows, loose, c.means, orig[loose])
     counters.computed += int(loose.size)
     tight[:] = True
-    cols = np.arange(k)
-    # Row a of gaps holds half the distances from centroid a, with the tie
-    # rule's strict tests below a; row k + a the same with every column up to
-    # a made infinite, which prunes them.  A row assigned to a reads row a in
-    # its first round; once it has switched to a it has scanned every column
-    # up to a, so it reads row k + a.
-    half = geo.half_dist
-    gaps = np.concatenate((_tie_gaps(half), np.where(cols > cols[:, None], half, np.inf)))
-    act = np.arange(rows.shape[0])   # rows queued for a round
-    start = np.full(act.size, -1)    # the column each last switched to
+    gaps = _tie_gaps(geo.half_dist)
+    np.fill_diagonal(gaps, np.inf)  # a row's own centroid is never a candidate
     step = max(1, CHUNK_ELEMS // k)
-    while act.size:
-        ids, st = act[:step], start[:step]
-        at = np.arange(ids.size)
-        og = orig[ids]
-        u = upper[ids]
-        gap = np.take(gaps, np.where(st < 0, assign[ids], k + st), axis=0)
+    for lo in range(0, rows.shape[0], step):
+        og = orig[lo:lo + step]
+        u = upper[lo:lo + step]
+        gap = np.take(gaps, og, axis=0)
         cand = gap < u[:, None]
-        cand[at, og] = False
-        # pruned by both the tightened and the carried bound
-        stale_pruned = gap >= np.maximum(u, stale[ids])[:, None]
-        stale_pruned[at, og] = False
+        # pruned by the carried bound too; the infinite diagonal counts once a row
+        both = np.maximum(u, stale[lo:lo + step])
+        n_stale = int(np.count_nonzero(gap >= both[:, None])) - og.size
         del gap  # the largest block; free it before the distances
         r, x = np.divmod(np.flatnonzero(cand), k)
-        dx = _pair_distances(rows, ids[r], c.means, x)
-        # in its first round a row also switches to a lower id at a tie
-        ties = (st[r] < 0) & (x < og[r])
-        better = np.flatnonzero((dx < u[r]) | (ties & (dx == u[r])))
-        first = np.full(ids.size, k)
-        np.minimum.at(first, r[better], x[better])
-        # the sequential scan reaches the columns after st up to the first
-        # improvement (or the last column), except the original centroid
-        last = np.minimum(first, k - 1)
-        n_live = int((last - st).sum()) - int(np.count_nonzero((og > st) & (og <= last)))
-        n_comp = int(np.count_nonzero(x <= first[r]))
-        # stale prunes outside those columns, in rows that switched before
-        # or during this round, are not the sequential scan's
-        part = np.flatnonzero((st >= 0) | (first < k - 1))
-        outside = (cols <= st[part, None]) | (cols > first[part, None])
-        n_stale = int(np.count_nonzero(stale_pruned)) \
-            - int(np.count_nonzero(stale_pruned[part] & outside))
-        counters.computed += n_comp
+        dx = _pair_distances(rows, lo + r, c.means, x)
+        counters.computed += int(r.size)
         counters.pruned_stale += n_stale
-        counters.pruned_tight += n_live - n_comp - n_stale
-        switch = better[x[better] == first[r[better]]]
-        moved = ids[r[switch]]
-        assign[moved] = x[switch]
-        upper[moved] = dx[switch]
-        act = np.concatenate((act[step:], moved))
-        start = np.concatenate((start[step:], x[switch]))
+        counters.pruned_tight += og.size * (k - 1) - int(r.size) - n_stale
+        ur = u[r]
+        better = np.flatnonzero((dx < ur) | ((dx == ur) & (x < og[r])))
+        # by row, then distance; the sort is stable, so equal distances stay
+        # in ascending id order and each row's first entry is its winner
+        better = better[np.lexsort((dx[better], r[better]))]
+        best = better[np.unique(r[better], return_index=True)[1]]
+        assign[lo + r[best]] = x[best]
+        u[r[best]] = dx[best]
     return orig
 
 
 def _pair_distances(rows, ri, means, x):
-    # rowwise_distances(rows[ri], means[x]), in slices that stay in cache
+    # rowwise_distances(rows[ri], means[x]), in slices of CHUNK_ELEMS elements
     out = np.empty(ri.size)
-    step = max(1, _PAIR_SLICE_ELEMS // rows.shape[1])
+    step = max(1, CHUNK_ELEMS // rows.shape[1])
     for lo in range(0, ri.size, step):
         hi = lo + step
         buf = np.take(rows, ri[lo:hi], axis=0)

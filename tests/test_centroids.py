@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from numakmeans.centroids import (
     init_centroids,
     merge_accumulators,
 )
-from numakmeans.distance import block_distances
+from numakmeans.distance import CHUNK_ELEMS, block_distances
 from numakmeans.engine import EngineConfig, _Engine, _MemorySource
 from numakmeans.matrix import RowStore, SyntheticSpec, gen_synthetic, partition_rows, save_matrix
 from numakmeans.outofcore import _init_from_store
@@ -110,6 +112,28 @@ def test_kmeanspp_rejects_ranges_that_do_not_cover_the_rows_in_order(ranges):
     m = np.arange(200.0).reshape(100, 2)
     with pytest.raises(ValueError, match="ranges must cover rows 0..99 in order"):
         init_centroids(m, 3, "kmeanspp", ranges=ranges)
+
+
+@pytest.mark.parametrize("mode", ["im", "sem"])
+def test_kmeanspp_scratch_is_bounded_by_the_chunk(tmp_path, mode):
+    # at d=1024 a block of 8192 rows alone would take 64 MB
+    n, d = 2048, 1024
+    m = np.random.default_rng(3).normal(size=(n, d))
+    path = tmp_path / "m.raw"
+    save_matrix(m, path, raw=True)
+    with RowStore(path, n, d) as store:
+        tracemalloc.start()
+        try:
+            if mode == "im":
+                got = init_centroids(m, 3, "kmeanspp", seed=5)
+            else:
+                got = _init_from_store(store, EngineConfig(k=3, init="kmeanspp", seed=5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert np.array_equal(got.means, reference_kmeanspp(m, 3, seed=5))
+    # one block and its difference scratch, CHUNK_ELEMS float64 elements in all
+    assert peak <= 2 * 8 * CHUNK_ELEMS
 
 
 def test_given_validates_shape_and_finiteness(rng):

@@ -185,15 +185,39 @@ def test_scan_point_hand_trace():
     assert counters.pruned_stale + counters.pruned_tight == 1
 
 
+def one_pass_counters(rows, c, geo, assign, upper, tight) -> PruneCounters:
+    """The work of one pass, row by row: tighten a loose bound, then prune
+    each x other than the assigned centroid against the tightened bound,
+    counting it stale when the carried bound prunes it too, or compute it."""
+    counters = PruneCounters()
+    for i in range(len(rows)):
+        orig = int(assign[i])
+        stale = u = float(upper[i])
+        if not tight[i]:
+            u = rowwise_distances(rows[i][None, :], c.means[orig])[0]
+            counters.computed += 1
+        for x in range(c.k):
+            if x == orig:
+                continue
+            gap = geo.half_dist[orig, x]
+            if not beyond(u, gap, x, orig):
+                counters.computed += 1
+            elif beyond(stale, gap, x, orig):
+                counters.pruned_stale += 1
+            else:
+                counters.pruned_tight += 1
+    return counters
+
+
 def assert_scan_matches_scalar(rows, means, assign, upper, tight):
-    """scan_block on the whole block equals scan_point row by row."""
+    """scan_block on the whole block equals scan_point row by row, and its
+    counters those of one pass."""
     c = CentroidSet.from_means(means)
     geo = centroid_geometry(c)
+    want_counters = one_pass_counters(rows, c, geo, assign, upper, tight)
     st = PruneState(assignment=assign.copy(), upper=upper.copy(), tight=tight.copy())
-    scalar_counters = PruneCounters()
     for i in range(len(rows)):
-        _, cnt = scan_point(i, rows[i], c, geo, st)
-        scalar_counters.add(cnt)
+        scan_point(i, rows[i], c, geo, st)
 
     a2, u2, t2 = assign.copy(), upper.copy(), tight.copy()
     block_counters = PruneCounters()
@@ -203,7 +227,9 @@ def assert_scan_matches_scalar(rows, means, assign, upper, tight):
     assert np.array_equal(a2, st.assignment)
     assert np.array_equal(u2, st.upper)
     assert t2.all() and st.tight.all()
-    assert block_counters == scalar_counters
+    assert block_counters == want_counters
+    work = block_counters.computed + block_counters.pruned_stale + block_counters.pruned_tight
+    assert work == np.count_nonzero(~tight) + len(rows) * (c.k - 1)
     return st.assignment
 
 
@@ -262,7 +288,7 @@ def test_scan_block_matches_scalar_scan(rng):
     assert_scan_matches_scalar(np.zeros((0, 3)), means, np.zeros(0, dtype=np.int32),
                                empty, empty.astype(bool))
 
-    # a block longer than one round of the chunk cap
+    # a task longer than one block of the chunk cap
     k = 64
     m = CHUNK_ELEMS // k + 700
     centers = rng.normal(size=(16, 3)) * 5
@@ -271,6 +297,21 @@ def test_scan_block_matches_scalar_scan(rng):
     assign = rng.integers(0, k, size=m).astype(np.int32)
     upper = rowwise_distances(rows, means[assign]) + rng.random(m)
     assert_scan_matches_scalar(rows, means, assign, upper, np.zeros(m, bool))
+
+
+def test_scan_block_near_ties_on_small_integer_grids():
+    # integer rows against means in thirds: distances to different
+    # centroids that agree to within a few ulps, and exact ties
+    r = np.random.default_rng(5)
+    for case in range(400):
+        d = 1 + case % 3
+        k = 2 + case % 7
+        rows = r.integers(0, 6, size=(40, d)).astype(np.float64)
+        means = r.integers(0, 6, size=(k, d)) / 3.0
+        assign = r.integers(0, k, size=40).astype(np.int32)
+        offset = r.choice([0.0, 0.0, 1.0], size=40)
+        upper = rowwise_distances(rows, means[assign]) + offset
+        assert_scan_matches_scalar(rows, means, assign, upper, offset == 0.0)
 
 
 def test_scan_block_scratch_is_bounded_by_the_chunk(rng):
