@@ -182,8 +182,6 @@ def init_from_rows(take, block, n: int, d: int, k: int, method: str, seed: int,
         initial = np.ascontiguousarray(initial, dtype=np.float64)
         if initial.shape != (k, d):
             raise ValueError(f"initial centroids must be ({k}, {d}), got {initial.shape}")
-        if not np.isfinite(initial).all():
-            raise ValueError("initial centroids must be finite")
         return CentroidSet.from_means(initial)
 
     rng = np.random.default_rng(seed)

@@ -1,27 +1,28 @@
 """Triangle-inequality pruning with O(n) per-point state.
 
 The scheme keeps one upper bound per point on its distance to the assigned
-centroid, plus a k x k half-distance matrix between centroids.  Three tests
-skip work without changing any assignment:
+centroid, plus one k x k gap table between centroids, built once per
+iteration.  Three tests skip work without changing any assignment:
 
-* point skip: if the bound is at most half the distance from the assigned
-  centroid to its nearest other centroid, no other centroid can be strictly
-  closer, so the whole point is skipped (and in out-of-core mode its row is
-  never read);
+* point skip: if the bound is at most the smallest gap in the assigned
+  centroid's row, no other centroid can beat it, so the whole point is
+  skipped (and in out-of-core mode its row is never read);
 * stale-bound candidate prune: a candidate centroid x is skipped when the
-  bound (as carried over from the previous iteration) is at most half the
-  distance between the assigned centroid and x;
+  bound (as carried over from the previous iteration) is at most the gap
+  between the assigned centroid and x;
 * tight-bound candidate prune: same test after the bound has been tightened
   to the exact current distance.
 
-Half distances are what make the tests sound: d(v, x) >= d(a, x) - d(v, a),
-so d(v, a) <= d(a, x)/2 guarantees d(v, x) >= d(v, a).  There is no lower
-bound matrix; memory stays O(n + k^2).
+A gap is half a centroid-to-centroid distance, which is what makes the
+tests sound: d(v, x) >= d(a, x) - d(v, a), so d(v, a) <= d(a, x)/2
+guarantees d(v, x) >= d(v, a).  There is no lower bound matrix; memory
+stays O(n + k^2).
 
 Ties go to the lower centroid id, as in a full pass: against an x below
-the assigned centroid each test is strict, which is the inclusive test
-against the half distance moved one ulp down (``_tie_gaps``), and an equal
-distance switches to x.
+the assigned centroid each test must be strict, so the table holds that
+half distance moved one ulp down and every test stays ``u <= gap``; an
+equal distance switches to x.  The diagonal is infinite, since a row's own
+centroid is never a candidate.
 
 The rows that fail the point skip are scanned in one pass over whole blocks,
 not one pass per centroid: every candidate is tested against the row's
@@ -44,46 +45,32 @@ from .distance import CHUNK_ELEMS, block_distances, rowwise_distances
 
 @dataclass
 class CentroidGeometry:
-    """Pairwise half-distances between centroids and per-centroid row minima.
+    """The gap table that every bound test reads, and its row minima.
 
-    ``half_dist[a, b]`` is d(c_a, c_b) / 2; ``half_min[a]`` is the smallest
-    off-diagonal entry of row a of ``_tie_gaps(half_dist)``, so a point
-    exactly halfway to a lower-id centroid is not skipped (+inf when k == 1,
-    so single-cluster runs always take the point-skip path).  Rebuilt every
+    ``gaps[a, x]`` is d(c_a, c_x) / 2, one ulp lower when x < a, and +inf
+    when x == a; ``half_min[a]`` is the minimum of row a, so a point exactly
+    halfway to a lower-id centroid is not skipped (+inf when k == 1, so
+    single-cluster runs always take the point-skip path).  Rebuilt every
     iteration.
     """
 
-    half_dist: np.ndarray  # (k, k) symmetric, zero diagonal
-    half_min: np.ndarray   # (k,)
+    gaps: np.ndarray      # (k, k)
+    half_min: np.ndarray  # (k,)
 
     def state_bytes(self) -> int:
-        return self.half_dist.nbytes + self.half_min.nbytes
+        return self.gaps.nbytes + self.half_min.nbytes
 
 
 def centroid_geometry(c: CentroidSet) -> CentroidGeometry:
-    """Exact centroid-to-centroid distances, halved once at storage.
+    """Exact centroid-to-centroid distances, halved once, with the tie rule.
 
-    Symmetric bit for bit: d(a, b) and d(b, a) square the same differences,
-    which differ only in sign.
+    Symmetric bit for bit before the tie rule: d(a, b) and d(b, a) square
+    the same differences, which differ only in sign.
     """
-    k = c.k
     half = block_distances(c.means, c.means) * 0.5
-    if k == 1:
-        half_min = np.array([np.inf])
-    else:
-        masked = _tie_gaps(half) + np.diag(np.full(k, np.inf))
-        half_min = masked.min(axis=1)
-    return CentroidGeometry(half_dist=half, half_min=half_min)
-
-
-def _tie_gaps(half: np.ndarray) -> np.ndarray:
-    """``half`` with each entry [a, x], x < a, moved one ulp down.
-
-    Testing ``u <= gap`` against this table prunes a lower-id x only when
-    ``u < half[a, x]``, so an x exactly as close as a is still examined.
-    """
-    lower = np.tri(half.shape[0], k=-1, dtype=bool)
-    return np.where(lower, np.nextafter(half, -np.inf), half)
+    gaps = np.where(np.tri(c.k, k=-1, dtype=bool), np.nextafter(half, -np.inf), half)
+    np.fill_diagonal(gaps, np.inf)
+    return CentroidGeometry(gaps=gaps, half_min=gaps.min(axis=1))
 
 
 @dataclass
@@ -134,9 +121,10 @@ def scan_block(rows: np.ndarray, c: CentroidSet, geo: CentroidGeometry,
 
     Each loose bound is tightened to the exact distance u to the row's
     assigned centroid a.  The candidates are the centroids x that the test
-    against a leaves standing: ``_tie_gaps(half)[a, x] < u``.  Each is
-    evaluated once, and the row takes the closest candidate that beats
-    (u, a), strictly closer or as close with a lower id; a tie between
+    against a leaves standing, ``geo.gaps[a, x] < u``, read from the table
+    that ``centroid_geometry`` built for this iteration.  Each is evaluated
+    once, and the row takes the closest candidate that beats (u, a),
+    strictly closer or as close with a lower id; a tie between
     candidates goes to the lower id.  Any centroid that beats (u, a) passes
     that test, so the row ends where a sequential scan in id order, switching
     on each improvement, would leave it.  A block holds at most
@@ -154,13 +142,11 @@ def scan_block(rows: np.ndarray, c: CentroidSet, geo: CentroidGeometry,
     upper[loose] = _pair_distances(rows, loose, c.means, orig[loose])
     counters.computed += int(loose.size)
     tight[:] = True
-    gaps = _tie_gaps(geo.half_dist)
-    np.fill_diagonal(gaps, np.inf)  # a row's own centroid is never a candidate
     step = max(1, CHUNK_ELEMS // k)
     for lo in range(0, rows.shape[0], step):
         og = orig[lo:lo + step]
         u = upper[lo:lo + step]
-        gap = np.take(gaps, og, axis=0)
+        gap = np.take(geo.gaps, og, axis=0)
         cand = gap < u[:, None]
         # pruned by the carried bound too; the infinite diagonal counts once a row
         both = np.maximum(u, stale[lo:lo + step])

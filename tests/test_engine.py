@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -182,12 +184,36 @@ def test_config_validation_errors(rng):
         kmeans(m, EngineConfig(k=11, init="forgy"))
 
 
-def test_worker_errors_propagate(rng):
-    # non-finite initial centroids sneak past validation only if injected;
-    # instead force an error through a bad given-centroid shape
+def test_given_centroids_of_the_wrong_shape_raise(rng):
+    # rejected on the calling thread, before any worker starts
     m = rng.normal(size=(50, 3))
     with pytest.raises(ValueError):
         kmeans(m, EngineConfig(k=2, init="given", initial_centroids=np.ones((2, 4))))
+
+
+def test_worker_errors_propagate_and_every_thread_ends(rng, monkeypatch):
+    # a pruned task raises inside a worker thread, mid-run
+    m = rng.normal(size=(4000, 4))
+    cfg = EngineConfig(k=5, seed=1, T=2, pruning=True, max_iters=10)
+    calls = []
+    scan = engine.scan_block
+
+    def failing_scan(*args):
+        calls.append(threading.current_thread().name)
+        if len(calls) == 3:
+            raise RuntimeError("third scan fails")
+        return scan(*args)
+
+    monkeypatch.setattr(engine, "scan_block", failing_scan)
+    blas = distance._blas_threads()
+    blas_before = blas[0]() if blas is not None else None
+    threads_before = threading.active_count()
+    with pytest.raises(RuntimeError, match="third scan fails"):
+        kmeans(m, cfg)
+    assert calls[2].startswith("kmeans-worker-")
+    assert threading.active_count() == threads_before
+    if blas is not None:
+        assert blas[0]() == blas_before
 
 
 @pytest.mark.skipif(distance._blas_threads() is None,

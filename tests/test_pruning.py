@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from numakmeans.centroids import CentroidSet
-from numakmeans.distance import CHUNK_ELEMS, rowwise_distances
+from numakmeans.distance import CHUNK_ELEMS, block_distances, rowwise_distances
 from numakmeans.engine import EngineConfig, kmeans
 from numakmeans.matrix import RowStore, SyntheticSpec, gen_synthetic, save_matrix
 from numakmeans.outofcore import kmeans_ondisk
@@ -20,7 +20,14 @@ from numakmeans.pruning import (
 from conftest import naive_distance, naive_lloyd, run_with_history
 
 
-# Scalar reference for the vectorized scan_block: one point at a time.
+# Scalar reference for the vectorized scan_block: one point at a time.  It
+# takes its half distances from the means, not from the geometry under test,
+# and applies the tie rule itself (``beyond``).
+def half_distances(means: np.ndarray) -> np.ndarray:
+    """Half the centroid-to-centroid distances, by the package's recipe."""
+    return block_distances(means, means) * 0.5
+
+
 def can_skip_point(i: int, st: PruneState, geo: CentroidGeometry) -> bool:
     """True when point i provably stays in its cluster this iteration."""
     return bool(st.upper[i] <= geo.half_min[st.assignment[i]])
@@ -43,7 +50,7 @@ def beyond(bound: float, gap: float, x: int, cur: int) -> bool:
     return bound < gap or (bound == gap and x > cur)
 
 
-def scan_point(i: int, v: np.ndarray, c: CentroidSet, geo: CentroidGeometry,
+def scan_point(i: int, v: np.ndarray, c: CentroidSet, half: np.ndarray,
                st: PruneState) -> tuple[int, PruneCounters]:
     """Reassign point i after it failed the point-skip test.
 
@@ -64,7 +71,7 @@ def scan_point(i: int, v: np.ndarray, c: CentroidSet, geo: CentroidGeometry,
     for x in range(c.k):
         if x == cur or x == orig:
             continue
-        gap = geo.half_dist[cur, x]
+        gap = half[cur, x]
         if beyond(u, gap, x, cur):
             if beyond(stale, gap, x, cur):
                 counters.pruned_stale += 1
@@ -98,15 +105,26 @@ def test_geometry_single_centroid_never_blocks_skip():
     assert can_skip_point(0, st, geo)
 
 
+def assert_gap_table(geo, means):
+    """Upper triangle the half distance, lower triangle its mirror one ulp
+    down, infinite diagonal, and half_min the row minimum."""
+    k = len(means)
+    upper = np.triu_indices(k, 1)
+    lower = np.tril_indices(k, -1)
+    assert np.array_equal(geo.gaps[upper], half_distances(means)[upper])
+    assert np.array_equal(geo.gaps[lower], np.nextafter(geo.gaps.T[lower], -np.inf))
+    assert (np.diag(geo.gaps) == np.inf).all()
+    assert np.array_equal(geo.half_min, geo.gaps.min(axis=1))
+
+
 def test_geometry_hand_values():
     geo = geometry_of([[0.0], [2.0], [6.0]])
-    assert geo.half_dist[0, 1] == 1.0
-    assert geo.half_dist[0, 2] == 3.0
-    assert geo.half_dist[1, 2] == 2.0
-    assert np.array_equal(geo.half_dist, geo.half_dist.T)
-    # row minima excluding the diagonal, entries below it one ulp down so
-    # that a point halfway to a lower id is not skipped: min(1,3), min(1-,2),
-    # min(3-,2-)
+    assert geo.gaps[0, 1] == 1.0
+    assert geo.gaps[0, 2] == 3.0
+    assert geo.gaps[1, 2] == 2.0
+    assert_gap_table(geo, np.array([[0.0], [2.0], [6.0]]))
+    # row minima, entries below the diagonal one ulp down so that a point
+    # halfway to a lower id is not skipped: min(1,3), min(1-,2), min(3-,2-)
     assert geo.half_min.tolist() == [1.0, np.nextafter(1.0, 0.0), np.nextafter(2.0, 0.0)]
 
 
@@ -114,13 +132,10 @@ def test_geometry_matches_brute_force(rng):
     means = rng.normal(size=(10, 6))
     geo = geometry_of(means)
     for a in range(10):
-        for b in range(10):
+        for b in range(a + 1, 10):
             want = 0.5 * naive_distance(means[a], means[b])
-            assert geo.half_dist[a, b] == pytest.approx(want, rel=1e-12, abs=1e-15)
-    for a in range(10):
-        want = min(np.nextafter(geo.half_dist[a, b], -np.inf) if b < a else geo.half_dist[a, b]
-                   for b in range(10) if b != a)
-        assert geo.half_min[a] == want
+            assert geo.gaps[a, b] == pytest.approx(want, rel=1e-12, abs=1e-15)
+    assert_gap_table(geo, means)
 
 
 def test_skip_test_is_inclusive():
@@ -153,14 +168,13 @@ def test_tighten_idempotent_and_exact(rng):
 def test_scan_point_on_its_centroid_prunes_everything(rng):
     means = rng.normal(size=(5, 3))
     c = CentroidSet.from_means(means)
-    geo = centroid_geometry(c)
     v = means[2].copy()
     st = PruneState(
         assignment=np.array([2], dtype=np.int32),
         upper=np.array([0.0]),
         tight=np.array([True]),
     )
-    new_id, counters = scan_point(0, v, c, geo, st)
+    new_id, counters = scan_point(0, v, c, half_distances(c.means), st)
     assert new_id == 2
     assert counters.computed == 0
     assert counters.pruned_stale + counters.pruned_tight == 4
@@ -168,14 +182,13 @@ def test_scan_point_on_its_centroid_prunes_everything(rng):
 
 def test_scan_point_hand_trace():
     c = CentroidSet.from_means(np.array([[0.0], [6.0], [100.0]]))
-    geo = centroid_geometry(c)
     st = PruneState(
         assignment=np.array([0], dtype=np.int32),
         upper=np.array([5.0]),
         tight=np.array([False]),
     )
     v = np.array([5.0])
-    new_id, counters = scan_point(0, v, c, geo, st)
+    new_id, counters = scan_point(0, v, c, half_distances(c.means), st)
     # tighten gives u=5; half(0,1)=3 < 5 so centroid 1 is computed (d=1,
     # reassign); half(1,2)=47 >= 1 so centroid 2 is pruned.
     assert new_id == 1
@@ -185,7 +198,7 @@ def test_scan_point_hand_trace():
     assert counters.pruned_stale + counters.pruned_tight == 1
 
 
-def one_pass_counters(rows, c, geo, assign, upper, tight) -> PruneCounters:
+def one_pass_counters(rows, c, half, assign, upper, tight) -> PruneCounters:
     """The work of one pass, row by row: tighten a loose bound, then prune
     each x other than the assigned centroid against the tightened bound,
     counting it stale when the carried bound prunes it too, or compute it."""
@@ -199,7 +212,7 @@ def one_pass_counters(rows, c, geo, assign, upper, tight) -> PruneCounters:
         for x in range(c.k):
             if x == orig:
                 continue
-            gap = geo.half_dist[orig, x]
+            gap = half[orig, x]
             if not beyond(u, gap, x, orig):
                 counters.computed += 1
             elif beyond(stale, gap, x, orig):
@@ -213,15 +226,15 @@ def assert_scan_matches_scalar(rows, means, assign, upper, tight):
     """scan_block on the whole block equals scan_point row by row, and its
     counters those of one pass."""
     c = CentroidSet.from_means(means)
-    geo = centroid_geometry(c)
-    want_counters = one_pass_counters(rows, c, geo, assign, upper, tight)
+    half = half_distances(c.means)
+    want_counters = one_pass_counters(rows, c, half, assign, upper, tight)
     st = PruneState(assignment=assign.copy(), upper=upper.copy(), tight=tight.copy())
     for i in range(len(rows)):
-        scan_point(i, rows[i], c, geo, st)
+        scan_point(i, rows[i], c, half, st)
 
     a2, u2, t2 = assign.copy(), upper.copy(), tight.copy()
     block_counters = PruneCounters()
-    orig = scan_block(rows, c, geo, a2, u2, t2, block_counters)
+    orig = scan_block(rows, c, centroid_geometry(c), a2, u2, t2, block_counters)
 
     assert np.array_equal(orig, assign)
     assert np.array_equal(a2, st.assignment)
@@ -297,6 +310,29 @@ def test_scan_block_matches_scalar_scan(rng):
     assign = rng.integers(0, k, size=m).astype(np.int32)
     upper = rowwise_distances(rows, means[assign]) + rng.random(m)
     assert_scan_matches_scalar(rows, means, assign, upper, np.zeros(m, bool))
+
+
+def test_scan_block_reads_the_geometry_it_is_given(rng):
+    # a table of infinite gaps prunes every candidate: the scan must take
+    # its tests from geo.gaps, not from gaps of its own
+    m, d, k = 300, 3, 7
+    rows = rng.normal(size=(m, d)) * 3
+    c = CentroidSet.from_means(rng.normal(size=(k, d)) * 3)
+    geo = CentroidGeometry(gaps=np.full((k, k), np.inf), half_min=np.full(k, np.inf))
+    assign = rng.integers(0, k, size=m).astype(np.int32)
+    loose = rng.random(m) < 0.5
+    exact = rowwise_distances(rows, c.means[assign])
+    upper = np.where(loose, exact + rng.random(m), exact)
+    tight = ~loose
+    counters = PruneCounters()
+    a2 = assign.copy()
+    orig = scan_block(rows, c, geo, a2, upper, tight, counters)
+    assert np.array_equal(orig, assign)
+    assert np.array_equal(a2, assign)
+    assert np.array_equal(upper, exact)
+    assert tight.all()
+    assert counters.computed == np.count_nonzero(loose)
+    assert counters.pruned_stale + counters.pruned_tight == m * (k - 1)
 
 
 def test_scan_block_near_ties_on_small_integer_grids():
