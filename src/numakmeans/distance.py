@@ -35,7 +35,8 @@ import numpy as np
 
 # Scratch budget of one vectorized block, in float64 elements: the engine's
 # full pass takes CHUNK_ELEMS // d rows at a time, its GEMM filter
-# CHUNK_ELEMS // (k + d + 1) and the pruned scan CHUNK_ELEMS // k rows per step.
+# CHUNK_ELEMS // (k + d + 1) and the pruned scan CHUNK_ELEMS // w rows per
+# step, w <= k - 1 the gap-table columns its bounds can reach.
 CHUNK_ELEMS = 262144
 
 

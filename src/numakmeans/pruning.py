@@ -27,10 +27,12 @@ centroid is never a candidate.
 The rows that fail the point skip are scanned in one pass over whole blocks,
 not one pass per centroid: every candidate is tested against the row's
 assigned centroid with a handful of large array operations, and the
-surviving candidates are evaluated at once.  A block takes at most
-``CHUNK_ELEMS`` (row, centroid) pairs, which caps its scratch whatever the
-task size.  The result and bounds are those of a sequential per-row scan,
-bit for bit; the counters count the work the pass does.
+surviving candidates are evaluated at once.  A row reads only the window
+of its centroid's gaps that the largest bound of the call can reach, w
+columns instead of k, and a block takes at most ``CHUNK_ELEMS`` (row,
+column) pairs, which caps its scratch whatever the task size.  The result
+and bounds are those of a sequential per-row scan, bit for bit; the
+counters count the work the pass does.
 """
 
 from __future__ import annotations
@@ -127,8 +129,14 @@ def scan_block(rows: np.ndarray, c: CentroidSet, geo: CentroidGeometry,
     strictly closer or as close with a lower id; a tie between
     candidates goes to the lower id.  Any centroid that beats (u, a) passes
     that test, so the row ends where a sequential scan in id order, switching
-    on each improvement, would leave it.  A block holds at most
-    ``CHUNK_ELEMS // k`` rows.
+    on each improvement, would leave it.
+
+    No bound of the call reaches a gap at or above ``bmax``, the largest
+    tightened or carried bound, so each row of the table is cut to a window
+    of w columns: its gaps below ``bmax`` in ascending id order, padded with
+    its other gaps, which are never candidates and always pruned by both
+    bounds.  w is the widest such row, k - 1 when a bound reaches every
+    gap, and a block holds at most ``CHUNK_ELEMS // w`` rows.
 
     ``assign``, ``upper`` and ``tight`` are the survivors' slices; the arrays
     are updated in place and ``counters`` accumulates the work done: every
@@ -142,17 +150,29 @@ def scan_block(rows: np.ndarray, c: CentroidSet, geo: CentroidGeometry,
     upper[loose] = _pair_distances(rows, loose, c.means, orig[loose])
     counters.computed += int(loose.size)
     tight[:] = True
-    step = max(1, CHUNK_ELEMS // k)
+    # the window: row a's w columns are ids[a], their gaps window[a]
+    bmax = max(upper.max(initial=-np.inf), stale.max(initial=-np.inf))
+    near = geo.gaps < bmax
+    w = max(1, int(near.sum(axis=1).max()))
+    ids = np.argsort(~near, axis=1, kind="stable")[:, :w]
+    window = np.take_along_axis(geo.gaps, ids, axis=1)
+    step = max(1, CHUNK_ELEMS // w)
     for lo in range(0, rows.shape[0], step):
         og = orig[lo:lo + step]
         u = upper[lo:lo + step]
-        gap = np.take(geo.gaps, og, axis=0)
+        gap = np.take(window, og, axis=0)
         cand = gap < u[:, None]
-        # pruned by the carried bound too; the infinite diagonal counts once a row
+        # every x != a is pruned by the carried bound too, unless its gap lies
+        # below both bounds; each such gap is in the window
         both = np.maximum(u, stale[lo:lo + step])
-        n_stale = int(np.count_nonzero(gap >= both[:, None])) - og.size
+        n_stale = og.size * (k - 1) - int(np.count_nonzero(gap < both[:, None]))
         del gap  # the largest block; free it before the distances
-        r, x = np.divmod(np.flatnonzero(cand), k)
+        f = np.flatnonzero(cand)
+        r = f // w
+        # f indexes the (rows, w) block; moved from row r to row og[r] of ids
+        f += np.take((og - np.arange(og.size)) * w, r)
+        x = np.take(ids, f)
+        del f
         dx = _pair_distances(rows, lo + r, c.means, x)
         counters.computed += int(r.size)
         counters.pruned_stale += n_stale

@@ -301,7 +301,8 @@ def test_scan_block_matches_scalar_scan(rng):
     assert_scan_matches_scalar(np.zeros((0, 3)), means, np.zeros(0, dtype=np.int32),
                                empty, empty.astype(bool))
 
-    # a task longer than one block of the chunk cap
+    # a task longer than CHUNK_ELEMS // k rows; its bounds need not reach
+    # every gap, so it may still fit in one block of the narrower window
     k = 64
     m = CHUNK_ELEMS // k + 700
     centers = rng.normal(size=(16, 3)) * 5
@@ -309,6 +310,64 @@ def test_scan_block_matches_scalar_scan(rng):
     means = centers[np.arange(k) % 16] + rng.normal(size=(k, 3))
     assign = rng.integers(0, k, size=m).astype(np.int32)
     upper = rowwise_distances(rows, means[assign]) + rng.random(m)
+    assert_scan_matches_scalar(rows, means, assign, upper, np.zeros(m, bool))
+
+
+def paired_case(rng, m, d, k=64):
+    """Rows around k/2 far-apart pairs of close centroids, each row assigned
+    to one of its pair, with tight or loose bounds: no bound reaches past
+    the partner.  The ids are shuffled, so partners are not neighbours."""
+    pairs = np.zeros((k // 2, d))
+    pairs[:, 0] = 100.0 * np.arange(k // 2)
+    offset = np.zeros(d)
+    offset[-1] = 0.5
+    perm = rng.permutation(k)
+    means = np.empty((k, d))
+    means[perm[0::2]] = pairs - offset
+    means[perm[1::2]] = pairs + offset
+    p = rng.integers(0, k // 2, size=m)
+    rows = pairs[p] + rng.normal(size=(m, d)) * 0.4
+    assign = perm[2 * p + rng.integers(0, 2, size=m)].astype(np.int32)
+    loose = rng.random(m) < 0.5
+    exact = rowwise_distances(rows, means[assign])
+    upper = np.where(loose, exact + rng.random(m), exact)
+    return rows, means, assign, upper, ~loose
+
+
+def window_width(means, upper, rows, assign):
+    """The most gaps in one row of the table that a bound, carried or exact,
+    can reach."""
+    reach = np.maximum(upper, rowwise_distances(rows, means[assign])).max()
+    return int((geometry_of(means).gaps < reach).sum(axis=1).max())
+
+
+def test_scan_block_window_of_paired_centroids(rng):
+    rows, means, assign, upper, tight = paired_case(rng, 3000, 3)
+    assert window_width(means, upper, rows, assign) <= 2
+    final = assert_scan_matches_scalar(rows, means, assign, upper, tight)
+    assert np.count_nonzero(final != assign) > 100  # rows switch to the partner
+
+
+@pytest.mark.parametrize("far", [1e300, np.inf])
+def test_scan_block_one_far_bound_widens_the_window(rng, far):
+    rows, means, assign, upper, tight = paired_case(rng, 3000, 3)
+    upper[17] = far
+    tight[17] = False
+    assert window_width(means, upper, rows, assign) == len(means) - 1
+    assert_scan_matches_scalar(rows, means, assign, upper, tight)
+
+
+def test_scan_block_dense_task_runs_several_blocks(rng):
+    # nearly every pair is a candidate and the window is full, so a block
+    # holds CHUNK_ELEMS // (k - 1) rows
+    k, d = 64, 3
+    m = CHUNK_ELEMS // (k - 1) + 700
+    rows = rng.normal(size=(m, d)) * 3
+    means = rng.normal(size=(k, d)) * 3
+    assign = rng.integers(0, k, size=m).astype(np.int32)
+    upper = rowwise_distances(rows, means[assign]) + rng.random(m)
+    upper[0] += 100.0
+    assert window_width(means, upper, rows, assign) == k - 1
     assert_scan_matches_scalar(rows, means, assign, upper, np.zeros(m, bool))
 
 
@@ -350,6 +409,16 @@ def test_scan_block_near_ties_on_small_integer_grids():
         assert_scan_matches_scalar(rows, means, assign, upper, offset == 0.0)
 
 
+def scan_peak(*args):
+    """scan_block(*args) under tracemalloc; returns its peak traced bytes."""
+    tracemalloc.start()
+    try:
+        scan_block(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_scan_block_scratch_is_bounded_by_the_chunk(rng):
     # random rows and centroids: nearly every pair is a candidate, the worst
     # case for the candidate index and distance arrays
@@ -361,15 +430,23 @@ def test_scan_block_scratch_is_bounded_by_the_chunk(rng):
     upper = np.full(m, np.inf)
     tight = np.zeros(m, dtype=bool)
     counters = PruneCounters()
-    tracemalloc.start()
-    try:
-        scan_block(rows, c, geo, assign, upper, tight, counters)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = scan_peak(rows, c, geo, assign, upper, tight, counters)
     assert counters.computed > m * k // 2
-    # the row block plus one chunk's (k x rows) float64 scratch
+    # the row block plus one chunk's (rows x w) float64 scratch, w <= k - 1
+    # the window's width
     assert peak <= 4 * (rows.nbytes + 8 * CHUNK_ELEMS)
+
+
+def test_scan_block_scratch_follows_the_window(rng):
+    # every bound reaches only its partner, so the scan gathers (rows x w)
+    # gaps with w <= 2, not a (rows x k) block
+    m, d, k = 4096, 2, 64
+    rows, means, assign, upper, tight = paired_case(rng, m, d, k)
+    c = CentroidSet.from_means(means)
+    counters = PruneCounters()
+    peak = scan_peak(rows, c, centroid_geometry(c), assign, upper, tight, counters)
+    assert counters.computed > 0
+    assert peak < m * k * 8 / 2
 
 
 def test_inflate_by_drift():
