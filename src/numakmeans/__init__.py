@@ -14,14 +14,8 @@ The package splits into small layers:
 * :mod:`numakmeans.cli` -- the ``numakmeans`` command
 """
 
-from .centroids import (
-    Accumulator,
-    CentroidSet,
-    finalize_centroids,
-    init_centroids,
-    merge_accumulators,
-)
-from .distance import block_distances, nearest_centroid
+from .centroids import CentroidSet
+from .distance import nearest_centroid
 from .engine import (
     EngineConfig,
     IoDelta,
@@ -34,56 +28,30 @@ from .matrix import (
     SyntheticSpec,
     gen_synthetic,
     load_matrix,
-    partition_rows,
     save_matrix,
 )
 from .outofcore import (
     CacheSchedule,
-    RowCache,
-    fetch_rows,
     kmeans_ondisk,
     should_refresh,
 )
-from .pruning import (
-    CentroidGeometry,
-    PruneState,
-    centroid_geometry,
-    inflate_bounds,
-)
-from .scheduler import PartitionedTaskQueue, Task, Topology, build_topology
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Accumulator",
     "CacheSchedule",
-    "CentroidGeometry",
     "CentroidSet",
     "EngineConfig",
     "IoDelta",
     "IterationStats",
     "KmeansResult",
-    "PartitionedTaskQueue",
-    "PruneState",
-    "RowCache",
     "RowStore",
     "SyntheticSpec",
-    "Task",
-    "Topology",
-    "block_distances",
-    "build_topology",
-    "centroid_geometry",
-    "fetch_rows",
-    "finalize_centroids",
     "gen_synthetic",
-    "inflate_bounds",
-    "init_centroids",
     "kmeans",
     "kmeans_ondisk",
     "load_matrix",
-    "merge_accumulators",
     "nearest_centroid",
-    "partition_rows",
     "save_matrix",
     "should_refresh",
 ]

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import CHUNK_ELEMS, rowwise_distances
+from .distance import CHUNK_ELEMS, row_sqnorms, rowwise_distances
 from .matrix import check_matrix
 
 INIT_METHODS = ("forgy", "random-partition", "kmeanspp", "given")
@@ -57,14 +57,16 @@ class CentroidSet:
 class Accumulator:
     """Running sums used to rebuild centroids.
 
-    ``sums`` and ``sq`` are taken relative to the run's shift s: they hold
-    the per-cluster sums of ``x - s`` and of ``|x - s|^2``.  With s near the
-    data, the centroid ``s + sums / count`` and the within-cluster sum of
-    squares ``sq - |sums|^2 / count`` keep their precision however far the
-    data lie from the origin (Chan, Golub and LeVeque, 1983).  In full
-    passes the fields hold plain totals; pruned iterations use the same
-    structure for signed reassignment deltas, in which case counts may be
-    negative.
+    ``sums`` and ``sq`` are taken relative to the run's shift s (the engine
+    uses the initial centroids' mean): they hold the per-cluster sums of
+    ``x - s`` and of ``|x - s|^2``.  With s near the data, the centroid
+    ``s + sums / count`` and the within-cluster sum of squares
+    ``sq - |sums|^2 / count`` keep their precision however far the data lie
+    from the origin (Chan, Golub and LeVeque, 1983).  :meth:`add_rows` adds
+    a block of rows with one flat ``bincount``, each cluster's rows in row
+    order.  In full passes the fields hold plain totals; pruned iterations
+    use the same structure for signed reassignment deltas, in which case
+    counts may be negative.
     """
 
     sums: np.ndarray    # (k, d)
@@ -78,6 +80,28 @@ class Accumulator:
             counts=np.zeros(k, dtype=np.int64),
             sq=np.zeros(k, dtype=np.float64),
         )
+
+    def add_rows(self, ids: np.ndarray, rows: np.ndarray, shift: np.ndarray,
+                 sign: int = 1, sq: bool = True) -> None:
+        """Add ``rows`` to clusters ``ids``, or take them away with ``sign=-1``,
+        summing ``rows - shift`` by one ``bincount`` over the flat index
+        ``id * d + column``; the ``sq`` field is updated only when ``sq``."""
+        k, d = self.sums.shape
+        op = np.add if sign > 0 else np.subtract
+        x = rows - shift
+        flat = np.take(np.arange(k * d).reshape(k, d), ids, axis=0)
+        sums = np.bincount(flat.ravel(), weights=x.ravel(), minlength=k * d)
+        op(self.sums, sums.reshape(k, d), out=self.sums)
+        op(self.counts, np.bincount(ids, minlength=k), out=self.counts)
+        if sq:
+            op(self.sq, np.bincount(ids, weights=row_sqnorms(x), minlength=k), out=self.sq)
+
+    def wcss(self) -> float:
+        """Within-cluster sum of squares of the totals, ``sq - |sums|^2 / count``
+        over the occupied clusters, each term clamped at 0."""
+        occupied = self.counts > 0
+        terms = self.sq[occupied] - (self.sums[occupied] ** 2).sum(axis=1) / self.counts[occupied]
+        return float(np.maximum(terms, 0.0).sum())
 
     def add_(self, other: "Accumulator") -> None:
         self.sums += other.sums

@@ -73,21 +73,22 @@ def build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("train", help="run k-means and emit a report")
     train.add_argument("--data", required=True)
     train.add_argument("--k", type=_positive, required=True)
-    train.add_argument("--mode", choices=MODES, default="im")
-    train.add_argument("--prune", action=argparse.BooleanOptionalAction, default=True)
+    train.add_argument("--mode", choices=MODES, default=EngineConfig.mode)
+    train.add_argument("--prune", dest="pruning", action=argparse.BooleanOptionalAction,
+                       default=EngineConfig.pruning)
     train.add_argument("--cache", action=argparse.BooleanOptionalAction, default=None,
                        help="row cache (sem mode only, default on)")
-    train.add_argument("--scheduler", choices=POLICIES, default="numa")
-    train.add_argument("-T", "--threads", type=_positive, default=1)
-    train.add_argument("-N", "--nodes", type=_nonneg, default=0,
+    train.add_argument("--scheduler", choices=POLICIES, default=EngineConfig.scheduler)
+    train.add_argument("-T", "--threads", dest="T", type=_positive, default=EngineConfig.T)
+    train.add_argument("-N", "--nodes", dest="N", type=_nonneg, default=EngineConfig.N,
                        help="NUMA nodes (0 = detect)")
-    train.add_argument("--task-size", type=_positive, default=8192)
-    train.add_argument("--max-iters", type=_positive, default=100)
-    train.add_argument("--init", choices=INIT_METHODS, default="forgy")
+    train.add_argument("--task-size", type=_positive, default=EngineConfig.task_size)
+    train.add_argument("--max-iters", type=_positive, default=EngineConfig.max_iters)
+    train.add_argument("--init", choices=INIT_METHODS, default=EngineConfig.init)
     train.add_argument("--init-centroids", default=None,
                        help="matrix file with k x d starting centroids (init=given)")
-    train.add_argument("--seed", type=int, default=0)
-    train.add_argument("--tolerance", type=_nonneg, default=0)
+    train.add_argument("--seed", type=int, default=EngineConfig.seed)
+    train.add_argument("--tolerance", type=_nonneg, default=EngineConfig.tolerance)
     train.add_argument("--raw", action="store_true", help="data file is headerless")
     train.add_argument("--n", type=_positive, default=None, help="rows (raw files)")
     train.add_argument("--d", type=_positive, default=None, help="columns (raw files)")
@@ -139,31 +140,21 @@ def _cmd_info(args) -> int:
     return 0
 
 
+def _engine_config(args) -> EngineConfig:
+    """The run's config: every field but the centroids is the flag of that name."""
+    initial = None if args.init_centroids is None else load_matrix(args.init_centroids)
+    return EngineConfig(initial_centroids=initial,
+                        **{f.name: getattr(args, f.name) for f in fields(EngineConfig)
+                           if f.name != "initial_centroids"})
+
+
 def _cmd_train(args) -> int:
     if args.mode == "im" and args.cache is not None:
         raise SystemExit("train: --cache/--no-cache applies to sem mode only")
     cache_enabled = True if args.cache is None else args.cache
 
-    initial = None
-    if args.init == "given":
-        if args.init_centroids is None:
-            raise SystemExit("train: --init given requires --init-centroids")
-        initial = load_matrix(args.init_centroids)
-
-    cfg = EngineConfig(
-        k=args.k,
-        max_iters=args.max_iters,
-        init=args.init,
-        seed=args.seed,
-        T=args.threads,
-        N=args.nodes,
-        task_size=args.task_size,
-        pruning=args.prune,
-        mode=args.mode,
-        tolerance=args.tolerance,
-        scheduler=args.scheduler,
-        initial_centroids=initial,
-    )
+    cfg = _engine_config(args)
+    cfg.validate()
 
     if args.mode == "im":
         matrix = load_matrix(args.data, raw=args.raw, n=args.n, d=args.d)

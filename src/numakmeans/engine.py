@@ -10,9 +10,7 @@ range, and every task owns its own accumulator.
 Accumulators are kept per task (not per thread) and reduced in task order at
 the barrier.  Work stealing then has no effect on the floating-point
 summation order, so a run is bit-reproducible for a fixed thread count and
-task size regardless of scheduling policy or timing.  Rows are summed
-relative to one shift per run, the initial centroids' mean, with one flat
-``bincount`` per chunk that adds each cluster's rows in row order.
+task size regardless of scheduling policy or timing.
 
 With pruning enabled, iteration 0 performs a full assignment pass to seed the
 bounds; later iterations apply the triangle-inequality tests and maintain the
@@ -45,7 +43,7 @@ from .centroids import (
     init_centroids,
     merge_accumulators,
 )
-from .distance import CHUNK_ELEMS, nearest_block_into, row_sqnorms, single_thread_blas
+from .distance import CHUNK_ELEMS, nearest_block_into, single_thread_blas
 from .matrix import check_matrix, partition_rows
 from .pruning import (
     PruneCounters,
@@ -74,7 +72,7 @@ class EngineConfig:
     mode: str = "im"
     tolerance: int = 0        # keep iterating while reassignments exceed this
     scheduler: str = "numa"
-    initial_centroids: np.ndarray | None = None
+    initial_centroids: np.ndarray | None = None  # exactly when init == "given"
 
     def validate(self) -> None:
         if self.k < 1:
@@ -95,6 +93,9 @@ class EngineConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.scheduler not in POLICIES:
             raise ValueError(f"unknown scheduler {self.scheduler!r}")
+        if (self.initial_centroids is not None) != (self.init == "given"):
+            raise ValueError(f"initial_centroids must be set exactly when init is 'given' "
+                             f"(init={self.init!r})")
 
 
 @dataclass
@@ -126,12 +127,11 @@ class IterationStats:
 
     ``wcss`` is the within-cluster sum of squared distances: against the
     centroids current at assignment time for unpruned runs (the distances are
-    already in hand), and against the updated means for pruned runs (computed
-    as ``sq - |sums|^2 / count`` from the incrementally maintained cluster
-    sums, which are relative to the run's shift, so skipped points need no
-    extra work and rows far from the origin lose no precision).  Both
-    sequences are non-increasing.  A run whose means or WCSS overflow to a
-    non-finite value ends in ``FloatingPointError``.
+    already in hand), and against the updated means for pruned runs
+    (``Accumulator.wcss`` of the incrementally maintained cluster sums, so
+    skipped points need no extra work).  Both sequences are non-increasing.
+    A run whose means or WCSS overflow to a non-finite value ends in
+    ``FloatingPointError``.
     """
 
     t: int
@@ -158,15 +158,6 @@ class KmeansResult:
     @property
     def n_iterations(self) -> int:
         return len(self.iterations)
-
-
-def _cluster_sums(ids: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
-    """(k, d) per-cluster column sums of the rows of ``x``, each cluster's
-    rows added in row order, by one ``bincount`` over the flat index
-    ``id * d + column`` (gathered by row from a (k, d) table of them)."""
-    d = x.shape[1]
-    flat = np.take(np.arange(k * d).reshape(k, d), ids, axis=0)
-    return np.bincount(flat.ravel(), weights=x.ravel(), minlength=k * d).reshape(k, d)
 
 
 class _MemorySource:
@@ -269,11 +260,10 @@ class _Engine:
         self.task_results[task.index] = run(task)
 
     def _task_full(self, task) -> _TaskResult:
-        k, d = self.k, self.d
         lo, hi = task.start, task.stop
         rows = self.source.task_rows(task)
         m = hi - lo
-        acc = Accumulator.zeros(k, d)
+        acc = Accumulator.zeros(self.k, self.d)
         reassigned = 0
         wcss_sq = 0.0
         want_sq = self.cfg.pruning
@@ -285,26 +275,22 @@ class _Engine:
             gh = gl + sub.shape[0]
             reassigned += int((ids != self.assignment[gl:gh]).sum())
             self.assignment[gl:gh] = ids
-            x = sub - self.shift
             if want_sq:
                 self.state.upper[gl:gh] = ndist
                 self.state.tight[gl:gh] = True
-                acc.sq += np.bincount(ids, weights=row_sqnorms(x), minlength=k)
             else:
                 wcss_sq += float(np.vecdot(ndist, ndist))
-            acc.counts += np.bincount(ids, minlength=k)
-            acc.sums += _cluster_sums(ids, x, k)
-        return _TaskResult(acc, reassigned, PruneCounters(computed=m * k), wcss_sq)
+            acc.add_rows(ids, sub, self.shift, sq=want_sq)
+        return _TaskResult(acc, reassigned, PruneCounters(computed=m * self.k), wcss_sq)
 
     def _task_pruned(self, task) -> _TaskResult:
-        k, d = self.k, self.d
         lo, hi = task.start, task.stop
         a = self.assignment[lo:hi]
         u = self.state.upper[lo:hi]
         tg = self.state.tight[lo:hi]
         skip = u <= self.geometry.half_min[a]
         counters = PruneCounters(skips=int(skip.sum()))
-        acc = Accumulator.zeros(k, d)
+        acc = Accumulator.zeros(self.k, self.d)
         reassigned = 0
         surv = np.flatnonzero(~skip)
         if surv.size:
@@ -319,14 +305,9 @@ class _Engine:
             changed = np.flatnonzero(a_s != orig)
             reassigned = int(changed.size)
             if changed.size:
-                moved = rows[changed] - self.shift
-                frm = orig[changed]
-                to = a_s[changed]
-                acc.sums += _cluster_sums(to, moved, k) - _cluster_sums(frm, moved, k)
-                acc.counts += np.bincount(to, minlength=k) - np.bincount(frm, minlength=k)
-                sq = row_sqnorms(moved)
-                acc.sq += np.bincount(to, weights=sq, minlength=k) \
-                    - np.bincount(frm, weights=sq, minlength=k)
+                moved = rows[changed]
+                acc.add_rows(a_s[changed], moved, self.shift)
+                acc.add_rows(orig[changed], moved, self.shift, sign=-1)
         return _TaskResult(acc, reassigned, counters, 0.0)
 
     # ---- barrier action --------------------------------------------------
@@ -353,9 +334,7 @@ class _Engine:
 
         new_centroids = finalize_centroids(totals, self.centroids, self.shift)
         if cfg.pruning:
-            occupied = totals.counts > 0
-            terms = totals.sq[occupied] - (totals.sums[occupied] ** 2).sum(axis=1) / totals.counts[occupied]
-            wcss = float(np.maximum(terms, 0.0).sum())
+            wcss = totals.wcss()
         else:
             wcss = sum(r.wcss_sq for r in results)
         if not (np.isfinite(new_centroids.means).all() and np.isfinite(wcss)):

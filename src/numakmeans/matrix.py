@@ -47,10 +47,16 @@ def check_matrix(m: np.ndarray) -> np.ndarray:
     n, d = m.shape
     if n < 1 or d < 1:
         raise MatrixFormatError(f"matrix must be at least 1x1, got {n}x{d}")
-    if not np.isfinite(m).all():
-        bad = int(np.flatnonzero(~np.isfinite(m).all(axis=1))[0])
+    return check_finite(m, range(n))
+
+
+def check_finite(rows: np.ndarray, ids) -> np.ndarray:
+    """``rows``, unless one holds a non-finite value: then the error names the
+    first such row's id, ``ids[i]`` for row i."""
+    if not np.isfinite(rows).all():
+        bad = int(ids[int(np.argmin(np.isfinite(rows).all(axis=1)))])
         raise MatrixFormatError(f"non-finite value in row {bad}")
-    return m
+    return rows
 
 
 def save_matrix(m: np.ndarray, path, raw: bool = False) -> None:
@@ -165,18 +171,23 @@ class RowStore:
         return os.pread(self._fd, size, offset)
 
     def read_pages(self, first_page: int, n_pages: int) -> bytes:
-        """Raw bytes of a contiguous page run, truncated at end of payload."""
+        """Raw bytes of a contiguous page run, truncated at end of payload, in as
+        many preads as it takes (Linux returns at most 0x7ffff000 bytes per
+        call); only a pread that returns nothing is a short read."""
         start = first_page * self.page_size
         end = min((first_page + n_pages) * self.page_size, self.payload_bytes)
-        if end <= start:
-            return b""
-        blob = self._pread(self.payload_offset + start, end - start)
-        if len(blob) != end - start:
-            raise MatrixFormatError(
-                f"{self.path}: short read at page {first_page} "
-                f"(wanted {end - start} bytes, got {len(blob)})"
-            )
-        return blob
+        parts = []
+        got = start
+        while got < end:
+            part = self._pread(self.payload_offset + got, end - got)
+            if not part:
+                raise MatrixFormatError(
+                    f"{self.path}: short read at page {first_page} "
+                    f"(wanted {end - start} bytes, got {got - start})"
+                )
+            parts.append(part)
+            got += len(part)
+        return b"".join(parts)  # a single part is returned as is, uncopied
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .centroids import CentroidSet, init_from_rows
 from .engine import EngineConfig, IoDelta, KmeansResult, _Engine
-from .matrix import ROW_DTYPE, MatrixFormatError, RowStore
+from .matrix import ROW_DTYPE, RowStore, check_finite
 
 DEFAULT_CACHE_BYTES = 64 * 1024 * 1024
 DEFAULT_REFRESH_START = 5
@@ -108,7 +108,7 @@ def fetch_rows(store: RowStore, ids: np.ndarray,
             np.take(view, miss_ids[lo:hi] - r0, axis=0, out=out[p0:p0 + hi - lo], mode="clip")
         else:
             out[miss_pos[lo:hi]] = view[miss_ids[lo:hi] - r0]
-    return _check_finite(out, ids)
+    return check_finite(out, ids)
 
 
 def _read_range(store: RowStore, lo: int, hi: int) -> np.ndarray:
@@ -119,16 +119,7 @@ def _read_range(store: RowStore, lo: int, hi: int) -> np.ndarray:
     last = (hi * store.row_bytes - 1) // store.page_size
     blob = store.read_pages(first, last - first + 1)
     rows = np.frombuffer(blob, ROW_DTYPE, (hi - lo) * store.d, start - first * store.page_size)
-    return _check_finite(rows.reshape(hi - lo, store.d), range(lo, hi))
-
-
-def _check_finite(rows: np.ndarray, ids) -> np.ndarray:
-    """``rows``, unless one holds a non-finite value: then the error names the
-    first such row's id, ``ids[i]`` for row i."""
-    if not np.isfinite(rows).all():
-        bad = int(ids[int(np.argmin(np.isfinite(rows).all(axis=1)))])
-        raise MatrixFormatError(f"non-finite value in row {bad}")
-    return rows
+    return check_finite(rows.reshape(hi - lo, store.d), range(lo, hi))
 
 
 class RowCache:
@@ -249,8 +240,7 @@ class _DiskSource:
         return _init_from_store(self.store, cfg, ranges)
 
 
-def _init_from_store(store: RowStore, cfg: EngineConfig,
-                     ranges: list[range] | None = None) -> CentroidSet:
+def _init_from_store(store: RowStore, cfg: EngineConfig, ranges: list[range]) -> CentroidSet:
     """Seeded initialization from disk; the draws are the in-memory path's.
 
     A block of rows is read once, as a view of the page run that holds it.
@@ -262,7 +252,7 @@ def _init_from_store(store: RowStore, cfg: EngineConfig,
 
     return init_from_rows(take, lambda lo, hi: _read_range(store, lo, hi),
                           store.n, store.d, cfg.k, cfg.init, cfg.seed,
-                          cfg.initial_centroids, [range(store.n)] if ranges is None else ranges)
+                          cfg.initial_centroids, ranges)
 
 
 def kmeans_ondisk(store: RowStore, cfg: EngineConfig, *,

@@ -127,7 +127,7 @@ def test_kmeanspp_scratch_is_bounded_by_the_chunk(tmp_path, mode):
             if mode == "im":
                 got = init_centroids(m, 3, "kmeanspp", seed=5)
             else:
-                got = _init_from_store(store, EngineConfig(k=3, init="kmeanspp", seed=5))
+                got = _init_from_store(store, EngineConfig(k=3, init="kmeanspp", seed=5), [range(n)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -232,3 +232,49 @@ def test_finalize_drift_matches_recomputation(rng):
     for j in range(5):
         want = naive_distance(c.means[j], prev.means[j])
         assert c.drift[j] == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def test_add_rows_matches_a_per_cluster_loop(rng):
+    k, d = 4, 3
+    rows = rng.normal(size=(50, d)) + 1e6
+    ids = rng.integers(0, k, size=50)
+    shift = rows[:k].mean(axis=0)
+    acc = Accumulator.zeros(k, d)
+    acc.add_rows(ids, rows, shift)
+    sums, counts, sq = np.zeros((k, d)), np.zeros(k, dtype=np.int64), np.zeros(k)
+    for i, j in enumerate(ids):  # each cluster's rows in row order
+        x = rows[i] - shift
+        sums[j] += x
+        counts[j] += 1
+        sq[j] += x @ x
+    assert np.array_equal(acc.sums, sums)
+    assert np.array_equal(acc.counts, counts)
+    assert np.allclose(acc.sq, sq, rtol=1e-12, atol=0.0)
+
+
+def test_add_rows_then_take_them_away_leaves_exact_zeros(rng):
+    rows = rng.normal(size=(40, 5)) * 1e3
+    ids = rng.integers(0, 3, size=40)
+    acc = Accumulator.zeros(3, 5)
+    acc.add_rows(ids, rows, rows.mean(axis=0))
+    acc.add_rows(ids, rows, rows.mean(axis=0), sign=-1)
+    assert not acc.sums.any() and not acc.counts.any() and not acc.sq.any()
+
+
+def test_add_rows_without_sq_leaves_sq_untouched(rng):
+    acc = make_acc(rng, 3, 2)
+    sq, counts = acc.sq.copy(), acc.counts.copy()
+    acc.add_rows(np.array([0, 2, 2]), rng.normal(size=(3, 2)), np.zeros(2), sq=False)
+    assert np.array_equal(acc.sq, sq)
+    assert np.array_equal(acc.counts, counts + (1, 0, 2))
+
+
+def test_wcss_matches_a_direct_sum_on_offset_data(rng):
+    k, d = 3, 4
+    rows = rng.normal(size=(300, d)) + 1e8
+    ids = np.arange(300) % k
+    acc = Accumulator.zeros(k, d)
+    acc.add_rows(ids, rows, rows[:k].mean(axis=0))
+    y = rows - 1e8  # exact, so the direct sum below loses nothing to the offset
+    want = sum(((y[ids == j] - y[ids == j].mean(axis=0)) ** 2).sum() for j in range(k))
+    assert acc.wcss() == pytest.approx(want, rel=1e-9)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from numakmeans.cli import main
-from numakmeans.matrix import load_matrix
+from numakmeans.cli import _engine_config, build_parser, main
+from numakmeans.engine import EngineConfig
+from numakmeans.matrix import load_matrix, save_matrix
 from numakmeans.report import deterministic_view, parse_report
 
 
@@ -98,6 +99,21 @@ def test_train_k_exceeding_n_fails_cleanly(tmp_path, dataset, capsys):
     rc = run_cli(["train", "--data", str(dataset), "--k", "3000"])
     assert rc == 1
     assert "k <= n" in capsys.readouterr().err
+
+
+def test_train_defaults_are_the_engine_config_defaults():
+    args = build_parser().parse_args(["train", "--data", "x", "--k", "3"])
+    assert _engine_config(args) == EngineConfig(k=3)
+
+
+def test_init_centroids_without_init_given_fail_cleanly(tmp_path, dataset, capsys):
+    centres = tmp_path / "c.knrm"
+    save_matrix(load_matrix(dataset)[:4], centres)
+    rc = run_cli(["train", "--data", str(dataset), "--k", "4",
+                  "--init-centroids", str(centres)])
+    assert rc == 1
+    assert "error: initial_centroids must be set exactly when init is 'given'" \
+        in capsys.readouterr().err
 
 
 def test_cache_flag_rejected_in_memory_mode(dataset):

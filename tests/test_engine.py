@@ -191,6 +191,14 @@ def test_given_centroids_of_the_wrong_shape_raise(rng):
         kmeans(m, EngineConfig(k=2, init="given", initial_centroids=np.ones((2, 4))))
 
 
+@pytest.mark.parametrize("init", ["forgy", "kmeanspp"])
+def test_initial_centroids_without_init_given_raise(rng, init):
+    # a run must not drop them without a word and draw other centroids
+    m = rng.normal(size=(50, 3))
+    with pytest.raises(ValueError, match="initial_centroids must be set exactly"):
+        kmeans(m, EngineConfig(k=2, init=init, initial_centroids=m[:2]))
+
+
 def test_worker_errors_propagate_and_every_thread_ends(rng, monkeypatch):
     # a pruned task raises inside a worker thread, mid-run
     m = rng.normal(size=(4000, 4))

@@ -132,6 +132,27 @@ def test_short_read_reports_page(tmp_path):
     store.close()
 
 
+class PartialReads(RowStore):
+    """Returns at most 1000 bytes per pread, as a kernel may for a large run."""
+
+    def _pread(self, offset, size):
+        return super()._pread(offset, min(size, 1000))
+
+
+def test_partial_preads_are_read_to_the_end(tmp_path):
+    m = gen_synthetic(SyntheticSpec("uniform", 512, 8, seed=5))
+    path = tmp_path / "p.raw"
+    save_matrix(m, path, raw=True)
+    for ids in (np.array([0, 3, 64, 65, 300, 511]), np.arange(512)):
+        want, got = IoDelta(), IoDelta()
+        with RowStore(path, 512, 8) as store:
+            fetch_rows(store, ids, None, want)
+        with PartialReads(path, 512, 8) as store:
+            rows = fetch_rows(store, ids, None, got)
+        assert rows.tobytes() == m[ids].tobytes()
+        assert got.bytes_read == want.bytes_read
+
+
 def test_store_rejects_wrong_length(tmp_path):
     path = tmp_path / "w.raw"
     path.write_bytes(b"\x00" * 100)
@@ -466,7 +487,7 @@ def test_sem_init_matches_in_memory_bitwise(tmp_path):
     with RowStore(path, 700, 5) as store:
         for method in ("forgy", "random-partition", "kmeanspp"):
             cfg = EngineConfig(k=6, init=method, seed=17, mode="sem")
-            disk = _init_from_store(store, cfg)
+            disk = _init_from_store(store, cfg, [range(store.n)])
             mem = init_centroids(m, 6, method, seed=17)
             assert np.array_equal(disk.means, mem.means), method
 
@@ -483,7 +504,7 @@ def test_sem_init_matches_in_memory_bitwise(tmp_path):
         save_matrix(rows, path, raw=True)
         cfg = EngineConfig(k=k, init=method, seed=17, mode="sem", initial_centroids=initial)
         with RowStore(path, *rows.shape) as store:
-            disk = _init_from_store(store, cfg)
+            disk = _init_from_store(store, cfg, [range(store.n)])
         mem = init_centroids(rows, k, method, seed=17, initial=initial)
         assert np.array_equal(disk.means, mem.means), (method, rows.shape, k)
 
