@@ -86,15 +86,28 @@ class Accumulator:
         """Add ``rows`` to clusters ``ids``, or take them away with ``sign=-1``,
         summing ``rows - shift`` by one ``bincount`` over the flat index
         ``id * d + column``; the ``sq`` field is updated only when ``sq``."""
-        k, d = self.sums.shape
-        op = np.add if sign > 0 else np.subtract
         x = rows - shift
+        self._add_shifted(ids, x, row_sqnorms(x) if sq else None,
+                          np.add if sign > 0 else np.subtract)
+
+    def move_rows(self, to_ids: np.ndarray, from_ids: np.ndarray, rows: np.ndarray,
+                  shift: np.ndarray) -> None:
+        """Move ``rows`` from clusters ``from_ids`` to ``to_ids``: ``add_rows``
+        of ``to_ids`` and then of ``from_ids`` with ``sign=-1``, bit for bit,
+        with ``rows - shift`` and its squared norms computed once."""
+        x = rows - shift
+        sqn = row_sqnorms(x)
+        self._add_shifted(to_ids, x, sqn, np.add)
+        self._add_shifted(from_ids, x, sqn, np.subtract)
+
+    def _add_shifted(self, ids, x, sqn, op) -> None:
+        k, d = self.sums.shape
         flat = np.take(np.arange(k * d).reshape(k, d), ids, axis=0)
         sums = np.bincount(flat.ravel(), weights=x.ravel(), minlength=k * d)
         op(self.sums, sums.reshape(k, d), out=self.sums)
         op(self.counts, np.bincount(ids, minlength=k), out=self.counts)
-        if sq:
-            op(self.sq, np.bincount(ids, weights=row_sqnorms(x), minlength=k), out=self.sq)
+        if sqn is not None:
+            op(self.sq, np.bincount(ids, weights=sqn, minlength=k), out=self.sq)
 
     def wcss(self) -> float:
         """Within-cluster sum of squares of the totals, ``sq - |sums|^2 / count``

@@ -305,9 +305,7 @@ class _Engine:
             changed = np.flatnonzero(a_s != orig)
             reassigned = int(changed.size)
             if changed.size:
-                moved = rows[changed]
-                acc.add_rows(a_s[changed], moved, self.shift)
-                acc.add_rows(orig[changed], moved, self.shift, sign=-1)
+                acc.move_rows(a_s[changed], orig[changed], rows[changed], self.shift)
         return _TaskResult(acc, reassigned, counters, 0.0)
 
     # ---- barrier action --------------------------------------------------

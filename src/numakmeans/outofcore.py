@@ -6,12 +6,15 @@ Reads happen at page granularity (4KB by default, any positive number of
 bytes), so fetching scattered rows pulls in more bytes than requested; the
 accounting here tracks both quantities.  Each coalesced run of pages is read
 in one call and viewed as the whole rows that start inside it, so rows need
-not align with pages, and the fetched rows are checked finite once per call.
+not align with pages, and each row is checked finite once, when it is read.
 A partitioned row cache pins active rows in memory at row granularity and is
 refreshed lazily on an exponential schedule, because rows that stay active
 tend to keep staying active.  The cache keeps one (ids, rows) slot per task:
 a task covers the same rows every iteration, so it searches only its own
-slot, and a refresh replaces each slot with that task's own fetch.
+slot, and a refresh replaces each slot with that task's own fetch, made
+read-only.  In the steady state a task's survivors are its slot's ids, and
+the fetch returns the slot's rows themselves; other fetches copy each hit
+once, by one gather from the slot.
 """
 
 from __future__ import annotations
@@ -53,11 +56,17 @@ def fetch_rows(store: RowStore, ids: np.ndarray,
 
     Ids in ``cached``, one ``(ids, rows)`` pair such as a task's cache slot,
     are served from it; hits and misses are counted only when it is given.
-    The rest are read one coalesced page run at a time, each run's ids
-    gathered from the whole rows that start inside it.  One finiteness check
-    per call rejects a non-finite row.  ``bytes_requested`` grows by one row
-    width per id, ``bytes_read`` by page_size per distinct uncached page, the
-    payload's last page counting only up to the end of the payload.
+    When ``ids`` are exactly the cached ids, the cached row block itself is
+    returned: no search, no copy and no read.  Otherwise each id's position
+    in the cached ids is found by one search, every output row is filled by
+    one gather from the cached rows, and the rows whose cached id differs
+    are the misses, overwritten by the reads.  The misses are read one
+    coalesced page run at a time, each run's ids gathered from the whole
+    rows that start inside it, and only the rows read here are checked
+    finite; cached rows were checked when they were read.
+    ``bytes_requested`` grows by one row width per id, ``bytes_read`` by
+    page_size per distinct uncached page, the payload's last page counting
+    only up to the end of the payload.
     """
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size:
@@ -66,10 +75,14 @@ def fetch_rows(store: RowStore, ids: np.ndarray,
         if ids[0] < 0 or ids[-1] >= store.n:
             bad = ids[0] if ids[0] < 0 else ids[-1]
             raise IndexError(f"row id {int(bad)} out of range [0, {store.n})")
-    d = store.d
-    out = np.empty((ids.size, d), dtype=np.float64)
     if stats is not None:
         stats.bytes_requested += store.row_bytes * int(ids.size)
+    if cached is not None and cached[0].size and np.array_equal(cached[0], ids):
+        if stats is not None:
+            stats.cache_hits += ids.size
+        return cached[1]
+    d = store.d
+    out = np.empty((ids.size, d), dtype=np.float64)
     if ids.size == 0:
         return out
 
@@ -77,10 +90,10 @@ def fetch_rows(store: RowStore, ids: np.ndarray,
     if cached is not None and cached[0].size:
         cached_ids, cached_rows = cached
         pos = np.searchsorted(cached_ids, ids)
-        hit = pos < cached_ids.size
-        hit[hit] = cached_ids[pos[hit]] == ids[hit]
-        out[hit] = cached_rows[pos[hit]]
-        miss_pos = np.flatnonzero(~hit)
+        # a position past the end is clipped to the last id, which differs
+        miss_pos = np.flatnonzero(np.take(cached_ids, pos, mode="clip") != ids)
+        np.take(cached_rows, pos, axis=0, out=out, mode="clip")
+        del pos
         miss_ids = ids[miss_pos]
     else:
         miss_pos = np.arange(ids.size, dtype=np.int64)
@@ -105,10 +118,12 @@ def fetch_rows(store: RowStore, ids: np.ndarray,
         p0 = int(miss_pos[lo])
         if miss_pos[hi - 1] - p0 == hi - lo - 1:
             # contiguous output (always so without cache hits): gather in place
-            np.take(view, miss_ids[lo:hi] - r0, axis=0, out=out[p0:p0 + hi - lo], mode="clip")
+            block = out[p0:p0 + hi - lo]
+            np.take(view, miss_ids[lo:hi] - r0, axis=0, out=block, mode="clip")
+            check_finite(block, miss_ids[lo:hi])
         else:
-            out[miss_pos[lo:hi]] = view[miss_ids[lo:hi] - r0]
-    return check_finite(out, ids)
+            out[miss_pos[lo:hi]] = check_finite(view[miss_ids[lo:hi] - r0], miss_ids[lo:hi])
+    return out
 
 
 def _read_range(store: RowStore, lo: int, hi: int) -> np.ndarray:
@@ -153,7 +168,8 @@ class RowCache:
         """Keep the slots of ``owners`` (task index -> partition), drop the rest.
 
         In task order, i.e. ascending ids, each partition keeps rows until it
-        holds ``rows_per_partition``; a slot cut short keeps a copy of its head.
+        holds ``rows_per_partition``; a slot cut short keeps a read-only copy
+        of its head.
         """
         room = [self.rows_per_partition] * self.n_partitions
         slots = {}
@@ -164,7 +180,9 @@ class RowCache:
             if keep == ids.size:
                 slots[index] = ids, rows
             elif keep:
-                slots[index] = ids[:keep].copy(), rows[:keep].copy()
+                head = rows[:keep].copy()
+                head.flags.writeable = False
+                slots[index] = ids[:keep].copy(), head
         self.slots = slots
 
 
@@ -208,6 +226,8 @@ class _DiskSource:
         slot = None if self.cache is None else self.cache.slot(task.index)
         rows = fetch_rows(self.store, ids, slot, local)
         if self._refresh:
+            # a slot is handed out as it is, so nothing may write through it
+            rows.flags.writeable = False
             self.cache.slots[task.index] = ids, rows
         return rows
 

@@ -147,7 +147,9 @@ def scan_block(rows: np.ndarray, c: CentroidSet, geo: CentroidGeometry,
     orig = assign.copy()
     stale = upper.copy()
     loose = np.flatnonzero(~tight)
-    upper[loose] = _pair_distances(rows, loose, c.means, orig[loose])
+    # after an update every bound is loose as a rule: read the rows in place
+    ri = None if loose.size == tight.size else loose
+    upper[loose] = _pair_distances(rows, ri, c.means, orig[loose])
     counters.computed += int(loose.size)
     tight[:] = True
     # the window: row a's w columns are ids[a], their gaps window[a]
@@ -189,11 +191,15 @@ def scan_block(rows: np.ndarray, c: CentroidSet, geo: CentroidGeometry,
 
 
 def _pair_distances(rows, ri, means, x):
-    # rowwise_distances(rows[ri], means[x]), in slices of CHUNK_ELEMS elements
-    out = np.empty(ri.size)
+    # rowwise_distances(rows[ri], means[x]), in slices of CHUNK_ELEMS elements;
+    # ri None reads rows in order, in place.  The gathered means are the
+    # difference buffer, and a slice's buffers go before the next one's.
+    out = np.empty(x.size)
     step = max(1, CHUNK_ELEMS // rows.shape[1])
-    for lo in range(0, ri.size, step):
+    for lo in range(0, x.size, step):
         hi = lo + step
-        buf = np.take(rows, ri[lo:hi], axis=0)
-        rowwise_distances(buf, np.take(means, x[lo:hi], axis=0), buf=buf, out=out[lo:hi])
+        sub = rows[lo:hi] if ri is None else np.take(rows, ri[lo:hi], axis=0)
+        near = np.take(means, x[lo:hi], axis=0)
+        rowwise_distances(sub, near, buf=near, out=out[lo:hi])
+        del sub, near
     return out

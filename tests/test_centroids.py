@@ -261,6 +261,19 @@ def test_add_rows_then_take_them_away_leaves_exact_zeros(rng):
     assert not acc.sums.any() and not acc.counts.any() and not acc.sq.any()
 
 
+def test_move_rows_equals_adding_then_taking_away(rng):
+    rows = rng.normal(size=(60, 4)) + 1e6
+    to_ids, from_ids = rng.integers(0, 5, size=60), rng.integers(0, 5, size=60)
+    shift = rows[:5].mean(axis=0)
+    moved = make_acc(rng, 5, 4)
+    twice = Accumulator(moved.sums.copy(), moved.counts.copy(), moved.sq.copy())
+    moved.move_rows(to_ids, from_ids, rows, shift)
+    twice.add_rows(to_ids, rows, shift)
+    twice.add_rows(from_ids, rows, shift, sign=-1)
+    for a, b in ((moved.sums, twice.sums), (moved.counts, twice.counts), (moved.sq, twice.sq)):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_add_rows_without_sq_leaves_sq_untouched(rng):
     acc = make_acc(rng, 3, 2)
     sq, counts = acc.sq.copy(), acc.counts.copy()

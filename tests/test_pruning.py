@@ -371,6 +371,20 @@ def test_scan_block_dense_task_runs_several_blocks(rng):
     assert_scan_matches_scalar(rows, means, assign, upper, np.zeros(m, bool))
 
 
+def test_scan_block_runs_on_a_read_only_block(rng):
+    # a cache slot is handed to the scan read-only; every bound loose reads
+    # it in place, a partly loose block gathers from it
+    k, d, m = 9, 3, 500
+    rows = rng.normal(size=(m, d)) * 3
+    rows.flags.writeable = False
+    means = rng.normal(size=(k, d)) * 3
+    assign = rng.integers(0, k, size=m).astype(np.int32)
+    exact = rowwise_distances(rows, means[assign])
+    for loose in (np.ones(m, bool), rng.random(m) < 0.5):
+        upper = np.where(loose, exact + rng.random(m), exact)
+        assert_scan_matches_scalar(rows, means, assign, upper, ~loose)
+
+
 def test_scan_block_reads_the_geometry_it_is_given(rng):
     # a table of infinite gaps prunes every candidate: the scan must take
     # its tests from geo.gaps, not from gaps of its own

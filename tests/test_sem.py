@@ -11,6 +11,7 @@ from numakmeans.outofcore import (
     CacheSchedule,
     RowCache,
     RowStore,
+    _DiskSource,
     _init_from_store,
     _read_range,
     fetch_rows,
@@ -18,6 +19,8 @@ from numakmeans.outofcore import (
     page_runs,
     should_refresh,
 )
+
+from numakmeans.scheduler import Task
 
 from conftest import run_with_history
 
@@ -282,6 +285,100 @@ def test_fetch_gathers_page_runs_in_place(tmp_path):
         rows = fetch_rows(store, ids, cached, stats)
         assert rows.tobytes() == m[ids].tobytes()
         assert stats.cache_hits == cached[0].size
+
+
+def test_fetch_of_exactly_the_slot_returns_the_slot(tmp_path):
+    m = gen_synthetic(SyntheticSpec("uniform", 512, 8, seed=5))
+    path = tmp_path / "s.raw"
+    save_matrix(m, path, raw=True)
+    ids = np.array([3, 64, 65, 300])
+    slot = (ids.copy(), m[ids])
+    stats = IoDelta()
+    with CountingStore(path, 512, 8) as store:
+        rows = fetch_rows(store, ids, slot, stats)
+    assert rows is slot[1]
+    assert store.calls == 0
+    assert (stats.cache_hits, stats.cache_misses, stats.bytes_read) == (4, 0, 0)
+    assert stats.bytes_requested == 4 * 64
+
+
+def test_fetch_through_random_partial_caches_counts_what_it_reads(tmp_path, rng):
+    m = gen_synthetic(SyntheticSpec("uniform", 2000, 8, seed=5))
+    path = tmp_path / "r.raw"
+    save_matrix(m, path, raw=True)  # 64B rows, 64 rows per 4KB page
+    for _ in range(40):
+        ids = np.flatnonzero(rng.random(2000) < rng.uniform(0.01, 0.6))
+        cached = np.flatnonzero(rng.random(2000) < rng.uniform(0.0, 0.9))
+        slot = (cached, m[cached])
+        miss = np.setdiff1d(ids, cached)
+        stats = IoDelta()
+        with CountingStore(path, 2000, 8) as store:
+            rows = fetch_rows(store, ids, slot, stats)
+        assert rows.tobytes() == m[ids].tobytes()
+        assert stats.cache_hits == np.intersect1d(ids, cached).size
+        assert stats.cache_misses == miss.size
+        starts = 4096 * np.unique(np.concatenate([miss * 64 // 4096, (miss * 64 + 63) // 4096]))
+        # the last page holds only the end of the 128000-byte payload
+        want = int((np.minimum(starts + 4096, m.nbytes) - starts).sum())
+        assert stats.bytes_read == store.physical_bytes == want
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fetch_rejects_a_non_finite_miss_among_hits(tmp_path, bad):
+    m = gen_synthetic(SyntheticSpec("uniform", 512, 8, seed=5))
+    m[130, 4] = bad
+    path = tmp_path / "bad.raw"
+    m.tofile(path)
+    ids = np.array([10, 20, 100, 130, 200, 300])
+    cached = np.array([10, 20, 100, 200, 300])  # every id but 130 is a hit
+    with RowStore(path, 512, 8) as store:
+        with pytest.raises(MatrixFormatError, match="non-finite value in row 130"):
+            fetch_rows(store, ids, (cached, m[cached]), IoDelta())
+        # the cached rows are served unchecked; the finite misses pass
+        assert np.array_equal(fetch_rows(store, ids[:3], (cached, m[cached])), m[ids[:3]])
+
+
+def test_cache_slots_are_read_only(tmp_path):
+    m = gen_synthetic(SyntheticSpec("uniform", 3000, 8, seed=5))
+    path = tmp_path / "ro.raw"
+    save_matrix(m, path, raw=True)
+    task = Task(start=0, stop=3000, owner=0, index=0)
+    with RowStore(path, 3000, 8) as store:
+        source = _DiskSource(store, 1, True, 1000 * 64, CacheSchedule(1))
+        source.finish_iteration(1)  # iteration 1 refreshes
+        ids = np.arange(0, 3000, 2)
+        rows = source.rows_by_ids(task, ids)
+        source.finish_iteration(2)
+        cached_ids, cached = source.cache.slot(0)
+        assert cached_ids.tolist() == ids[:1000].tolist()  # trimmed to capacity
+        for block in (rows, cached):
+            with pytest.raises(ValueError, match="read-only"):
+                block[0, 0] = 1.0
+        # the next fetch of exactly the slot is the slot itself
+        assert source.rows_by_ids(task, cached_ids) is cached
+
+
+def test_pruned_runs_on_read_only_slots(tmp_path, monkeypatch):
+    spec = SyntheticSpec("gaussian-mixture", 6000, 8, seed=3, k_true=6, separation=4.0)
+    m = gen_synthetic(spec)
+    path = tmp_path / "m.raw"
+    save_matrix(m, path, raw=True)
+    cfg = dict(k=6, seed=2, T=2, max_iters=30, task_size=1024)
+    seen = []
+    fetch = _DiskSource.rows_by_ids
+
+    def spy(self, task, ids):
+        rows = fetch(self, task, ids)
+        seen.append(rows.flags.writeable)
+        return rows
+
+    monkeypatch.setattr(_DiskSource, "rows_by_ids", spy)
+    with RowStore(path, *m.shape) as store:
+        disk = kmeans_ondisk(store, EngineConfig(mode="sem", **cfg), schedule=CacheSchedule(1))
+    assert not all(seen) and any(seen)  # read-only slots and fresh fetches both ran
+    mem = kmeans(m, EngineConfig(**cfg))
+    assert np.array_equal(disk.assignments, mem.assignments)
+    assert np.array_equal(disk.centroids.means, mem.centroids.means)
 
 
 @pytest.mark.parametrize("page_size", [4096, 100])
