@@ -18,10 +18,13 @@ tests sound: d(v, x) >= d(a, x) - d(v, a), so d(v, a) <= d(a, x)/2
 guarantees d(v, x) >= d(v, a).  There is no lower bound matrix; memory
 stays O(n + k^2).
 
-Ties go to the lower centroid id, as in a full pass: against an x below
-the assigned centroid each test must be strict, so the table holds that
-half distance moved one ulp down and every test stays ``u <= gap``; an
-equal distance switches to x.  The diagonal is infinite, since a row's own
+Every test must hold for the distances as computed, not only for exact
+ones: a full pass gives an exact tie to the lower centroid id and takes a
+centroid one ulp closer by rounding.  So the table holds each half distance
+lowered by a rounding margin (derived at ``centroid_geometry``), a test that
+passes proves the candidate's computed distance strictly larger, and a row
+within the margin of a bound is scanned, where the recipe's distances and
+the lower-id rule decide it.  The diagonal is infinite, since a row's own
 centroid is never a candidate.
 
 The rows that fail the point skip are scanned in one pass over whole blocks,
@@ -49,11 +52,10 @@ from .distance import CHUNK_ELEMS, block_distances, rowwise_distances
 class CentroidGeometry:
     """The gap table that every bound test reads, and its row minima.
 
-    ``gaps[a, x]`` is d(c_a, c_x) / 2, one ulp lower when x < a, and +inf
-    when x == a; ``half_min[a]`` is the minimum of row a, so a point exactly
-    halfway to a lower-id centroid is not skipped (+inf when k == 1, so
-    single-cluster runs always take the point-skip path).  Rebuilt every
-    iteration.
+    ``gaps[a, x]`` is d(c_a, c_x) / 2 lowered by the rounding margin, and
+    +inf when x == a; ``half_min[a]`` is the minimum of row a (+inf when
+    k == 1, so single-cluster runs always take the point-skip path).
+    Rebuilt every iteration.
     """
 
     gaps: np.ndarray      # (k, k)
@@ -63,14 +65,40 @@ class CentroidGeometry:
         return self.gaps.nbytes + self.half_min.nbytes
 
 
-def centroid_geometry(c: CentroidSet) -> CentroidGeometry:
-    """Exact centroid-to-centroid distances, halved once, with the tie rule.
+# Why ``u <= gaps[a, x]`` proves that x loses to a row's centroid a.  Let D(p, q)
+# be exact distances and r(p, q) the recipe's; each rounding is within eps / 2
+# (relative), and to first order in eps:
+# - recipe: fl(p - q) squared and summed by vecdot is within gamma_(d+2) of
+#   D^2 in any summation order (Higham, sec. 3.1), and the rounded sqrt adds
+#   eps / 2, so |r - D| <= e*D + a with e = (d + 4) eps / 4; a = sqrt(d) * 2^-537
+#   bounds what gradual underflow of the d squares (2^-1075 each) adds after
+#   the sqrt;
+# - gap: g^ = r(c_a, c_x) / 2 is within e*g + a of g = D(c_a, c_x) / 2;
+# - bound: a tightened u is r(v, c_a), so D(v, c_a) <= (1 + e) u + a.
+#   :func:`inflate_bounds` adds the recipe's drift and takes the sum one ulp
+#   up, so u never falls under u + drift: each update adds one more a (which
+#   also covers a subnormal sum, too small to take up) and no relative error;
+# - test: the table's entry G = fl(fl(g^ (1 - m)) - A) takes two roundings.
+# By the triangle inequality D(v, c_x) >= 2g - D(v, c_a), and both errors of r
+# then give r(v, c_x) > r(v, c_a) once D(v, c_a) < (1 - e) g - a.  With u <= G
+# that holds when m > 3e + eps = (3d + 16) eps / 4 and A covers the a's: m =
+# (d + 6) eps leaves at least 2 eps for the second-order terms, and A = 2^-500
+# covers 2^37 / sqrt(d) of them, more updates of one bound than a run makes.
+# Where the subtraction rounds A away, g^ is so large that the a's fall
+# within that spare 2 eps.  A passing test then makes x strictly farther as
+# computed, an exact tie included, whichever of the two ids is lower.
+_GAP_ABS = 2.0 ** -500
 
-    Symmetric bit for bit before the tie rule: d(a, b) and d(b, a) square
-    the same differences, which differ only in sign.
+
+def centroid_geometry(c: CentroidSet) -> CentroidGeometry:
+    """Exact centroid-to-centroid distances, halved once and lowered by the
+    margin derived above.
+
+    Symmetric bit for bit: d(a, b) and d(b, a) square the same differences,
+    which differ only in sign.
     """
     half = block_distances(c.means, c.means) * 0.5
-    gaps = np.where(np.tri(c.k, k=-1, dtype=bool), np.nextafter(half, -np.inf), half)
+    gaps = half * (1.0 - (c.means.shape[1] + 6) * np.finfo(np.float64).eps) - _GAP_ABS
     np.fill_diagonal(gaps, np.inf)
     return CentroidGeometry(gaps=gaps, half_min=gaps.min(axis=1))
 
@@ -108,12 +136,16 @@ class PruneCounters:
 def inflate_bounds(st: PruneState, drift: np.ndarray) -> None:
     """Loosen every bound by its centroid's drift after a centroid update.
 
-    A bound stays tight only if it was tight before and its centroid did not
+    A grown bound is taken one ulp up (times 1 + eps, at least one ulp above
+    a normal sum rounded to nearest), so it is never under the exact sum.  A
+    bound stays tight only if it was tight before and its centroid did not
     move; a zero drift must never resurrect a bound that was already stale.
     """
     moved = drift[st.assignment]
     st.upper += moved
-    np.logical_and(st.tight, moved == 0.0, out=st.tight)
+    grew = moved > 0.0
+    np.multiply(st.upper, 1.0 + np.finfo(np.float64).eps, out=st.upper, where=grew)
+    np.logical_and(st.tight, ~grew, out=st.tight)
 
 
 def scan_block(rows: np.ndarray, c: CentroidSet, geo: CentroidGeometry,

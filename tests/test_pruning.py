@@ -1,4 +1,6 @@
+import importlib.util
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,10 +24,13 @@ from conftest import naive_distance, naive_lloyd, run_with_history
 
 # Scalar reference for the vectorized scan_block: one point at a time.  It
 # takes its half distances from the means, not from the geometry under test,
-# and applies the tie rule itself (``beyond``).
+# and lowers them by the rounding margin itself.
 def half_distances(means: np.ndarray) -> np.ndarray:
-    """Half the centroid-to-centroid distances, by the package's recipe."""
-    return block_distances(means, means) * 0.5
+    """Half the centroid-to-centroid distances, by the package's recipe,
+    lowered by the margin (d + 6) eps relative and 2^-500 absolute."""
+    d = means.shape[1]
+    half = block_distances(means, means) * 0.5
+    return half * (1.0 - (d + 6) * np.finfo(np.float64).eps) - 2.0 ** -500
 
 
 def can_skip_point(i: int, st: PruneState, geo: CentroidGeometry) -> bool:
@@ -39,15 +44,6 @@ def tighten_bound(i: int, v: np.ndarray, c: CentroidSet, st: PruneState) -> floa
         st.upper[i] = rowwise_distances(v[None, :], c.means[st.assignment[i]])[0]
         st.tight[i] = True
     return float(st.upper[i])
-
-
-def beyond(bound: float, gap: float, x: int, cur: int) -> bool:
-    """True when ``bound <= gap`` proves that x cannot beat cur.
-
-    It proves d(v, x) >= d(v, cur); a lower-id x also wins an exact tie, so
-    for it the test must be strict.
-    """
-    return bound < gap or (bound == gap and x > cur)
 
 
 def scan_point(i: int, v: np.ndarray, c: CentroidSet, half: np.ndarray,
@@ -72,8 +68,8 @@ def scan_point(i: int, v: np.ndarray, c: CentroidSet, half: np.ndarray,
         if x == cur or x == orig:
             continue
         gap = half[cur, x]
-        if beyond(u, gap, x, cur):
-            if beyond(stale, gap, x, cur):
+        if u <= gap:  # x is strictly farther as computed, whatever its id
+            if stale <= gap:
                 counters.pruned_stale += 1
             else:
                 counters.pruned_tight += 1
@@ -106,26 +102,27 @@ def test_geometry_single_centroid_never_blocks_skip():
 
 
 def assert_gap_table(geo, means):
-    """Upper triangle the half distance, lower triangle its mirror one ulp
-    down, infinite diagonal, and half_min the row minimum."""
+    """Off the diagonal the lowered half distance, symmetric bit for bit and
+    below the half distance; infinite diagonal, and half_min the row minimum."""
     k = len(means)
-    upper = np.triu_indices(k, 1)
-    lower = np.tril_indices(k, -1)
-    assert np.array_equal(geo.gaps[upper], half_distances(means)[upper])
-    assert np.array_equal(geo.gaps[lower], np.nextafter(geo.gaps.T[lower], -np.inf))
+    off = ~np.eye(k, dtype=bool)
+    assert np.array_equal(geo.gaps[off], half_distances(means)[off])
+    assert np.array_equal(geo.gaps, geo.gaps.T)
+    assert (geo.gaps[off] < (block_distances(means, means) * 0.5)[off]).all()
     assert (np.diag(geo.gaps) == np.inf).all()
     assert np.array_equal(geo.half_min, geo.gaps.min(axis=1))
 
 
 def test_geometry_hand_values():
     geo = geometry_of([[0.0], [2.0], [6.0]])
-    assert geo.gaps[0, 1] == 1.0
-    assert geo.gaps[0, 2] == 3.0
-    assert geo.gaps[1, 2] == 2.0
+    # half distances 1, 3 and 2, each lowered by 7 eps relative (d = 1)
+    low = 1.0 - 7 * np.finfo(np.float64).eps
+    assert geo.gaps[0, 1] == geo.gaps[1, 0] == low
+    assert geo.gaps[0, 2] == 3.0 * low
+    assert geo.gaps[1, 2] == 2.0 * low
     assert_gap_table(geo, np.array([[0.0], [2.0], [6.0]]))
-    # row minima, entries below the diagonal one ulp down so that a point
-    # halfway to a lower id is not skipped: min(1,3), min(1-,2), min(3-,2-)
-    assert geo.half_min.tolist() == [1.0, np.nextafter(1.0, 0.0), np.nextafter(2.0, 0.0)]
+    # row minima: a point halfway to any other centroid is not skipped
+    assert geo.half_min.tolist() == [low, low, 2.0 * low]
 
 
 def test_geometry_matches_brute_force(rng):
@@ -140,14 +137,15 @@ def test_geometry_matches_brute_force(rng):
 
 def test_skip_test_is_inclusive():
     geo = geometry_of([[0.0], [4.0]])
-    assert geo.half_min[0] == 2.0
+    assert geo.half_min[0] < 2.0
     st = PruneState(
-        assignment=np.zeros(2, dtype=np.int32),
-        upper=np.array([1.0, 2.0]),
-        tight=np.array([True, True]),
+        assignment=np.zeros(3, dtype=np.int32),
+        upper=np.array([1.0, geo.half_min[0], 2.0]),
+        tight=np.array([True, True, True]),
     )
-    assert can_skip_point(0, st, geo)   # u < bound
-    assert can_skip_point(1, st, geo)   # u == bound: inclusive
+    assert can_skip_point(0, st, geo)       # u < bound
+    assert can_skip_point(1, st, geo)       # u == bound: inclusive
+    assert not can_skip_point(2, st, geo)   # halfway: within the margin
 
 
 def test_tighten_idempotent_and_exact(rng):
@@ -213,9 +211,9 @@ def one_pass_counters(rows, c, half, assign, upper, tight) -> PruneCounters:
             if x == orig:
                 continue
             gap = half[orig, x]
-            if not beyond(u, gap, x, orig):
+            if not u <= gap:
                 counters.computed += 1
-            elif beyond(stale, gap, x, orig):
+            elif stale <= gap:
                 counters.pruned_stale += 1
             else:
                 counters.pruned_tight += 1
@@ -470,7 +468,8 @@ def test_inflate_by_drift():
         tight=np.array([True, True]),
     )
     inflate_bounds(st, np.array([0.3, 0.0]))
-    assert st.upper.tolist() == [1.3, 2.0]
+    # a grown bound is the sum one ulp up; a bound that did not grow is exact
+    assert st.upper.tolist() == [np.nextafter(1.0 + 0.3, np.inf), 2.0]
     assert st.tight.tolist() == [False, True]
 
 
@@ -575,6 +574,66 @@ def test_exact_tie_goes_to_the_lower_id_every_iteration(case, mode, tmp_path):
             assert np.array_equal(a, b)
     assert want.tolist() == [0, 1, 0]
     assert np.array_equal(pruned.assignments, want)
+
+
+# Row (1, 2) against centroids (2, 4/3) (id 0) and (0, 8/3) (id 3), the means
+# of rows 0-2 and 3-5 after iteration 0: equally far mathematically, but the
+# recipe puts id 3 one ulp closer, so a full pass moves the row in iteration 1.
+# The initial centroids average to exactly 0, the engine's shift, so the
+# means are exactly those.  In "candidate" centroid 0 moves in the update and
+# the row is scanned against its candidates; in "skip" it stays, and the
+# row's tight bound meets the point-skip test.
+NEAR_TIES = {
+    "candidate": ([[1, 2], [2, 0], [3, 2], [0, 2], [0, 3], [0, 3], [20, -30], [-22, 24.5]],
+                  [[2, 2], [20, -30], [-22, 24.5], [0, 3.5]]),
+    "skip": ([[1, 2], [2, 0], [3, 2], [0, 2], [0, 3], [0, 3], [20, -4 / 3], [-22, -3.5]],
+             [[2, 4 / 3], [20, -4 / 3], [-22, -3.5], [0, 3.5]]),
+}
+
+
+@pytest.mark.parametrize("mode", ["im", "sem"])
+@pytest.mark.parametrize("case", sorted(NEAR_TIES))
+def test_ulp_near_tie_goes_to_the_recipe_every_iteration(case, mode, tmp_path):
+    m, init = (np.array(v, dtype=float) for v in NEAR_TIES[case])
+    pair = np.array([[2, 4 / 3], [0, 8 / 3]])
+    d0, d3 = rowwise_distances(np.array([[1.0, 2.0]] * 2), pair)
+    # id 3 one ulp closer, and id 0's distance equal to the unlowered half gap
+    assert d3 == np.nextafter(d0, 0.0)
+    assert d0 == block_distances(pair, pair)[0, 1] * 0.5
+    base = dict(k=4, init="given", initial_centroids=init, mode=mode)
+    path = tmp_path / "m.raw"
+    save_matrix(m, path, raw=True)
+
+    def run(cfg):
+        if mode == "im":  # the bound oracle reads the in-memory matrix
+            return run_with_history(kmeans, m, cfg, validate_bounds=True)
+        with RowStore(path, *m.shape) as store:
+            return run_with_history(kmeans_ondisk, store, cfg)
+
+    pruned, pruned_hist = run(EngineConfig(pruning=True, **base))
+    plain, plain_hist = run(EngineConfig(pruning=False, **base))
+    assert [h[0] for h in plain_hist] == [0, 3, 3]
+    assert len(pruned_hist) == len(plain_hist)
+    for a, b in zip(pruned_hist, plain_hist):
+        assert np.array_equal(a, b)
+
+
+def test_near_tie_sweep_subset():
+    # a seeded sample of tools/near_tie_sweep.py's datasets, with the five
+    # that failed a bound test before the gap table carried a rounding margin
+    path = Path(__file__).resolve().parent.parent / "tools" / "near_tie_sweep.py"
+    spec = importlib.util.spec_from_file_location("near_tie_sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    picked = np.random.default_rng(19).choice(20000, size=300, replace=False)
+    known = [1980, 3677, 12402, 15583, 17892]
+    for i in sorted(set(picked.tolist()) | set(known)):
+        rows, k = sweep.dataset(i)
+        if k <= len(rows):
+            assert sweep.check(rows, k, i) != "bound", i
+    for rows, init in NEAR_TIES.values():
+        assert sweep.check(np.array(rows, dtype=float), 4, 0, init="given",
+                           initial_centroids=np.array(init, dtype=float)) == ""
 
 
 def test_distance_computation_caps():
