@@ -93,7 +93,6 @@ def fetch_rows(store: RowStore, ids: np.ndarray,
         # a position past the end is clipped to the last id, which differs
         miss_pos = np.flatnonzero(np.take(cached_ids, pos, mode="clip") != ids)
         np.take(cached_rows, pos, axis=0, out=out, mode="clip")
-        del pos
         miss_ids = ids[miss_pos]
     else:
         miss_pos = np.arange(ids.size, dtype=np.int64)

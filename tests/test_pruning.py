@@ -211,7 +211,7 @@ def one_pass_counters(rows, c, half, assign, upper, tight) -> PruneCounters:
             if x == orig:
                 continue
             gap = half[orig, x]
-            if not u <= gap:
+            if u > gap:
                 counters.computed += 1
             elif stale <= gap:
                 counters.pruned_stale += 1
