@@ -82,19 +82,19 @@ class Accumulator:
         )
 
     def add_rows(self, ids: np.ndarray, rows: np.ndarray, shift: np.ndarray,
-                 sign: int = 1, sq: bool = True) -> None:
-        """Add ``rows`` to clusters ``ids``, or take them away with ``sign=-1``,
-        summing ``rows - shift`` by one ``bincount`` over the flat index
-        ``id * d + column``; the ``sq`` field is updated only when ``sq``."""
+                 sq: bool = True) -> None:
+        """Add ``rows`` to clusters ``ids``, summing ``rows - shift`` by one
+        ``bincount`` over the flat index ``id * d + column``; the ``sq`` field
+        is updated only when ``sq``."""
         x = rows - shift
-        self._add_shifted(ids, x, row_sqnorms(x) if sq else None,
-                          np.add if sign > 0 else np.subtract)
+        self._add_shifted(ids, x, row_sqnorms(x) if sq else None, np.add)
 
     def move_rows(self, to_ids: np.ndarray, from_ids: np.ndarray, rows: np.ndarray,
                   shift: np.ndarray) -> None:
-        """Move ``rows`` from clusters ``from_ids`` to ``to_ids``: ``add_rows``
-        of ``to_ids`` and then of ``from_ids`` with ``sign=-1``, bit for bit,
-        with ``rows - shift`` and its squared norms computed once."""
+        """Move ``rows`` from clusters ``from_ids`` to ``to_ids``: the same
+        ``bincount`` updates as ``add_rows``, added for ``to_ids`` and then
+        subtracted for ``from_ids``, with ``rows - shift`` and its squared
+        norms computed once."""
         x = rows - shift
         sqn = row_sqnorms(x)
         self._add_shifted(to_ids, x, sqn, np.add)
@@ -152,7 +152,9 @@ def finalize_centroids(merged: Accumulator, prev: CentroidSet, shift: np.ndarray
 
     An occupied cluster's mean is ``shift + sums / count``.  Empty clusters
     keep their previous position (drift 0); drift is the distance each
-    centroid moved.
+    centroid moved, and at least the smallest subnormal for a centroid that
+    moved by less than the recipe can see (its squared length underflows),
+    so the pruning bounds of its points do not stay marked exact.
     """
     k, d = merged.sums.shape
     means = np.empty((k, d), dtype=np.float64)
@@ -161,6 +163,8 @@ def finalize_centroids(merged: Accumulator, prev: CentroidSet, shift: np.ndarray
     means[~occupied] = prev.means[~occupied]
     drift = rowwise_distances(means, prev.means)
     drift[~occupied] = 0.0
+    # a move whose squared length underflows still moves: bounds must loosen
+    drift[(drift == 0.0) & np.any(means != prev.means, axis=1)] = np.nextafter(0.0, 1.0)
     return CentroidSet(
         means=means,
         prev_means=prev.means.copy(),

@@ -13,8 +13,8 @@ tend to keep staying active.  The cache keeps one (ids, rows) slot per task:
 a task covers the same rows every iteration, so it searches only its own
 slot, and a refresh replaces each slot with that task's own fetch, made
 read-only.  In the steady state a task's survivors are its slot's ids, and
-the fetch returns the slot's rows themselves; other fetches copy each hit
-once, by one gather from the slot.
+the fetch returns the slot's rows themselves; other fetches copy their
+hits out of the slot.
 """
 
 from __future__ import annotations
@@ -57,13 +57,12 @@ def fetch_rows(store: RowStore, ids: np.ndarray,
     Ids in ``cached``, one ``(ids, rows)`` pair such as a task's cache slot,
     are served from it; hits and misses are counted only when it is given.
     When ``ids`` are exactly the cached ids, the cached row block itself is
-    returned: no search, no copy and no read.  Otherwise each id's position
-    in the cached ids is found by one search, every output row is filled by
-    one gather from the cached rows, and the rows whose cached id differs
-    are the misses, overwritten by the reads.  The misses are read one
-    coalesced page run at a time, each run's ids gathered from the whole
-    rows that start inside it, and only the rows read here are checked
-    finite; cached rows were checked when they were read.
+    returned: no search, no copy and no read.  Otherwise one search over
+    the cached ids finds the hits, which are copied out of the cached rows,
+    and the misses are read one coalesced page run at a time, each run's
+    ids gathered from the whole rows that start inside it.  Only the rows
+    read here are checked finite; cached rows were checked when they were
+    read.
     ``bytes_requested`` grows by one row width per id, ``bytes_read`` by
     page_size per distinct uncached page, the payload's last page counting
     only up to the end of the payload.
@@ -90,9 +89,10 @@ def fetch_rows(store: RowStore, ids: np.ndarray,
     if cached is not None and cached[0].size:
         cached_ids, cached_rows = cached
         pos = np.searchsorted(cached_ids, ids)
-        # a position past the end is clipped to the last id, which differs
-        miss_pos = np.flatnonzero(np.take(cached_ids, pos, mode="clip") != ids)
-        np.take(cached_rows, pos, axis=0, out=out, mode="clip")
+        hit = pos < cached_ids.size
+        hit[hit] = cached_ids[pos[hit]] == ids[hit]
+        out[hit] = cached_rows[pos[hit]]
+        miss_pos = np.flatnonzero(~hit)
         miss_ids = ids[miss_pos]
     else:
         miss_pos = np.arange(ids.size, dtype=np.int64)

@@ -234,6 +234,14 @@ def test_finalize_drift_matches_recomputation(rng):
         assert c.drift[j] == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
+def test_finalize_counts_an_underflowing_move_as_drift():
+    prev = CentroidSet.from_means(np.array([[1e-170, 0.0], [3.0, 4.0]]))
+    acc = Accumulator.zeros(2, 2)
+    acc.add_rows(np.array([0, 1]), np.array([[2e-170, 0.0], [3.0, 4.0]]), np.zeros(2))
+    c = finalize_centroids(acc, prev, np.zeros(2))
+    assert c.drift[0] > 0.0 and c.drift[1] == 0.0
+
+
 def test_add_rows_matches_a_per_cluster_loop(rng):
     k, d = 4, 3
     rows = rng.normal(size=(50, d)) + 1e6
@@ -256,8 +264,8 @@ def test_add_rows_then_take_them_away_leaves_exact_zeros(rng):
     rows = rng.normal(size=(40, 5)) * 1e3
     ids = rng.integers(0, 3, size=40)
     acc = Accumulator.zeros(3, 5)
-    acc.add_rows(ids, rows, rows.mean(axis=0))
-    acc.add_rows(ids, rows, rows.mean(axis=0), sign=-1)
+    # move_rows adds the rows to ids and then takes them away from ids
+    acc.move_rows(ids, ids, rows, rows.mean(axis=0))
     assert not acc.sums.any() and not acc.counts.any() and not acc.sq.any()
 
 
@@ -268,8 +276,13 @@ def test_move_rows_equals_adding_then_taking_away(rng):
     moved = make_acc(rng, 5, 4)
     twice = Accumulator(moved.sums.copy(), moved.counts.copy(), moved.sq.copy())
     moved.move_rows(to_ids, from_ids, rows, shift)
+    away = Accumulator.zeros(5, 4)
     twice.add_rows(to_ids, rows, shift)
-    twice.add_rows(from_ids, rows, shift, sign=-1)
+    away.add_rows(from_ids, rows, shift)
+    # bincount sums are never -0, so 0 + s is s and the subtractions match
+    twice.sums -= away.sums
+    twice.counts -= away.counts
+    twice.sq -= away.sq
     for a, b in ((moved.sums, twice.sums), (moved.counts, twice.counts), (moved.sq, twice.sq)):
         assert a.tobytes() == b.tobytes()
 

@@ -541,6 +541,22 @@ def test_pruned_run_matches_unpruned_every_iteration(family, n, d, k):
     assert np.max(np.abs(pruned.centroids.means - plain.centroids.means)) < 1e-9
 
 
+@pytest.mark.parametrize("scale,prunes", [(1e-140, True), (1e-160, False)])
+def test_pruned_run_on_tiny_data_matches_unpruned(scale, prunes):
+    # Below the margin's 2^-500 floor every gap is negative: nothing is
+    # skipped or pruned, and the run must still be the unpruned one.  There
+    # the squared centroid moves underflow, so a drift of 0 must not keep a
+    # moved centroid's bounds tight.
+    spec = SyntheticSpec("gaussian-mixture", 2000, 4, seed=21, k_true=6, separation=8.0)
+    m = gen_synthetic(spec) * scale
+    (pruned, pruned_hist), (plain, plain_hist) = run_pair(m, 6, seed=4)
+    assert pruned.n_iterations == plain.n_iterations > 10
+    for a, b in zip(pruned_hist, plain_hist):
+        assert np.array_equal(a, b)
+    avoided = sum(s.skips + s.pruned_stale + s.pruned_tight for s in pruned.iterations)
+    assert (avoided > 0) == prunes
+
+
 # After iteration 0 the last row is exactly as far from centroid 0 as from
 # centroid 1, to which it is assigned: a full pass moves it to the lower id.
 EXACT_TIES = {
