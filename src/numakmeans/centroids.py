@@ -7,7 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import CHUNK_ELEMS, row_sqnorms, rowwise_distances
+from .distance import (
+    CHUNK_ELEMS,
+    SqDistanceFilter,
+    row_sqnorms,
+    rowwise_distances,
+    seed_sq_distances,
+    single_thread_blas,
+)
 from .matrix import check_matrix
 
 INIT_METHODS = ("forgy", "random-partition", "kmeanspp", "given")
@@ -173,6 +180,15 @@ def finalize_centroids(merged: Accumulator, prev: CentroidSet, shift: np.ndarray
     )
 
 
+def _draw(rng: np.random.Generator, d2: np.ndarray, total: float, cdf: np.ndarray) -> int:
+    """The row ``rng.choice(d2.size, p=d2 / total)`` draws, by choice's own
+    steps in ``cdf``, a buffer of d2's size, without its checks and copies."""
+    np.divide(d2, total, out=cdf)
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]
+    return int(np.searchsorted(cdf, rng.random(), side="right"))
+
+
 def init_centroids(m: np.ndarray, k: int, method: str = "forgy", seed: int = 0,
                    initial: np.ndarray | None = None, *,
                    ranges: list[range] | None = None) -> CentroidSet:
@@ -183,18 +199,25 @@ def init_centroids(m: np.ndarray, k: int, method: str = "forgy", seed: int = 0,
     """
     m = check_matrix(m)
     n, d = m.shape
-    return init_from_rows(lambda ids: m[ids], lambda lo, hi: m[lo:hi],
+
+    def block(lo, hi):
+        return m[lo:hi]
+
+    return init_from_rows(lambda ids: m[ids], lambda: block,
                           n, d, k, method, seed, initial,
                           [range(n)] if ranges is None else ranges)
 
 
-def init_from_rows(take, block, n: int, d: int, k: int, method: str, seed: int,
+def init_from_rows(take, reader, n: int, d: int, k: int, method: str, seed: int,
                    initial: np.ndarray | None, ranges: list[range]) -> CentroidSet:
     """Seeded initial centroids from n rows of width d, wherever they live.
 
-    ``take(ids)`` returns the rows at ``ids`` in that order; ``block(lo, hi)``
-    returns rows lo..hi-1.  In-memory and on-disk runs share this one
-    implementation, so both draw exactly the same centroids.
+    ``take(ids)`` returns the rows at ``ids`` in that order.  ``reader()``
+    returns a new ``block(lo, hi)``, which returns rows lo..hi-1 and may reuse
+    one buffer for them, so a block is valid only until its reader's next
+    call.
+    In-memory and on-disk runs share this one implementation, so both draw
+    exactly the same centroids.
 
     forgy samples k distinct rows; random-partition splits a seeded
     permutation of the rows into k balanced groups and uses group means
@@ -202,15 +225,21 @@ def init_from_rows(take, block, n: int, d: int, k: int, method: str, seed: int,
     applies the usual squared-distance weighting; given takes caller-supplied
     (k, d) values.
 
-    kmeanspp's squared distances to each centre but the last are computed on
-    one thread per non-empty range of ``ranges``, the first on the calling
-    thread, in blocks of ``CHUNK_ELEMS // (2 * d)`` rows, so that a block and
-    its difference scratch stay within ``CHUNK_ELEMS`` elements; the ranges
-    must cover rows 0..n-1 in order, as ``partition_rows(n, T)`` does.  Each
-    row's value is the same for any split, and the draws read the whole
-    array, so the centres do not depend on the ranges.  Every thread is
-    joined before this returns or raises; when several ranges fail, the
-    lowest range's error is raised.
+    kmeanspp's squared distances d2 to each centre but the last are computed
+    on one thread per non-empty range of ``ranges``, the first on the calling
+    thread, each with its own reader and scratch, in blocks of
+    ``CHUNK_ELEMS // (2 * d)`` rows, so that a block and its scratch stay
+    within ``CHUNK_ELEMS`` elements; the ranges must cover rows 0..n-1 in
+    order, as ``partition_rows(n, T)`` does.  The first centre's pass runs the
+    recipe on every row and keeps each row's sum for the
+    :class:`~numakmeans.distance.SqDistanceFilter` of every later centre, which
+    settles most rows by one matrix-vector product and sends the rest through
+    the recipe, under :func:`~numakmeans.distance.single_thread_blas`.  Each
+    row's value is the recipe's, the same for any split, and each draw reads
+    the whole array as ``rng.choice(n, p=d2 / d2.sum())`` would, so the centres
+    do not depend on the ranges.  A d2 total that is not finite raises
+    ``FloatingPointError``.  Every thread is joined before this returns or
+    raises; when several ranges fail, the lowest range's error is raised.
     """
     if method not in INIT_METHODS:
         raise ValueError(f"unknown init method {method!r}")
@@ -238,7 +267,7 @@ def init_from_rows(take, block, n: int, d: int, k: int, method: str, seed: int,
         means = np.empty((k, d), dtype=np.float64)
         for j, g in enumerate(groups):
             if g.size == 0:
-                means[j] = block(0, n).mean(axis=0)
+                means[j] = reader()(0, n).mean(axis=0)
             else:
                 means[j] = take(np.sort(g)).mean(axis=0)
         return CentroidSet.from_means(means)
@@ -250,23 +279,25 @@ def init_from_rows(take, block, n: int, d: int, k: int, method: str, seed: int,
     if bounds[-1] != n or any(r != range(lo, hi) for r, lo, hi in zip(ranges, bounds, bounds[1:])):
         raise ValueError(f"ranges must cover rows 0..{n - 1} in order, got {ranges}")
     ranges = [r for r in ranges if len(r)]
-    d2 = np.full(n, np.inf)
     step = max(1, CHUNK_ELEMS // (2 * d))
+    # q: the first pass's lowered sums; cdf: the draws' buffer.  One block,
+    # so that it goes back to the system whole when init ends.
+    d2, q, cdf = np.empty((3, n))
+    scratch = [(reader(), np.empty((min(step, len(r)), d)), np.empty(min(step, len(r))))
+               for r in ranges]
 
-    def lower_d2(r: range, center: np.ndarray) -> None:
-        for lo in range(r.start, r.stop, step):
-            hi = min(lo + step, r.stop)
-            sq = rowwise_distances(block(lo, hi), center[0])
-            np.square(sq, out=sq)
-            np.minimum(d2[lo:hi], sq, out=d2[lo:hi])
+    def lower_d2(i: int, lower) -> None:
+        block, buf, tbuf = scratch[i]
+        for lo in range(ranges[i].start, ranges[i].stop, step):
+            hi = min(lo + step, ranges[i].stop)
+            lower(block(lo, hi), q[lo:hi], d2[lo:hi], buf[:hi - lo], tbuf[:hi - lo])
 
-    def lower_to(idx: int) -> None:
-        center = take(np.array([idx]))
+    def lower_to(lower) -> None:
         errors: list[BaseException | None] = [None] * len(ranges)
 
         def run(i: int) -> None:
             try:
-                lower_d2(ranges[i], center)
+                lower_d2(i, lower)
             except BaseException as e:
                 errors[i] = e
 
@@ -282,12 +313,18 @@ def init_from_rows(take, block, n: int, d: int, k: int, method: str, seed: int,
                 raise e
 
     chosen = [int(rng.integers(n))]
-    for _ in range(1, k):
-        lower_to(chosen[-1])
-        total = d2.sum()
-        if total > 0:
-            idx = int(rng.choice(n, p=d2 / total))
-        else:
-            idx = int(rng.integers(n))
-        chosen.append(idx)
+    with single_thread_blas():
+        for _ in range(1, k):
+            centre = take(np.array(chosen[-1:]))[0]
+            if len(chosen) == 1:
+                shift = centre
+                lower_to(lambda rows, sums, sq, buf, _: seed_sq_distances(rows, shift, sums, sq, buf))
+            else:
+                lower_to(SqDistanceFilter(centre, shift))
+            total = d2.sum()
+            if not np.isfinite(total):
+                raise FloatingPointError(
+                    f"kmeans++ squared distances sum to {total}, not finite "
+                    f"(the data overflow float64)")
+            chosen.append(_draw(rng, d2, total, cdf) if total > 0 else int(rng.integers(n)))
     return CentroidSet.from_means(take(np.array(chosen)))

@@ -207,7 +207,7 @@ def main(argv=None) -> int:
         return _cmd_train(args)
     except SystemExit:
         raise
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,12 +15,16 @@ recipe decides every id and computes every distance it returns.  A GEMM only
 filters.  It ranks all centroids for a block of rows at BLAS speed, and a row
 whose runner-up lies beyond a proven rounding bound takes the GEMM's choice,
 which is then the recipe's; the few rows left go through
-:func:`nearest_centroid`.  :func:`single_thread_blas` keeps the engine's
-workers from each starting a threaded GEMM on the same cores.
+:func:`nearest_centroid`.  kmeans++ seeding filters the same way, with one
+matrix-vector product per block: :class:`SqDistanceFilter` proves which rows
+keep their squared distance to the centres so far, and the others go through
+the recipe.  :func:`single_thread_blas` keeps the engine's workers and the
+seeding threads from each starting a threaded BLAS call on the same cores.
 
 The block kernels allocate their own scratch, sized by the block they are
-given; callers bound it by the blocks they pass, at most ``CHUNK_ELEMS``
-elements.  Nearest-centroid ties go to the lowest centroid id.
+given, and the seeding kernels take theirs from the caller; callers bound it
+by the blocks they pass, at most ``CHUNK_ELEMS`` elements.
+Nearest-centroid ties go to the lowest centroid id.
 """
 
 from __future__ import annotations
@@ -176,6 +180,89 @@ def nearest_block_into(rows, centroids):
         np.take(centroids, best, axis=0, out=near, mode="clip")
         rowwise_distances(x, near, buf=near, out=dists[lo:lo + b])
     return ids, dists
+
+
+# Why a row may keep its kmeans++ d2.  Let s be the first centre, c a later
+# one, c' = fl(c - s), and for a row x let A = |x - s|^2, B = |x - s| + |c'|,
+# u = eps / 2 and sigma the smallest subnormal.  Exactly,
+#   |x - (s + c')|^2 = A - 2 x.c' + 2 s.c' + |c'|^2 = G,
+# and c lies within u|c'| of s + c', so the true D = |x - c|^2 >= G - 2u*B^2.
+# The filter evaluates t = fl(fl(q + fl(x.(-2 c'))) + K), where q is the
+# recipe's sum fl(|fl(x - s)|^2) lowered once to fl((1 - a) q), and
+# K = fl(2 fl(s.c') + (1 - a) fl(|c'|^2) - b) is one number per centre, so
+# t is G less the band a(q + |c'|^2) + b.  To first order in u:
+# - q is within (d + 2)u*A of A (Higham, sec. 3.1), and its lowering adds 2u;
+# - a dot product is within gamma_d of the sum of its absolute terms in any
+#   order, fused or not; |x| <= |x - s| + |s| bounds the cross terms through
+#   q, so x.(-2 c') adds d*u(B^2 + 2|s||c'|), and K, with its own two sums,
+#   (2d + 4)u|s||c'| + (d + 3)u*B^2;
+# - t's two sums round by at most u(A + 2|x||c'|) + u*B^2 <= 2u(B^2 + |s||c'|);
+# - the recipe's D^ = fl(fl(sqrt(fl(|fl(x - c)|^2)))^2) is at least
+#   D - (d + 5)u*B^2 (D <= B^2, up to second order).
+# Together t - D^ <= (4d + 16) u*B^2 + (4d + 6) u|s||c'| - a(q + |c'|^2) - b,
+# and B^2 <= 2(q + |c'|^2) to first order, so a = 12(d + 3) eps and
+# b = 6(d + 3) eps |s||c'| + 6(d + 3) sigma make t <= D^ with a factor of
+# over two for the second-order terms and the rounding of a, b and |s||c'|.
+# Gradual underflow adds at most sigma / 2 per product and per rounded
+# product, (2d + 1.5) sigma in all, inside b's absolute part.  So a row
+# with d2 <= t has D^ >= d2, and np.minimum leaves its d2 as it is.  An
+# overflow anywhere makes t infinite or NaN, and such a row goes through the
+# recipe.
+
+
+def _lowering(d: int) -> float:
+    # 1 - a, the factor that lowers the first pass's sums by the relative band
+    return 1.0 - 2 * (d + 3) * _BAND_REL
+
+
+def seed_sq_distances(rows, shift, q, d2, buf) -> None:
+    """kmeans++'s first pass: ``d2`` gets the recipe's squared distances from
+    ``rows`` to ``shift`` (``rowwise_distances`` squared), and ``q`` their
+    sums before the sqrt, lowered by the filter's relative band as
+    :class:`SqDistanceFilter` reads them.  ``buf`` is a scratch block of the
+    rows' shape."""
+    _sq_rowwise(rows, shift, buf=buf, out=q)
+    np.sqrt(q, out=d2)
+    np.square(d2, out=d2)
+    q *= _lowering(rows.shape[1])
+
+
+class SqDistanceFilter:
+    """Squared distances to one later kmeans++ centre, lowered into d2.
+
+    Built from the centre and the first centre ``shift`` whose lowered sums
+    :func:`seed_sq_distances` kept.  A call does what
+    ``np.minimum(d2, rowwise_distances(rows, centre) ** 2, out=d2)`` does, bit
+    for bit, but ranks the rows by one matrix-vector product first: a row
+    whose t (derived above) is at least its d2 is proven to keep it, and only
+    the other rows go through :func:`rowwise_distances`.
+    """
+
+    def __init__(self, centre: np.ndarray, shift: np.ndarray):
+        d = centre.size
+        cs = centre - shift
+        cn2 = float(row_sqnorms(cs))
+        cross = float(np.sqrt(row_sqnorms(shift))) * np.sqrt(cn2)
+        self.centre = centre
+        self.weights = -2.0 * cs
+        self.offset = (2.0 * float(shift @ cs) + _lowering(d) * cn2
+                       - (d + 3) * (_BAND_REL * cross + _BAND_ABS))
+
+    def __call__(self, rows, q, d2, buf, tbuf) -> None:
+        """Lower ``d2`` for ``rows``, given their lowered sums ``q``;
+        ``buf`` is a scratch block of the rows' shape, ``tbuf`` one of their
+        count."""
+        t = np.matmul(rows, self.weights, out=tbuf)
+        t += q
+        t += self.offset
+        keep = t >= d2
+        keep &= t < np.inf
+        recheck = np.flatnonzero(~keep)
+        if recheck.size:
+            near = np.take(rows, recheck, axis=0, out=buf[:recheck.size], mode="clip")
+            sq = rowwise_distances(near, self.centre, buf=near, out=t[:recheck.size])
+            np.square(sq, out=sq)
+            d2[recheck] = np.minimum(d2[recheck], sq)
 
 
 @functools.cache

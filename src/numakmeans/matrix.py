@@ -166,28 +166,34 @@ class RowStore:
     def __exit__(self, *exc):
         self.close()
 
-    def _pread(self, offset: int, size: int) -> bytes:
+    def _pread_into(self, offset: int, view: memoryview) -> int:
         # Single override point so tests can shim in byte-level counting.
-        return os.pread(self._fd, size, offset)
+        return os.preadv(self._fd, [view], offset)
 
-    def read_pages(self, first_page: int, n_pages: int) -> bytes:
-        """Raw bytes of a contiguous page run, truncated at end of payload, in as
-        many preads as it takes (Linux returns at most 0x7ffff000 bytes per
-        call); only a pread that returns nothing is a short read."""
+    def read_pages(self, first_page: int, n_pages: int, out: np.ndarray | None = None) -> np.ndarray:
+        """Raw bytes of a contiguous page run, truncated at end of payload, as a
+        uint8 array: the start of ``out``, a uint8 array at least that long,
+        or a new array.  They are read in place, in as many preads as it takes
+        (Linux returns at most 0x7ffff000 bytes per call); only a pread that
+        returns nothing is a short read."""
         start = first_page * self.page_size
         end = min((first_page + n_pages) * self.page_size, self.payload_bytes)
-        parts = []
-        got = start
-        while got < end:
-            part = self._pread(self.payload_offset + got, end - got)
+        if out is None:
+            out = np.empty(end - start, dtype=np.uint8)
+        elif out.size < end - start:
+            raise ValueError(f"buffer of {out.size} bytes cannot hold {end - start}")
+        buf = out[:end - start]
+        view = memoryview(buf)
+        got = 0
+        while got < buf.size:
+            part = self._pread_into(self.payload_offset + start + got, view[got:])
             if not part:
                 raise MatrixFormatError(
                     f"{self.path}: short read at page {first_page} "
-                    f"(wanted {end - start} bytes, got {got - start})"
+                    f"(wanted {end - start} bytes, got {got})"
                 )
-            parts.append(part)
-            got += len(part)
-        return b"".join(parts)  # a single part is returned as is, uncopied
+            got += part
+        return buf
 
 
 @dataclass(frozen=True)

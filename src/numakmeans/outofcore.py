@@ -125,15 +125,33 @@ def fetch_rows(store: RowStore, ids: np.ndarray,
     return out
 
 
-def _read_range(store: RowStore, lo: int, hi: int) -> np.ndarray:
+def _read_range(store: RowStore, lo: int, hi: int, buf: np.ndarray | None = None) -> np.ndarray:
     """Rows lo..hi-1, checked finite, as a read-only view of the one page run
-    that holds them: no gather and no output buffer."""
+    that holds them, read into the start of ``buf`` when it is given (see
+    :meth:`RowStore.read_pages`): no gather and no output buffer."""
     start = lo * store.row_bytes
     first = start // store.page_size
     last = (hi * store.row_bytes - 1) // store.page_size
-    blob = store.read_pages(first, last - first + 1)
+    blob = store.read_pages(first, last - first + 1, buf)
     rows = np.frombuffer(blob, ROW_DTYPE, (hi - lo) * store.d, start - first * store.page_size)
+    rows.flags.writeable = False
     return check_finite(rows.reshape(hi - lo, store.d), range(lo, hi))
+
+
+def _range_reader(store: RowStore):
+    """A ``block(lo, hi)`` for one initialization thread: :func:`_read_range`
+    into one buffer that it keeps, replaced only by a larger one when a block
+    needs more."""
+    buf = np.empty(0, dtype=np.uint8)
+
+    def block(lo, hi):
+        nonlocal buf
+        need = (hi - lo) * store.row_bytes + 2 * store.page_size
+        if buf.size < need:
+            buf = np.empty(need, dtype=np.uint8)
+        return _read_range(store, lo, hi, buf)
+
+    return block
 
 
 class RowCache:
@@ -262,14 +280,15 @@ class _DiskSource:
 def _init_from_store(store: RowStore, cfg: EngineConfig, ranges: list[range]) -> CentroidSet:
     """Seeded initialization from disk; the draws are the in-memory path's.
 
-    A block of rows is read once, as a view of the page run that holds it.
+    A block of rows is read once, into its thread's buffer, and used as a
+    view of the page run that holds it.
     """
 
     def take(ids):
         unique, inverse = np.unique(ids, return_inverse=True)
         return fetch_rows(store, unique)[inverse]
 
-    return init_from_rows(take, lambda lo, hi: _read_range(store, lo, hi),
+    return init_from_rows(take, lambda: _range_reader(store),
                           store.n, store.d, cfg.k, cfg.init, cfg.seed,
                           cfg.initial_centroids, ranges)
 

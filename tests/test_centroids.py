@@ -3,14 +3,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from numakmeans import distance
 from numakmeans.centroids import (
     Accumulator,
     CentroidSet,
+    _draw,
     finalize_centroids,
     init_centroids,
     merge_accumulators,
 )
-from numakmeans.distance import CHUNK_ELEMS, block_distances
+from numakmeans.distance import CHUNK_ELEMS, block_distances, rowwise_distances
 from numakmeans.engine import EngineConfig, _Engine, _MemorySource
 from numakmeans.matrix import RowStore, SyntheticSpec, gen_synthetic, partition_rows, save_matrix
 from numakmeans.outofcore import _init_from_store
@@ -78,18 +80,35 @@ def reference_kmeanspp(m, k, seed):
     return m[chosen]
 
 
-@pytest.mark.parametrize("case", ["blocks", "n-below-T", "all-equal"])
+@pytest.mark.parametrize("case", ["blocks", "n-below-T", "all-equal", "offset", "tiny",
+                                  "below-floor", "grid-ties", "duplicates"])
 def test_kmeanspp_centres_are_equal_for_every_split(tmp_path, case):
+    mixture = SyntheticSpec("gaussian-mixture", 2 * 8192 + 37, 5, seed=4, k_true=6,
+                            separation=5.0)
     if case == "blocks":  # several blocks per range; n divisible by none of 2, 3, 5
-        m = gen_synthetic(SyntheticSpec("gaussian-mixture", 2 * 8192 + 37, 5, seed=4,
-                                        k_true=6, separation=5.0))
+        m = gen_synthetic(mixture)
         k = 9
     elif case == "n-below-T":
         m = gen_synthetic(SyntheticSpec("uniform", 3, 2, seed=4))
         k = 3
-    else:  # every d2 total is zero
+    elif case == "all-equal":  # every d2 total is zero
         m = np.full((40, 5), 2.5)
         k = 6
+    elif case == "offset":  # far from the origin: the filter's cross term
+        m = gen_synthetic(mixture) + 1e8
+        k = 9
+    elif case == "tiny":  # squared distances of a few hundred subnormals
+        m = gen_synthetic(SyntheticSpec("uniform", 3001, 5, seed=4)) * 1e-160
+        k = 40
+    elif case == "below-floor":  # squared distances under the band's absolute part
+        m = gen_synthetic(SyntheticSpec("uniform", 3001, 5, seed=4)) * 1e-161
+        k = 40
+    elif case == "grid-ties":  # many rows equidistant from two centres
+        m = np.indices((9, 9, 3)).reshape(3, -1).T.astype(np.float64)
+        k = 20
+    else:  # k = n with duplicate rows: d2 totals reach zero before the last draw
+        m = np.repeat(gen_synthetic(SyntheticSpec("uniform", 6, 3, seed=4)), 5, axis=0)
+        k = 30
     n, d = m.shape
     want = reference_kmeanspp(m, k, seed=17)
     path = tmp_path / "m.raw"
@@ -104,6 +123,45 @@ def test_kmeanspp_centres_are_equal_for_every_split(tmp_path, case):
             for got in (im, sem, engine):
                 assert np.array_equal(got.means, want), (case, T)
         assert np.array_equal(init_centroids(m, k, "kmeanspp", seed=17).means, want)
+
+
+def test_filter_sends_few_rows_through_the_recipe(monkeypatch):
+    m = gen_synthetic(SyntheticSpec("gaussian-mixture", 40000, 8, seed=2, k_true=16,
+                                    separation=6.0))
+    n, k = m.shape[0], 32
+    rows = []
+
+    def counting(near, *args, **kwargs):
+        rows.append(near.shape[0])
+        return rowwise_distances(near, *args, **kwargs)
+
+    monkeypatch.setattr(distance, "rowwise_distances", counting)
+    got = init_centroids(m, k, "kmeanspp", seed=3)
+    assert np.array_equal(got.means, reference_kmeanspp(m, k, seed=3))
+    # a band that let no row keep its d2 would send n(k - 1) rows
+    assert 0 < sum(rows) <= 0.25 * n * (k - 1)
+
+
+def test_draw_is_rng_choice():
+    gen = np.random.default_rng(0)
+    tiny = np.finfo(np.float64).smallest_subnormal
+    for i in range(1200):
+        n = int(gen.integers(1, 400))
+        d2 = gen.random(n) ** gen.integers(1, 6)
+        kind = i % 4
+        if kind == 1:
+            d2[gen.random(n) < 0.8] = 0.0
+            d2[gen.integers(n)] = gen.random() + tiny
+        elif kind == 2:  # a single nonzero entry
+            d2[:] = 0.0
+            d2[gen.integers(n)] = gen.random() + tiny
+        elif kind == 3:  # subnormal entries
+            d2 = np.floor(d2 * 1000) * tiny
+            d2[gen.integers(n)] += tiny
+        total = d2.sum()
+        a, b = np.random.default_rng(i), np.random.default_rng(i)
+        assert _draw(a, d2, total, np.empty(n)) == int(b.choice(n, p=d2 / total)), i
+        assert a.random() == b.random()  # the same draws consumed
 
 
 @pytest.mark.parametrize("ranges", [partition_rows(99, 2), [range(0, 60), range(50, 100)],

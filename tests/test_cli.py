@@ -101,6 +101,17 @@ def test_train_k_exceeding_n_fails_cleanly(tmp_path, dataset, capsys):
     assert "k <= n" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_train_on_overflowing_data_fails_cleanly(tmp_path, capsys):
+    data = tmp_path / "big.knrm"
+    save_matrix(np.random.default_rng(9).choice([-1e305, 1e305], size=(400, 4)), data)
+    rc = run_cli(["train", "--data", str(data), "--k", "3", "--init", "forgy"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not finite" in err
+
+
 def test_train_defaults_are_the_engine_config_defaults():
     args = build_parser().parse_args(["train", "--data", "x", "--k", "3"])
     assert _engine_config(args) == EngineConfig(k=3)

@@ -6,10 +6,12 @@ from hypothesis import strategies as st
 from numakmeans import distance
 from numakmeans.distance import (
     CHUNK_ELEMS,
+    SqDistanceFilter,
     block_distances,
     nearest_block_into,
     nearest_centroid,
     rowwise_distances,
+    seed_sq_distances,
 )
 from numakmeans.matrix import SyntheticSpec, gen_synthetic
 
@@ -152,6 +154,32 @@ def test_block_longer_than_one_filter_step(rng, rechecked):
     ids = assert_matches_oracle(rows, means)
     assert rechecked[0] > 0
     assert not (ids == k - 1).any()
+
+
+@pytest.mark.parametrize("scale,offset", [(1.0, 0.0), (1.0, 1e8), (1e-160, 0.0)])
+def test_seeding_filter_matches_the_recipe_on_near_ties(scale, offset):
+    # grid rows against centres a third of a step off it: many rows nearly
+    # equidistant from the d2 centre and the new one, at every scale
+    r = np.random.default_rng(7)
+    kept = rechecked = 0
+    for case in range(300):
+        d = 1 + case % 4
+        rows = r.integers(0, 6, size=(60, d)) * scale + offset
+        shift, *centres = r.integers(0, 6, size=(4, d)) / 3.0 * scale + offset
+        if case % 2:  # |shift| as small as it gets: no cross term in the band
+            shift = np.full(d, offset)
+        q, d2 = np.empty(60), np.empty(60)
+        seed_sq_distances(rows, shift, q, d2, np.empty_like(rows))
+        assert np.array_equal(d2, rowwise_distances(rows, shift) ** 2)
+        for c in centres:
+            want = np.minimum(d2, rowwise_distances(rows, c) ** 2)
+            sq = SqDistanceFilter(c, shift)
+            t = rows @ sq.weights + q + sq.offset
+            kept += int(np.sum(t >= d2))
+            rechecked += int(np.sum(~(t >= d2)))
+            sq(rows, q, d2, np.empty_like(rows), np.empty(60))
+            assert np.array_equal(d2, want), case
+    assert kept > 0 and rechecked > 0  # both paths ran
 
 
 @given(st.integers(min_value=1, max_value=64), st.integers(min_value=0, max_value=2**31))

@@ -347,12 +347,16 @@ def test_long_signed_delta_run_keeps_the_means_exact(monkeypatch):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-@pytest.mark.parametrize("mode,pruning", [("im", True), ("im", False), ("sem", True)])
-def test_overflowing_data_ends_in_an_error(mode, pruning, tmp_path):
+@pytest.mark.parametrize("mode,pruning,init", [
+    pytest.param(mode, pruning, init, id=f"{mode}-{pruning}" + ("" if init == "forgy" else "-" + init))
+    for init in ("forgy", "kmeanspp")
+    for mode, pruning in (("im", True), ("im", False), ("sem", True))
+])
+def test_overflowing_data_ends_in_an_error(mode, pruning, init, tmp_path):
     # finite rows whose squares and sums overflow float64
     rng = np.random.default_rng(9)
     m = rng.choice([-1e305, 1e305], size=(4000, 4))
-    cfg = EngineConfig(k=3, seed=1, T=2, pruning=pruning, mode=mode, max_iters=10)
+    cfg = EngineConfig(k=3, init=init, seed=1, T=2, pruning=pruning, mode=mode, max_iters=10)
     with pytest.raises(FloatingPointError, match="not finite"):
         if mode == "im":
             kmeans(m, cfg)

@@ -43,10 +43,10 @@ class CountingStore(RowStore):
         self.physical_bytes = 0
         self.calls = 0
 
-    def _pread(self, offset, size):
+    def _pread_into(self, offset, view):
         self.calls += 1
-        self.physical_bytes += size
-        return super()._pread(offset, size)
+        self.physical_bytes += len(view)
+        return super()._pread_into(offset, view)
 
 
 def test_page_aligned_row_reads_one_page(tmp_path):
@@ -138,8 +138,8 @@ def test_short_read_reports_page(tmp_path):
 class PartialReads(RowStore):
     """Returns at most 1000 bytes per pread, as a kernel may for a large run."""
 
-    def _pread(self, offset, size):
-        return super()._pread(offset, min(size, 1000))
+    def _pread_into(self, offset, view):
+        return super()._pread_into(offset, view[:1000])
 
 
 def test_partial_preads_are_read_to_the_end(tmp_path):
@@ -437,9 +437,9 @@ def test_kmeanspp_error_names_the_lowest_bad_row_and_joins_its_threads(tmp_path)
 class ShortInSecondHalf(RowStore):
     """Returns one byte short for any read that starts in the second half."""
 
-    def _pread(self, offset, size):
-        blob = super()._pread(offset, size)
-        return blob[:-1] if offset - self.payload_offset >= self.payload_bytes // 2 else blob
+    def _pread_into(self, offset, view):
+        got = super()._pread_into(offset, view)
+        return max(got - 1, 0) if offset - self.payload_offset >= self.payload_bytes // 2 else got
 
 
 def test_kmeanspp_short_read_in_the_second_range_raises(tmp_path):
