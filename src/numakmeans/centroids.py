@@ -71,9 +71,10 @@ class Accumulator:
     ``sq - |sums|^2 / count`` keep their precision however far the data lie
     from the origin (Chan, Golub and LeVeque, 1983).  :meth:`add_rows` adds
     a block of rows with one flat ``bincount``, each cluster's rows in row
-    order.  In full passes the fields hold plain totals; pruned iterations
-    use the same structure for signed reassignment deltas, in which case
-    counts may be negative.
+    order; the engine builds its totals that way in iteration 0 only.  Every
+    later iteration, pruned or not, adds each task's signed reassignment
+    deltas from :meth:`move_rows` (their counts may be negative), so runs
+    that assign alike hold bit-equal totals.
     """
 
     sums: np.ndarray    # (k, d)
@@ -88,13 +89,12 @@ class Accumulator:
             sq=np.zeros(k, dtype=np.float64),
         )
 
-    def add_rows(self, ids: np.ndarray, rows: np.ndarray, shift: np.ndarray,
-                 sq: bool = True) -> None:
-        """Add ``rows`` to clusters ``ids``, summing ``rows - shift`` by one
-        ``bincount`` over the flat index ``id * d + column``; the ``sq`` field
-        is updated only when ``sq``."""
+    def add_rows(self, ids: np.ndarray, rows: np.ndarray, shift: np.ndarray) -> None:
+        """Add ``rows`` to clusters ``ids``: ``rows - shift`` by one
+        ``bincount`` over the flat index ``id * d + column``, and its squared
+        norms by one ``bincount`` over ``ids``."""
         x = rows - shift
-        self._add_shifted(ids, x, row_sqnorms(x) if sq else None, np.add)
+        self._add_shifted(ids, x, row_sqnorms(x), np.add)
 
     def move_rows(self, to_ids: np.ndarray, from_ids: np.ndarray, rows: np.ndarray,
                   shift: np.ndarray) -> None:
@@ -113,8 +113,7 @@ class Accumulator:
         sums = np.bincount(flat.ravel(), weights=x.ravel(), minlength=k * d)
         op(self.sums, sums.reshape(k, d), out=self.sums)
         op(self.counts, np.bincount(ids, minlength=k), out=self.counts)
-        if sqn is not None:
-            op(self.sq, np.bincount(ids, weights=sqn, minlength=k), out=self.sq)
+        op(self.sq, np.bincount(ids, weights=sqn, minlength=k), out=self.sq)
 
     def wcss(self) -> float:
         """Within-cluster sum of squares of the totals, ``sq - |sums|^2 / count``

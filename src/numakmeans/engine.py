@@ -12,10 +12,13 @@ the barrier.  Work stealing then has no effect on the floating-point
 summation order, so a run is bit-reproducible for a fixed thread count and
 task size regardless of scheduling policy or timing.
 
-With pruning enabled, iteration 0 performs a full assignment pass to seed the
-bounds; later iterations apply the triangle-inequality tests and maintain the
-cluster sums incrementally through signed per-task deltas, so skipped points
-cost neither distance work nor (out of core) any I/O.
+Iteration 0 is a full pass that sums every row into the run's cluster
+totals (and, with pruning enabled, seeds the bounds).  Later iterations add
+one signed delta per task for the rows whose assignment changed, in row
+order, found by a full pass or by the triangle-inequality tests, so skipped
+points cost neither distance work nor (out of core) any I/O.  Pruned and
+unpruned runs that assign alike thus hold bit-equal totals, centroids and
+WCSS at every iteration.
 
 The queue is filled for iteration 0 when the engine is built, which fixes
 the task count, and refilled at each barrier.  Each task allocates its own
@@ -125,11 +128,10 @@ class SchedCounters:
 class IterationStats:
     """What one iteration did.
 
-    ``wcss`` is the within-cluster sum of squared distances: against the
-    centroids current at assignment time for unpruned runs (the distances are
-    already in hand), and against the updated means for pruned runs
-    (``Accumulator.wcss`` of the incrementally maintained cluster sums, so
-    skipped points need no extra work).  Both sequences are non-increasing.
+    ``wcss`` is the within-cluster sum of squared distances against the
+    updated means: ``Accumulator.wcss`` of the run's cluster totals, so
+    skipped points need no extra work.  The sequence is non-increasing, and
+    pruned and unpruned runs report the same values.
     A run whose means or WCSS overflow to a non-finite value ends in
     ``FloatingPointError``.
     """
@@ -189,7 +191,6 @@ class _TaskResult:
     acc: Accumulator
     reassigned: int
     counters: PruneCounters
-    wcss_sq: float
 
 
 class _Engine:
@@ -214,9 +215,9 @@ class _Engine:
                 upper=np.full(self.n, np.inf),
                 tight=np.zeros(self.n, dtype=bool),
             )
-            self.totals = Accumulator.zeros(self.k, self.d)
         else:
             self.state = None
+        self.totals = Accumulator.zeros(self.k, self.d)
         self.geometry = None
 
         self.chunk_rows = max(1, CHUNK_ELEMS // self.d)
@@ -264,24 +265,26 @@ class _Engine:
         rows = self.source.task_rows(task)
         m = hi - lo
         acc = Accumulator.zeros(self.k, self.d)
-        reassigned = 0
-        wcss_sq = 0.0
-        want_sq = self.cfg.pruning
+        old = self.assignment[lo:hi].copy()
         means = self.centroids.means
         for base in range(0, m, self.chunk_rows):
             sub = rows[base:base + self.chunk_rows]
             ids, ndist = nearest_block_into(sub, means)
             gl = lo + base
             gh = gl + sub.shape[0]
-            reassigned += int((ids != self.assignment[gl:gh]).sum())
             self.assignment[gl:gh] = ids
-            if want_sq:
+            if self.state is not None:
                 self.state.upper[gl:gh] = ndist
                 self.state.tight[gl:gh] = True
-            else:
-                wcss_sq += float(np.vecdot(ndist, ndist))
-            acc.add_rows(ids, sub, self.shift, sq=want_sq)
-        return _TaskResult(acc, reassigned, PruneCounters(computed=m * self.k), wcss_sq)
+            if self.iter_t == 0:
+                acc.add_rows(ids, sub, self.shift)
+        new = self.assignment[lo:hi]
+        changed = np.flatnonzero(new != old)
+        if self.iter_t > 0 and changed.size:
+            # the task's moved rows in one call, as the pruned scan makes it,
+            # so that equal assignments give bit-equal sums in either run
+            acc.move_rows(new[changed], old[changed], rows[changed], self.shift)
+        return _TaskResult(acc, int(changed.size), PruneCounters(computed=m * self.k))
 
     def _task_pruned(self, task) -> _TaskResult:
         lo, hi = task.start, task.stop
@@ -306,7 +309,7 @@ class _Engine:
             reassigned = int(changed.size)
             if changed.size:
                 acc.move_rows(a_s[changed], orig[changed], rows[changed], self.shift)
-        return _TaskResult(acc, reassigned, counters, 0.0)
+        return _TaskResult(acc, reassigned, counters)
 
     # ---- barrier action --------------------------------------------------
 
@@ -320,21 +323,14 @@ class _Engine:
         for r in results:
             counters.add(r.counters)
 
-        merged = merge_accumulators([r.acc for r in results])
-        if cfg.pruning:
-            self.totals.add_(merged)
-            totals = self.totals
-        else:
-            totals = merged
+        totals = self.totals
+        totals.add_(merge_accumulators([r.acc for r in results]))
         got = int(totals.counts.sum())
         if got != self.n:
             raise RuntimeError(f"iteration {t}: accumulator counts sum to {got}, expected {self.n}")
 
         new_centroids = finalize_centroids(totals, self.centroids, self.shift)
-        if cfg.pruning:
-            wcss = totals.wcss()
-        else:
-            wcss = sum(r.wcss_sq for r in results)
+        wcss = totals.wcss()
         if not (np.isfinite(new_centroids.means).all() and np.isfinite(wcss)):
             raise FloatingPointError(
                 f"iteration {t}: centroid means or WCSS not finite (the data overflow float64)")
@@ -378,10 +374,9 @@ class _Engine:
 
     def _track_state_bytes(self) -> None:
         total = self.source.state_bytes()
-        total += self.assignment.nbytes
+        total += self.assignment.nbytes + self.totals.state_bytes()
         if self.cfg.pruning:
             total += self.state.upper.nbytes + self.state.tight.nbytes
-            total += self.totals.state_bytes()
             if self.geometry is not None:
                 total += self.geometry.state_bytes()
         total += self.centroids.state_bytes()
@@ -420,8 +415,8 @@ def kmeans(matrix: np.ndarray, cfg: EngineConfig) -> KmeansResult:
 
     ``cfg.pruning`` selects between the plain engine (every iteration is a
     full n*k assignment pass) and the pruned engine, which produces identical
-    assignments every iteration while skipping provably redundant distance
-    computations.
+    assignments, centroids and WCSS every iteration while skipping provably
+    redundant distance computations.
     """
     if cfg.mode != "im":
         raise ValueError("kmeans() runs in-memory; use kmeans_ondisk() for sem mode")

@@ -345,14 +345,6 @@ def test_move_rows_equals_adding_then_taking_away(rng):
         assert a.tobytes() == b.tobytes()
 
 
-def test_add_rows_without_sq_leaves_sq_untouched(rng):
-    acc = make_acc(rng, 3, 2)
-    sq, counts = acc.sq.copy(), acc.counts.copy()
-    acc.add_rows(np.array([0, 2, 2]), rng.normal(size=(3, 2)), np.zeros(2), sq=False)
-    assert np.array_equal(acc.sq, sq)
-    assert np.array_equal(acc.counts, counts + (1, 0, 2))
-
-
 def test_wcss_matches_a_direct_sum_on_offset_data(rng):
     k, d = 3, 4
     rows = rng.normal(size=(300, d)) + 1e8

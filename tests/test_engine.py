@@ -313,9 +313,11 @@ def test_offset_data_keeps_the_pruned_wcss_exact(offset):
     for st, assignment in zip(pruned.iterations, pruned_hist):
         want = exact_wcss(centred, assignment, 8)
         assert abs(st.wcss - want) <= 1e-9 * want, st.t
-    for res in (pruned, plain):
-        seq = [st.wcss for st in res.iterations]
-        assert all(b <= a for a, b in zip(seq, seq[1:]))
+    seq = [st.wcss for st in pruned.iterations]
+    assert all(b <= a for a, b in zip(seq, seq[1:]))
+    # both runs keep their sums as iteration 0's totals plus per-task deltas
+    assert [st.wcss for st in plain.iterations] == seq
+    assert plain.centroids.means.tobytes() == pruned.centroids.means.tobytes()
 
 
 def test_long_signed_delta_run_keeps_the_means_exact(monkeypatch):
