@@ -23,7 +23,6 @@ from .outofcore import (
     DEFAULT_CACHE_BYTES,
     DEFAULT_REFRESH_START,
     CacheSchedule,
-    fetch_rows,
     kmeans_ondisk,
 )
 from .report import format_report
@@ -127,7 +126,7 @@ def _open_store(args) -> RowStore:
 def _cmd_info(args) -> int:
     with _open_store(args) as store:
         sample_n = min(store.n, 1024)
-        sample = fetch_rows(store, np.arange(sample_n, dtype=np.int64))
+        sample = store.read_rows(0, sample_n)[0]
         print(f"path {store.path}")
         print(f"n {store.n}")
         print(f"d {store.d}")

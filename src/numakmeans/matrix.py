@@ -3,10 +3,10 @@
 The on-disk format is little-endian float64, row-major.  Files either carry a
 fixed 28-byte header (magic ``KNRM``, version, n, d, dtype code) or are raw
 headerless payloads whose shape must be supplied by the caller.  This module
-is the only one that knows the layout: :class:`RowStore` is the one reader,
-which checks the shape and the payload length and reads pages by position
-for the out-of-core engine, and :func:`load_matrix` reads the payload once
-through it into the array it returns.
+is the only one that knows the layout: :class:`RowStore` checks the shape and
+the payload length, and its ``read_rows`` is the one place where file bytes
+become rows.  :func:`load_matrix` checks the shape through a ``RowStore`` but
+reads the payload with its own ``readinto``, into the array it returns.
 """
 
 from __future__ import annotations
@@ -194,6 +194,18 @@ class RowStore:
                 )
             got += part
         return buf
+
+    def read_rows(self, lo: int, hi: int, buf: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+        """Rows lo..hi-1, checked finite, as a read-only view of the one page run
+        that holds them, read into the start of ``buf`` when it is given (see
+        :meth:`read_pages`), and the number of bytes read."""
+        start = lo * self.row_bytes
+        first = start // self.page_size
+        last = (hi * self.row_bytes - 1) // self.page_size
+        blob = self.read_pages(first, last - first + 1, buf)
+        rows = np.frombuffer(blob, ROW_DTYPE, (hi - lo) * self.d, start - first * self.page_size)
+        rows.flags.writeable = False
+        return check_finite(rows.reshape(hi - lo, self.d), range(lo, hi)), blob.size
 
 
 @dataclass(frozen=True)

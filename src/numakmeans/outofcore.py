@@ -5,8 +5,9 @@ which owns the file layout; only O(n) per-point state lives in memory.
 Reads happen at page granularity (4KB by default, any positive number of
 bytes), so fetching scattered rows pulls in more bytes than requested; the
 accounting here tracks both quantities.  Each coalesced run of pages is read
-in one call and viewed as the whole rows that start inside it, so rows need
-not align with pages, and each row is checked finite once, when it is read.
+and viewed as rows by one ``RowStore.read_rows`` call, so rows need not align
+with pages, and every row read from the file is checked finite each time it
+is read; rows served from the cache are not checked again.
 A partitioned row cache pins active rows in memory at row granularity and is
 refreshed lazily on an exponential schedule, because rows that stay active
 tend to keep staying active.  The cache keeps one (ids, rows) slot per task:
@@ -25,28 +26,22 @@ import numpy as np
 
 from .centroids import CentroidSet, init_from_rows
 from .engine import EngineConfig, IoDelta, KmeansResult, _Engine
-from .matrix import ROW_DTYPE, RowStore, check_finite
+from .matrix import RowStore
 
 DEFAULT_CACHE_BYTES = 64 * 1024 * 1024
 DEFAULT_REFRESH_START = 5
 
 
-def page_runs(ids: np.ndarray, row_bytes: int, page_size: int):
-    """Coalesced runs of distinct pages covering the given ascending row ids.
-
-    Returns arrays (first_page, n_pages, cuts): run r reads pages
-    first_page[r] .. first_page[r] + n_pages[r] - 1, adjacent pages merged, and
-    serves ids[cuts[r]:cuts[r + 1]].  Empty ids give zero runs and cuts [0].
-    """
+def page_runs(ids: np.ndarray, row_bytes: int, page_size: int) -> np.ndarray:
+    """Cuts of the coalesced page runs over ascending row ids: run r serves
+    ids[cuts[r]:cuts[r + 1]], and ids on the same or adjacent pages share a
+    run.  Empty ids give cuts [0]."""
     ids = np.asarray(ids, dtype=np.int64)
-    starts = ids * row_bytes
-    first = starts // page_size
-    last = (starts + row_bytes - 1) // page_size
+    first = ids * row_bytes // page_size
+    last = ((ids + 1) * row_bytes - 1) // page_size
     opens = np.ones(ids.size, dtype=bool)
     opens[1:] = first[1:] > last[:-1] + 1
-    lo = np.flatnonzero(opens)
-    cuts = np.append(lo, ids.size)
-    return first[lo], last[cuts[1:] - 1] - first[lo] + 1, cuts
+    return np.append(np.flatnonzero(opens), ids.size)
 
 
 def fetch_rows(store: RowStore, ids: np.ndarray,
@@ -60,9 +55,8 @@ def fetch_rows(store: RowStore, ids: np.ndarray,
     returned: no search, no copy and no read.  Otherwise one search over
     the cached ids finds the hits, which are copied out of the cached rows,
     and the misses are read one coalesced page run at a time, each run's
-    ids gathered from the whole rows that start inside it.  Only the rows
-    read here are checked finite; cached rows were checked when they were
-    read.
+    ids gathered from the rows it holds.  Every row a run reads is checked
+    finite, unrequested ones between two misses too; cached rows are not.
     ``bytes_requested`` grows by one row width per id, ``bytes_read`` by
     page_size per distinct uncached page, the payload's last page counting
     only up to the end of the payload.
@@ -80,8 +74,7 @@ def fetch_rows(store: RowStore, ids: np.ndarray,
         if stats is not None:
             stats.cache_hits += ids.size
         return cached[1]
-    d = store.d
-    out = np.empty((ids.size, d), dtype=np.float64)
+    out = np.empty((ids.size, store.d), dtype=np.float64)
     if ids.size == 0:
         return out
 
@@ -102,46 +95,25 @@ def fetch_rows(store: RowStore, ids: np.ndarray,
     if miss_ids.size == 0:
         return out
 
-    first_pages, n_pages, cuts = page_runs(miss_ids, store.row_bytes, store.page_size)
-    for first_page, pages, lo, hi in zip(first_pages.tolist(), n_pages.tolist(),
-                                         cuts[:-1].tolist(), cuts[1:].tolist()):
-        blob = store.read_pages(first_page, pages)
+    cuts = page_runs(miss_ids, store.row_bytes, store.page_size)
+    for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        r0 = int(miss_ids[lo])
+        view, nbytes = store.read_rows(r0, int(miss_ids[hi - 1]) + 1)
         if stats is not None:
-            stats.bytes_read += len(blob)
-        # Whole rows starting inside the run begin at row r0, skip bytes in.
-        start = first_page * store.page_size
-        r0 = -(-start // store.row_bytes)
-        skip = r0 * store.row_bytes - start
-        whole = (len(blob) - skip) // store.row_bytes
-        view = np.frombuffer(blob, ROW_DTYPE, whole * d, skip).reshape(whole, d)
+            stats.bytes_read += nbytes
         p0 = int(miss_pos[lo])
         if miss_pos[hi - 1] - p0 == hi - lo - 1:
             # contiguous output (always so without cache hits): gather in place
-            block = out[p0:p0 + hi - lo]
-            np.take(view, miss_ids[lo:hi] - r0, axis=0, out=block, mode="clip")
-            check_finite(block, miss_ids[lo:hi])
+            np.take(view, miss_ids[lo:hi] - r0, axis=0, out=out[p0:p0 + hi - lo], mode="clip")
         else:
-            out[miss_pos[lo:hi]] = check_finite(view[miss_ids[lo:hi] - r0], miss_ids[lo:hi])
+            out[miss_pos[lo:hi]] = view[miss_ids[lo:hi] - r0]
     return out
 
 
-def _read_range(store: RowStore, lo: int, hi: int, buf: np.ndarray | None = None) -> np.ndarray:
-    """Rows lo..hi-1, checked finite, as a read-only view of the one page run
-    that holds them, read into the start of ``buf`` when it is given (see
-    :meth:`RowStore.read_pages`): no gather and no output buffer."""
-    start = lo * store.row_bytes
-    first = start // store.page_size
-    last = (hi * store.row_bytes - 1) // store.page_size
-    blob = store.read_pages(first, last - first + 1, buf)
-    rows = np.frombuffer(blob, ROW_DTYPE, (hi - lo) * store.d, start - first * store.page_size)
-    rows.flags.writeable = False
-    return check_finite(rows.reshape(hi - lo, store.d), range(lo, hi))
-
-
 def _range_reader(store: RowStore):
-    """A ``block(lo, hi)`` for one initialization thread: :func:`_read_range`
-    into one buffer that it keeps, replaced only by a larger one when a block
-    needs more."""
+    """A ``block(lo, hi)`` for one initialization thread:
+    :meth:`RowStore.read_rows` into one buffer that it keeps, replaced only by
+    a larger one when a block needs more."""
     buf = np.empty(0, dtype=np.uint8)
 
     def block(lo, hi):
@@ -149,7 +121,7 @@ def _range_reader(store: RowStore):
         need = (hi - lo) * store.row_bytes + 2 * store.page_size
         if buf.size < need:
             buf = np.empty(need, dtype=np.uint8)
-        return _read_range(store, lo, hi, buf)
+        return store.read_rows(lo, hi, buf)[0]
 
     return block
 

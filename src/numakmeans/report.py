@@ -63,35 +63,6 @@ def format_report(config: dict, result: KmeansResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_kv(parts: list[str]) -> dict:
-    out = {}
-    for p in parts:
-        key, _, val = p.partition("=")
-        out[key] = val
-    return out
-
-
-def parse_report(text: str) -> dict:
-    """Inverse of :func:`format_report`, with numeric fields coerced."""
-    config = {}
-    iters = []
-    totals = {}
-    converged = False
-    for line in text.splitlines():
-        if line.startswith("config "):
-            config = json.loads(line[len("config "):])
-        elif line.startswith("iter "):
-            vals = _parse_kv(line[len("iter "):].split())
-            rec = {k: (float(v) if k in ("wcss", "wall_ms") else int(v)) for k, v in vals.items()}
-            iters.append(rec)
-        elif line.startswith("total "):
-            vals = _parse_kv(line[len("total "):].split())
-            totals = {k: (float(v) if k == "wall_ms" else int(v)) for k, v in vals.items()}
-        elif line.startswith("converged "):
-            converged = line.split()[1] == "true"
-    return {"config": config, "iterations": iters, "totals": totals, "converged": converged}
-
-
 def deterministic_view(text: str) -> str:
     """The report with timing-dependent fields removed, for byte comparisons."""
     keep = []

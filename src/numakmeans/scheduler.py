@@ -111,9 +111,6 @@ class Task:
     owner: int   # worker whose partition holds the task
     index: int   # global position, fixes the deterministic reduce order
 
-    def __len__(self):
-        return self.stop - self.start
-
 
 class PartitionedTaskQueue:
     """T locked partitions of row-range tasks with per-partition counters."""

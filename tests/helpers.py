@@ -1,8 +1,11 @@
-"""Helpers used only by the tests, built on the package's own kernels.
+"""Helpers used only by the tests.
 
-Unlike the naive oracles in ``conftest.py``, these share the package's
-floating-point recipe, so tests can compare them with it bit for bit.
+Unlike the naive oracles in ``conftest.py``, the numeric ones share the
+package's floating-point recipe, so tests can compare them with it bit for
+bit.
 """
+
+import json
 
 import numpy as np
 
@@ -25,3 +28,32 @@ def generative_centers(spec: SyntheticSpec) -> np.ndarray:
         raise ValueError("generative_centers applies to gaussian-mixture specs only")
     rng = np.random.default_rng(spec.seed)
     return _place_centers(rng, spec.k_true, spec.d, spec.separation)
+
+
+def _parse_kv(parts: list[str]) -> dict:
+    out = {}
+    for p in parts:
+        key, _, val = p.partition("=")
+        out[key] = val
+    return out
+
+
+def parse_report(text: str) -> dict:
+    """Inverse of ``report.format_report``, with numeric fields coerced."""
+    config = {}
+    iters = []
+    totals = {}
+    converged = False
+    for line in text.splitlines():
+        if line.startswith("config "):
+            config = json.loads(line[len("config "):])
+        elif line.startswith("iter "):
+            vals = _parse_kv(line[len("iter "):].split())
+            rec = {k: (float(v) if k in ("wcss", "wall_ms") else int(v)) for k, v in vals.items()}
+            iters.append(rec)
+        elif line.startswith("total "):
+            vals = _parse_kv(line[len("total "):].split())
+            totals = {k: (float(v) if k == "wall_ms" else int(v)) for k, v in vals.items()}
+        elif line.startswith("converged "):
+            converged = line.split()[1] == "true"
+    return {"config": config, "iterations": iters, "totals": totals, "converged": converged}

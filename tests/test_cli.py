@@ -4,7 +4,9 @@ import pytest
 from numakmeans.cli import _engine_config, build_parser, main
 from numakmeans.engine import EngineConfig
 from numakmeans.matrix import load_matrix, save_matrix
-from numakmeans.report import deterministic_view, parse_report
+from numakmeans.report import deterministic_view
+
+from helpers import parse_report
 
 
 def run_cli(argv):

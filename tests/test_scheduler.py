@@ -100,7 +100,7 @@ def test_enqueue_splits_with_short_tail():
     q.enqueue_iteration([range(0, 10)], task_size=3)
     sizes = []
     while (t := q.next_task(0)) is not None:
-        sizes.append(len(t))
+        sizes.append(t.stop - t.start)
     assert sizes == [3, 3, 3, 1]
 
 

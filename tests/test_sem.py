@@ -13,7 +13,6 @@ from numakmeans.outofcore import (
     RowStore,
     _DiskSource,
     _init_from_store,
-    _read_range,
     fetch_rows,
     kmeans_ondisk,
     page_runs,
@@ -81,18 +80,14 @@ def test_full_page_of_rows_reads_once(store_8):
 def test_adjacent_pages_coalesce(store_8):
     store, _ = store_8
     # rows 0 and 64 live on pages 0 and 1: one two-page run
-    first, pages, cuts = page_runs(np.array([0, 64]), store.row_bytes, store.page_size)
-    assert list(zip(first.tolist(), pages.tolist())) == [(0, 2)]
-    assert pages.sum() == 2
-    assert cuts.tolist() == [0, 2]
+    assert page_runs(np.array([0, 64]), store.row_bytes, store.page_size).tolist() == [0, 2]
     # rows 0 and 128 live on pages 0 and 2: two runs
-    first, pages, cuts = page_runs(np.array([0, 128]), store.row_bytes, store.page_size)
-    assert list(zip(first.tolist(), pages.tolist())) == [(0, 1), (2, 1)]
-    assert pages.sum() == 2
-    assert cuts.tolist() == [0, 1, 2]
-    first, pages, cuts = page_runs(np.array([], dtype=np.int64), store.row_bytes,
-                                   store.page_size)
-    assert (first.size, pages.sum(), cuts.tolist()) == (0, 0, [0])
+    assert page_runs(np.array([0, 128]), store.row_bytes, store.page_size).tolist() == [0, 1, 2]
+    # rows on one page share its run; a gap of one page opens a new run
+    ids = np.array([0, 5, 63, 64, 200, 255, 400])
+    assert page_runs(ids, store.row_bytes, store.page_size).tolist() == [0, 4, 6, 7]
+    assert page_runs(np.array([], dtype=np.int64), store.row_bytes,
+                     store.page_size).tolist() == [0]
 
 
 def test_row_straddling_pages_counts_both(tmp_path):
@@ -336,6 +331,15 @@ def test_fetch_rejects_a_non_finite_miss_among_hits(tmp_path, bad):
             fetch_rows(store, ids, (cached, m[cached]), IoDelta())
         # the cached rows are served unchecked; the finite misses pass
         assert np.array_equal(fetch_rows(store, ids[:3], (cached, m[cached])), m[ids[:3]])
+        stale = m[cached]
+        stale[1, 0] = bad
+        rows = fetch_rows(store, ids[:3], (cached, stale))
+        assert rows.tobytes() == stale[:3].tobytes()
+        # a miss run checks every row it reads: 130 lies between 128 and 140
+        with pytest.raises(MatrixFormatError, match="non-finite value in row 130"):
+            fetch_rows(store, np.array([128, 140]))
+        # and only those: this run reads row 130's page but ends before it
+        assert np.array_equal(fetch_rows(store, np.array([120, 129])), m[[120, 129]])
 
 
 def test_cache_slots_are_read_only(tmp_path):
@@ -383,14 +387,14 @@ def test_pruned_runs_on_read_only_slots(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("page_size", [4096, 100])
 def test_init_block_read_is_a_view_of_one_page_run(tmp_path, page_size):
-    n, d = 4000, 8
+    n, d = 4001, 8  # the payload ends inside a page of either size
     m = gen_synthetic(SyntheticSpec("uniform", n, d, seed=3))
     path = tmp_path / "v.raw"
     save_matrix(m, path, raw=True)
     with CountingStore(path, n, d, page_size=page_size) as store:
         tracemalloc.start()
         try:
-            rows = _read_range(store, 1000, 2999)  # starts and ends inside a page
+            rows, nbytes = store.read_rows(1000, 2999)  # starts and ends inside a page
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -398,9 +402,15 @@ def test_init_block_read_is_a_view_of_one_page_run(tmp_path, page_size):
         assert not rows.flags.writeable  # the page run's own bytes
         pages = (2999 * 64 - 1) // page_size - 1000 * 64 // page_size + 1
         assert store.calls == 1
-        assert store.physical_bytes == pages * page_size
+        assert nbytes == store.physical_bytes == pages * page_size
         # one page run's bytes and the finiteness check's masks, no copy of rows
         assert peak <= rows.nbytes + 2 * page_size + rows.size + 3 * (2999 - 1000)
+        # the payload's last page counts only up to the end of the payload
+        rows, nbytes = store.read_rows(3990, n)
+        assert np.array_equal(rows, m[3990:])
+        assert nbytes == n * 64 - 3990 * 64 // page_size * page_size
+        assert nbytes % page_size  # the run ends in a partial page
+        assert store.physical_bytes == pages * page_size + nbytes
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
