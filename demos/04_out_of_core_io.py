@@ -16,7 +16,6 @@ import tempfile
 import numpy as np
 
 from numakmeans import (
-    CacheSchedule,
     EngineConfig,
     RowStore,
     SyntheticSpec,
@@ -35,7 +34,7 @@ def run(path, pruning, cache):
     cfg = EngineConfig(k=K, seed=13, T=2, pruning=pruning, mode="sem", max_iters=25)
     with RowStore(path, N, D) as store:
         return kmeans_ondisk(store, cfg, cache_enabled=cache,
-                             cache_capacity=N * D * 8, schedule=CacheSchedule(1))
+                             cache_capacity=N * D * 8, refresh_start=1)
 
 
 with tempfile.TemporaryDirectory() as tmp:

@@ -11,7 +11,6 @@ import os
 import tempfile
 
 from numakmeans import (
-    CacheSchedule,
     EngineConfig,
     RowStore,
     SyntheticSpec,
@@ -22,7 +21,7 @@ from numakmeans import (
 )
 
 N, D, K = 40_000, 8, 8
-SCHEDULE = CacheSchedule(5)
+REFRESH_START = 5
 
 spec = SyntheticSpec("gaussian-mixture", N, D, seed=37, k_true=K, separation=4.0)
 matrix = gen_synthetic(spec)
@@ -31,7 +30,7 @@ with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "rows.raw")
     save_matrix(matrix, path, raw=True)
     with RowStore(path, N, D) as store:
-        res = kmeans_ondisk(store, cfg, cache_capacity=N * D * 8, schedule=SCHEDULE)
+        res = kmeans_ondisk(store, cfg, cache_capacity=N * D * 8, refresh_start=REFRESH_START)
 
 print(f"{res.n_iterations} iterations; cache refreshes marked with *\n")
 print(f"{'t':>3} {'max achievable':>15} {'cache hits':>11} {'hit rate':>9}")
@@ -39,7 +38,7 @@ for st in res.iterations:
     io = st.io
     possible = io.cache_hits + io.cache_misses
     rate = io.cache_hits / possible if possible else float("nan")
-    mark = "*" if should_refresh(st.t, SCHEDULE) else " "
+    mark = "*" if should_refresh(st.t, REFRESH_START) else " "
     print(f"{st.t:>3}{mark} {possible:>14,} {io.cache_hits:>11,} {rate:>9.1%}")
 
 print("\nbefore the first refresh every fetch misses; afterwards the stale")

@@ -30,16 +30,11 @@ from .matrix import (
     load_matrix,
     save_matrix,
 )
-from .outofcore import (
-    CacheSchedule,
-    kmeans_ondisk,
-    should_refresh,
-)
+from .outofcore import kmeans_ondisk, should_refresh
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CacheSchedule",
     "CentroidSet",
     "EngineConfig",
     "IoDelta",

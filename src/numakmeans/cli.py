@@ -19,12 +19,7 @@ from .matrix import (
     load_matrix,
     save_matrix,
 )
-from .outofcore import (
-    DEFAULT_CACHE_BYTES,
-    DEFAULT_REFRESH_START,
-    CacheSchedule,
-    kmeans_ondisk,
-)
+from .outofcore import DEFAULT_CACHE_BYTES, DEFAULT_REFRESH_START, kmeans_ondisk
 from .report import format_report
 from .scheduler import POLICIES
 
@@ -164,7 +159,7 @@ def _cmd_train(args) -> int:
                 store, cfg,
                 cache_enabled=cache_enabled,
                 cache_capacity=args.cache_capacity,
-                schedule=CacheSchedule(args.refresh_start),
+                refresh_start=args.refresh_start,
             )
 
     sem = args.mode == "sem"

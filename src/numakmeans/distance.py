@@ -37,10 +37,10 @@ from contextlib import contextmanager
 
 import numpy as np
 
-# Scratch budget of one vectorized block, in float64 elements: the engine's
-# full pass takes CHUNK_ELEMS // d rows at a time, its GEMM filter
-# CHUNK_ELEMS // (k + d + 1) and the pruned scan CHUNK_ELEMS // w rows per
-# step, w <= k - 1 the gap-table columns its bounds can reach.
+# Scratch budget of one vectorized block, in float64 elements: the full
+# pass's GEMM filter takes CHUNK_ELEMS // (k + d + 1) rows per step and the
+# pruned scan CHUNK_ELEMS // w, w <= k - 1 the gap-table columns its bounds
+# can reach.
 CHUNK_ELEMS = 262144
 
 

@@ -20,10 +20,19 @@ points cost neither distance work nor (out of core) any I/O.  Pruned and
 unpruned runs that assign alike thus hold bit-equal totals, centroids and
 WCSS at every iteration.
 
-The queue is filled for iteration 0 when the engine is built, which fixes
-the task count, and refilled at each barrier.  Each task allocates its own
-transient scratch, bounded by ``CHUNK_ELEMS``; the resident-state accounting
-covers the arrays the engine keeps alive across iterations.
+The run's layout is fixed when the engine is built: the node of each
+worker, one task list split from the workers' row ranges, and each
+worker's victim order under the run's policy.  The queue is filled with
+that list for iteration 0 and refilled with it at each barrier.  A task
+takes the pruned scan exactly when the iteration has a gap table, i.e. in
+every pruned iteration after the first, and a full pass otherwise.  A full
+pass is one :func:`nearest_block_into` call over the task's rows, whose
+kernels step in blocks of at most ``CHUNK_ELEMS`` elements.  Beside those
+blocks, a task's transient scratch scales with its rows: their ids and
+distances, and for its sums two (task_size, d) arrays of 8-byte elements,
+the shifted rows and their flat bin index; out of core, also the rows it
+fetched.  The resident-state accounting covers the arrays the engine keeps
+alive across iterations.
 
 The barrier takes the row source's I/O counts for the iteration (``None`` in
 memory), adds the rows the point-skip test elided, and sums them into
@@ -46,7 +55,7 @@ from .centroids import (
     init_centroids,
     merge_accumulators,
 )
-from .distance import CHUNK_ELEMS, nearest_block_into, single_thread_blas
+from .distance import nearest_block_into, single_thread_blas
 from .matrix import check_matrix, partition_rows
 from .pruning import (
     PruneCounters,
@@ -55,7 +64,7 @@ from .pruning import (
     inflate_bounds,
     scan_block,
 )
-from .scheduler import POLICIES, PartitionedTaskQueue, bind_to_node, build_topology
+from .scheduler import POLICIES, PartitionedTaskQueue, bind_to_node, build_topology, split_tasks
 
 MODES = ("im", "sem")
 
@@ -199,12 +208,12 @@ class _Engine:
         self.source = source
         self.cfg = cfg
         self.n, self.d = source.n, source.d
-        self.topology = build_topology(cfg.T, cfg.N if cfg.N > 0 else None)
-        self.ranges = partition_rows(self.n, cfg.T)
-        self.queue = PartitionedTaskQueue(self.topology)
-        self.queue.enqueue_iteration(self.ranges, cfg.task_size)
-        self.n_tasks = self.queue.remaining()
-        self.centroids = source.init_centroids(cfg, self.ranges)
+        self.node_of = build_topology(cfg.T, cfg.N if cfg.N > 0 else None)
+        ranges = partition_rows(self.n, cfg.T)
+        self.tasks = split_tasks(ranges, cfg.task_size)
+        self.queue = PartitionedTaskQueue(self.node_of, cfg.scheduler)
+        self.queue.refill(self.tasks)
+        self.centroids = source.init_centroids(cfg, ranges)
         self.k = self.centroids.k
         self.shift = self.centroids.means.mean(axis=0)
 
@@ -220,12 +229,10 @@ class _Engine:
         self.totals = Accumulator.zeros(self.k, self.d)
         self.geometry = None
 
-        self.chunk_rows = max(1, CHUNK_ELEMS // self.d)
-        self.task_results: list[_TaskResult | None] = [None] * self.n_tasks
+        self.task_results: list[_TaskResult | None] = [None] * len(self.tasks)
         self.iterations: list[IterationStats] = []
         self.io_totals: IoDelta | None = None
         self.iter_t = 0
-        self.full_pass = True
         self.stop = False
         self.converged = False
         self.peak_state_bytes = 0
@@ -238,10 +245,10 @@ class _Engine:
 
     def _worker(self, w: int) -> None:
         try:
-            bind_to_node(self.topology, w)
+            bind_to_node(self.node_of, w)
             while True:
                 while True:
-                    task = self.queue.next_task(w, self.cfg.scheduler)
+                    task = self.queue.next_task(w)
                     if task is None:
                         break
                     self._process_task(task)
@@ -257,34 +264,27 @@ class _Engine:
             self.barrier.abort()
 
     def _process_task(self, task) -> None:
-        run = self._task_full if self.full_pass else self._task_pruned
+        run = self._task_full if self.geometry is None else self._task_pruned
         self.task_results[task.index] = run(task)
 
     def _task_full(self, task) -> _TaskResult:
         lo, hi = task.start, task.stop
         rows = self.source.task_rows(task)
-        m = hi - lo
         acc = Accumulator.zeros(self.k, self.d)
-        old = self.assignment[lo:hi].copy()
-        means = self.centroids.means
-        for base in range(0, m, self.chunk_rows):
-            sub = rows[base:base + self.chunk_rows]
-            ids, ndist = nearest_block_into(sub, means)
-            gl = lo + base
-            gh = gl + sub.shape[0]
-            self.assignment[gl:gh] = ids
-            if self.state is not None:
-                self.state.upper[gl:gh] = ndist
-                self.state.tight[gl:gh] = True
-            if self.iter_t == 0:
-                acc.add_rows(ids, sub, self.shift)
-        new = self.assignment[lo:hi]
-        changed = np.flatnonzero(new != old)
-        if self.iter_t > 0 and changed.size:
+        ids, ndist = nearest_block_into(rows, self.centroids.means)
+        old = self.assignment[lo:hi]
+        changed = np.flatnonzero(ids != old)
+        if self.iter_t == 0:
+            acc.add_rows(ids, rows, self.shift)
+        elif changed.size:
             # the task's moved rows in one call, as the pruned scan makes it,
             # so that equal assignments give bit-equal sums in either run
-            acc.move_rows(new[changed], old[changed], rows[changed], self.shift)
-        return _TaskResult(acc, int(changed.size), PruneCounters(computed=m * self.k))
+            acc.move_rows(ids[changed], old[changed], rows[changed], self.shift)
+        old[:] = ids
+        if self.state is not None:
+            self.state.upper[lo:hi] = ndist
+            self.state.tight[lo:hi] = True
+        return _TaskResult(acc, int(changed.size), PruneCounters(computed=(hi - lo) * self.k))
 
     def _task_pruned(self, task) -> _TaskResult:
         lo, hi = task.start, task.stop
@@ -367,9 +367,8 @@ class _Engine:
         if cfg.pruning:
             inflate_bounds(self.state, new_centroids.drift)
             self.geometry = centroid_geometry(new_centroids)
-            self.full_pass = False
-        self.task_results = [None] * self.n_tasks
-        self.queue.enqueue_iteration(self.ranges, cfg.task_size)
+        self.task_results = [None] * len(self.tasks)
+        self.queue.refill(self.tasks)
         self._iter_start = time.perf_counter()
 
     def _track_state_bytes(self) -> None:

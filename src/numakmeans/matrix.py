@@ -5,8 +5,7 @@ fixed 28-byte header (magic ``KNRM``, version, n, d, dtype code) or are raw
 headerless payloads whose shape must be supplied by the caller.  This module
 is the only one that knows the layout: :class:`RowStore` checks the shape and
 the payload length, and its ``read_rows`` is the one place where file bytes
-become rows.  :func:`load_matrix` checks the shape through a ``RowStore`` but
-reads the payload with its own ``readinto``, into the array it returns.
+become rows, :func:`load_matrix`'s included.
 """
 
 from __future__ import annotations
@@ -99,19 +98,16 @@ def load_matrix(path, raw: bool = False, n: int | None = None, d: int | None = N
     """Read a matrix written by :func:`save_matrix`.
 
     The file is opened as a :class:`RowStore`, which checks the shape and the
-    payload length; the payload is then read once, straight into the array
-    that is returned.
+    payload length; its :meth:`RowStore.read_rows` then reads every row once,
+    checked finite, straight into the array that is returned.
     """
     try:
-        with RowStore.open(path, raw=raw, n=n, d=d) as store, open(store.path, "rb") as fh:
+        with RowStore.open(path, raw=raw, n=n, d=d) as store:
             m = np.empty((store.n, store.d), dtype=ROW_DTYPE)
-            fh.seek(store.payload_offset)
-            got = fh.readinto(m)
+            store.read_rows(0, store.n, m.reshape(-1).view(np.uint8))
     except OSError as exc:
         raise MatrixIOError(f"read failed for {path}: {exc}") from exc
-    if got != m.nbytes:
-        raise MatrixFormatError(f"{path}: short read (wanted {m.nbytes} bytes, got {got})")
-    return check_matrix(m)
+    return m
 
 
 class RowStore:

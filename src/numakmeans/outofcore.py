@@ -20,8 +20,6 @@ hits out of the slot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .centroids import CentroidSet, init_from_rows
@@ -175,22 +173,12 @@ class RowCache:
         self.slots = slots
 
 
-@dataclass(frozen=True)
-class CacheSchedule:
-    """Refresh at iteration ``start``, then with doubling gaps (2*start, 4*start, ...)."""
-
-    start: int = DEFAULT_REFRESH_START
-
-    def __post_init__(self):
-        if self.start < 1:
-            raise ValueError("refresh start must be >= 1")
-
-
-def should_refresh(iteration: int, sched: CacheSchedule) -> bool:
-    """True at iterations start, 3*start, 7*start, 15*start, ..."""
-    if iteration < sched.start or iteration % sched.start != 0:
+def should_refresh(iteration: int, start: int) -> bool:
+    """True at iterations start, 3*start, 7*start, 15*start, ...: the first
+    refresh at ``start``, then with doubling gaps (2*start, 4*start, ...)."""
+    if iteration < start or iteration % start != 0:
         return False
-    q = iteration // sched.start + 1
+    q = iteration // start + 1
     return q & (q - 1) == 0
 
 
@@ -198,10 +186,10 @@ class _DiskSource:
     """Engine row source backed by a RowStore, cache, and I/O accounting."""
 
     def __init__(self, store: RowStore, T: int, cache_enabled: bool,
-                 cache_capacity: int, schedule: CacheSchedule):
+                 cache_capacity: int, refresh_start: int):
         self.store = store
         self.n, self.d = store.n, store.d
-        self.schedule = schedule
+        self.refresh_start = refresh_start
         self.cache = (
             RowCache(T, cache_capacity, store.row_bytes) if cache_enabled else None
         )
@@ -235,7 +223,7 @@ class _DiskSource:
             self.cache.rebuild({task.index: task.owner for task in self._io})
         self._io = {}
         self._refresh = (self.cache is not None and self.cache.rows_per_partition > 0
-                         and should_refresh(next_t, self.schedule))
+                         and should_refresh(next_t, self.refresh_start))
         return io
 
     def state_bytes(self) -> int:
@@ -268,16 +256,17 @@ def _init_from_store(store: RowStore, cfg: EngineConfig, ranges: list[range]) ->
 def kmeans_ondisk(store: RowStore, cfg: EngineConfig, *,
                   cache_enabled: bool = True,
                   cache_capacity: int = DEFAULT_CACHE_BYTES,
-                  schedule: CacheSchedule | None = None) -> KmeansResult:
+                  refresh_start: int = DEFAULT_REFRESH_START) -> KmeansResult:
     """Cluster a disk-resident matrix with O(n) in-memory state.
 
     Produces exactly the same per-iteration assignments as the in-memory
     engine on the same configuration; with pruning enabled, rows skipped by
-    the point-skip test are never read.
+    the point-skip test are never read.  The row cache, when enabled, is
+    refreshed at the iterations where ``should_refresh(t, refresh_start)``.
     """
     if cfg.mode != "sem":
         raise ValueError("kmeans_ondisk() runs in sem mode; set cfg.mode='sem'")
-    source = _DiskSource(
-        store, cfg.T, cache_enabled, cache_capacity, schedule or CacheSchedule()
-    )
+    if refresh_start < 1:
+        raise ValueError("refresh_start must be >= 1")
+    source = _DiskSource(store, cfg.T, cache_enabled, cache_capacity, refresh_start)
     return _Engine(source, cfg).run()

@@ -1,12 +1,15 @@
-"""Topology-aware partitioned task queue with local-first work stealing.
+"""Partitioned task queue with local-first work stealing.
 
-The topology lays workers out over NUMA nodes.  The queue holds one
-partition per worker, each under its own lock, and gives every worker a
-fixed victim order per policy: its own partition first, then (numa) the
-partitions of workers on the same node and only then remote ones; the front
-of a partition is its highest-priority task.  A request tries each victim
-once, under that victim's lock.  Tasks are only removed during an iteration,
-so one pass that finds every victim empty is a safe exhaustion check.
+A run's layout is fixed when it starts: :func:`build_topology` gives the
+node of each worker, :func:`split_tasks` the run's one task list, and the
+queue each worker's victim order under the run's policy: its own partition
+first, then (numa) the partitions of workers on the same node and only then
+remote ones.  The queue holds one partition per worker, each under its own
+lock, and :meth:`PartitionedTaskQueue.refill` puts the same task list back
+at the start of every iteration; the front of a partition is its
+highest-priority task.  A request tries each victim once, under that
+victim's lock.  Tasks are only removed during an iteration, so one pass that
+finds every victim empty is a safe exhaustion check.
 """
 
 from __future__ import annotations
@@ -17,13 +20,6 @@ from collections import deque
 from dataclasses import dataclass
 
 POLICIES = ("numa", "fifo", "static")
-
-
-@dataclass(frozen=True)
-class Topology:
-    n_nodes: int
-    n_workers: int
-    node_of: tuple[int, ...]
 
 
 def detect_node_count() -> int:
@@ -68,33 +64,30 @@ def worker_nodes(T: int, N: int) -> list[int]:
     return out
 
 
-def build_topology(requested_T: int, override_N: int | None = None) -> Topology:
-    """Assign workers to nodes in contiguous blocks of T/N.
+def build_topology(requested_T: int, override_N: int | None = None) -> tuple[int, ...]:
+    """The node of each worker, in contiguous blocks of T/N.
 
     The node count is ``override_N`` when given, else detected (1 if
-    unknown); either way workers are laid out and bound the same way.
+    unknown), and at most T; either way workers are laid out and bound the
+    same way.
     """
     if requested_T < 1:
         raise ValueError("need at least one worker")
-    if override_N is not None:
-        if override_N < 1:
-            raise ValueError("node override must be >= 1")
-        n_nodes = min(override_N, requested_T)
-    else:
-        n_nodes = min(detect_node_count(), requested_T)
-    node_of = tuple(worker_nodes(requested_T, n_nodes))
-    return Topology(n_nodes=n_nodes, n_workers=requested_T, node_of=node_of)
+    if override_N is not None and override_N < 1:
+        raise ValueError("node override must be >= 1")
+    n_nodes = detect_node_count() if override_N is None else override_N
+    return tuple(worker_nodes(requested_T, min(n_nodes, requested_T)))
 
 
-def bind_to_node(topology: Topology, worker: int) -> bool:
+def bind_to_node(node_of: tuple[int, ...], worker: int) -> bool:
     """Best-effort affinity of the calling thread to the worker's node CPUs.
 
-    Binds whenever the topology has more than one node, detected or given,
+    Binds whenever the layout has more than one node, detected or given,
     and the platform reports CPUs for the worker's node.
     """
-    if topology.n_nodes <= 1:
+    if max(node_of) == 0:
         return False
-    cpus = node_cpus(topology.node_of[worker])
+    cpus = node_cpus(node_of[worker])
     if not cpus:
         return False
     try:
@@ -112,30 +105,38 @@ class Task:
     index: int   # global position, fixes the deterministic reduce order
 
 
-class PartitionedTaskQueue:
-    """T locked partitions of row-range tasks with per-partition counters."""
+def split_tasks(ranges: list[range], task_size: int) -> list[Task]:
+    """Worker w's range split into blocks of ``task_size`` rows (the last
+    one shorter) owned by w, indexed in row order."""
+    if task_size < 1:
+        raise ValueError("task_size must be >= 1")
+    tasks: list[Task] = []
+    for w, rr in enumerate(ranges):
+        for lo in range(rr.start, rr.stop, task_size):
+            tasks.append(Task(lo, min(lo + task_size, rr.stop), w, len(tasks)))
+    return tasks
 
-    def __init__(self, topology: Topology):
-        self.topology = topology
-        T = topology.n_workers
-        node_of = topology.node_of
+
+class PartitionedTaskQueue:
+    """One locked partition of tasks per worker, with per-partition counters."""
+
+    def __init__(self, node_of: tuple[int, ...], policy: str = "numa"):
+        if policy not in POLICIES:
+            raise ValueError(f"unknown policy {policy!r}")
+        self.node_of = node_of
+        T = len(node_of)
         self._parts: list[deque[Task]] = [deque() for _ in range(T)]
         self._locks = [threading.Lock() for _ in range(T)]
-        others = [[p for p in range(T) if p != w] for w in range(T)]
-        # sorted() is stable: same-node victims ascending, then remote ascending
-        self._victims = {
-            "numa": [[w] + sorted(others[w], key=lambda p: node_of[p] != node_of[w])
-                     for w in range(T)],
-            "fifo": [[w] + others[w] for w in range(T)],
-            "static": [[w] for w in range(T)],
-        }
-        self._zero_counters()
-
-    def _zero_counters(self) -> None:
-        T = self.topology.n_workers
-        self.taken_local = [0] * T
-        self.stolen_same_node = [0] * T
-        self.stolen_remote = [0] * T
+        # a worker's own partition, then (numa) same-node partitions and then
+        # remote ones, (fifo) all others, (static) none; the sort is stable,
+        # so each group stays in worker order
+        self._victims = []
+        for w in range(T):
+            others = [] if policy == "static" else [p for p in range(T) if p != w]
+            if policy == "numa":
+                others.sort(key=lambda p: node_of[p] != node_of[w])
+            self._victims.append([w] + others)
+        self.refill([])
 
     def counter_totals(self) -> tuple[int, int, int]:
         return (sum(self.taken_local), sum(self.stolen_same_node), sum(self.stolen_remote))
@@ -143,23 +144,17 @@ class PartitionedTaskQueue:
     def remaining(self) -> int:
         return sum(len(p) for p in self._parts)
 
-    def enqueue_iteration(self, ranges: list[range], task_size: int) -> None:
-        """Fill each worker's partition with its range split into task blocks,
-        and zero the dispensing counters."""
-        if task_size < 1:
-            raise ValueError("task_size must be >= 1")
-        if len(ranges) != self.topology.n_workers:
-            raise ValueError(f"expected {self.topology.n_workers} ranges, got {len(ranges)}")
+    def refill(self, tasks: list[Task]) -> None:
+        """Put each task at the back of its owner's partition, in order, and
+        zero the dispensing counters."""
         if self.remaining():
-            raise RuntimeError("queue must be empty before a new iteration is enqueued")
-        self._zero_counters()
-        index = 0
-        for w, rr in enumerate(ranges):
-            part = self._parts[w]
-            for lo in range(rr.start, rr.stop, task_size):
-                hi = min(lo + task_size, rr.stop)
-                part.append(Task(start=lo, stop=hi, owner=w, index=index))
-                index += 1
+            raise RuntimeError("queue must be empty before it is refilled")
+        T = len(self.node_of)
+        self.taken_local = [0] * T
+        self.stolen_same_node = [0] * T
+        self.stolen_remote = [0] * T
+        for task in tasks:
+            self._parts[task.owner].append(task)
 
     def _pop_from(self, p: int, w: int) -> Task | None:
         with self._locks[p]:
@@ -168,24 +163,20 @@ class PartitionedTaskQueue:
             task = self._parts[p].popleft()
             if p == w:
                 self.taken_local[p] += 1
-            elif self.topology.node_of[p] == self.topology.node_of[w]:
+            elif self.node_of[p] == self.node_of[w]:
                 self.stolen_same_node[p] += 1
             else:
                 self.stolen_remote[p] += 1
             return task
 
-    def next_task(self, worker: int, policy: str = "numa") -> Task | None:
+    def next_task(self, worker: int) -> Task | None:
         """Dispense one task to ``worker`` or None when every victim is empty.
 
-        numa tries the worker's own partition, then same-node partitions,
-        then remote ones; fifo its own, then all others in worker order;
-        static only its own.  Each victim is tried once.  Tasks are removed,
-        never added, during an iteration, so a victim found empty stays
-        empty and one pass proves exhaustion.
+        Each of the worker's victims is tried once, in the policy's order.
+        Tasks are removed, never added, during an iteration, so a victim
+        found empty stays empty and one pass proves exhaustion.
         """
-        if policy not in POLICIES:
-            raise ValueError(f"unknown policy {policy!r}")
-        for p in self._victims[policy][worker]:
+        for p in self._victims[worker]:
             task = self._pop_from(p, worker)
             if task is not None:
                 return task

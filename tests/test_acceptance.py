@@ -16,12 +16,11 @@ import pytest
 from numakmeans.engine import EngineConfig, kmeans
 from numakmeans.matrix import SyntheticSpec, gen_synthetic, save_matrix
 from numakmeans.outofcore import (
-    CacheSchedule,
     RowStore,
     kmeans_ondisk,
     should_refresh,
 )
-from numakmeans.scheduler import PartitionedTaskQueue, build_topology
+from numakmeans.scheduler import PartitionedTaskQueue, build_topology, split_tasks
 
 from conftest import record_acceptance, run_with_history
 
@@ -103,7 +102,7 @@ def test_criterion_2_mode_equivalence(tmp_path):
                 with RowStore(path, 5000, 8) as store:
                     sem_runs.append(run_with_history(
                         kmeans_ondisk, store, EngineConfig(mode="sem", **cfg),
-                        cache_capacity=capacity, schedule=CacheSchedule(2)))
+                        cache_capacity=capacity, refresh_start=2))
             for sem, sem_hist in sem_runs:
                 assert sem.n_iterations == im.n_iterations
                 for a, b in zip(sem_hist, im_hist):
@@ -169,13 +168,13 @@ def test_criterion_5_io_accounting(tmp_path):
     m = gen_synthetic(spec)
     path = tmp_path / "io.raw"
     save_matrix(m, path, raw=True)
-    sched = CacheSchedule(5)
+    start = 5
 
     def run(pruning, cache):
         cfg = EngineConfig(k=k, seed=2, T=2, max_iters=11, pruning=pruning, mode="sem")
         with RowStore(path, n, d) as store:
             return kmeans_ondisk(store, cfg, cache_enabled=cache,
-                                 cache_capacity=n * d * 8, schedule=sched)
+                                 cache_capacity=n * d * 8, refresh_start=start)
 
     plain = run(False, False)       # pruning off, cache off
     pruned_nc = run(True, False)    # pruning on, cache off
@@ -185,7 +184,7 @@ def test_criterion_5_io_accounting(tmp_path):
 
     req = [s.io.bytes_requested for s in pruned_nc.iterations]
     pairs = [(t, t + 1) for t in range(2, len(req) - 1)
-             if not should_refresh(t + 1, sched)]
+             if not should_refresh(t + 1, start)]
     declining = bool(pairs) and all(req[b] < req[a] for a, b in pairs)
 
     fragmentation = all(s.io.bytes_read > s.io.bytes_requested
@@ -211,7 +210,7 @@ def test_criterion_6_cache_hit_profile(tmp_path):
     cfg = EngineConfig(k=k, seed=13, T=2, max_iters=40, pruning=True, mode="sem")
     with RowStore(path, n, d) as store:
         res = kmeans_ondisk(store, cfg, cache_capacity=n * d * 8,
-                            schedule=CacheSchedule(5))
+                            refresh_start=5)
 
     def rate(st):
         total = st.io.cache_hits + st.io.cache_misses
@@ -273,7 +272,7 @@ def test_criterion_8_wcss_monotone_all_modes(tmp_path):
         cfg = EngineConfig(k=9, seed=8, T=2, max_iters=40, pruning=pruning, mode="sem")
         with RowStore(path, 4000, 6) as store:
             ok = ok and wcss_non_increasing(
-                kmeans_ondisk(store, cfg, schedule=CacheSchedule(5)))
+                kmeans_ondisk(store, cfg, refresh_start=5))
     record_acceptance("criterion 8b: WCSS non-increasing in im and sem modes", ok)
     assert ok
 
@@ -282,11 +281,10 @@ def test_criterion_9_scheduler_exactly_once_stress():
     T, n_tasks, reps = 8, 10000, 100
     ok = True
     for rep in range(reps):
-        topo = build_topology(T, override_N=2)
-        queue = PartitionedTaskQueue(topo)
+        queue = PartitionedTaskQueue(build_topology(T, override_N=2), "numa")
         per = n_tasks // T
         ranges = [range(w * per, (w + 1) * per) for w in range(T)]
-        queue.enqueue_iteration(ranges, task_size=1)
+        queue.refill(split_tasks(ranges, 1))
         seen: list[list[int]] = [[] for _ in range(T)]
         premature = []
         stop_rng = [random.Random(rep * 131 + w) for w in range(T)]
@@ -294,7 +292,7 @@ def test_criterion_9_scheduler_exactly_once_stress():
         def work(w):
             r = stop_rng[w]
             while True:
-                task = queue.next_task(w, "numa")
+                task = queue.next_task(w)
                 if task is None:
                     if queue.remaining():
                         premature.append(w)

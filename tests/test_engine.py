@@ -56,19 +56,24 @@ def test_thread_count_invariance(pruning):
 
 @pytest.mark.parametrize("pruning", [False, True])
 def test_task_size_invariance(pruning):
-    spec = SyntheticSpec("uniform", 1500, 4, seed=2)
-    m = gen_synthetic(spec)
-    results = []
-    for ts in (7, 64, 8192):
-        cfg = EngineConfig(k=5, seed=5, T=2, task_size=ts, pruning=pruning,
-                           max_iters=25)
-        results.append(run_with_history(kmeans, m, cfg))
-    base, base_hist = results[0]
-    for r, r_hist in results[1:]:
-        assert r.n_iterations == base.n_iterations
-        for a, b in zip(r_hist, base_hist):
-            assert np.array_equal(a, b)
-        assert np.max(np.abs(r.centroids.means - base.centroids.means)) < 1e-9
+    # the wide rows make a task of 8192 rows longer than CHUNK_ELEMS // d;
+    # a full pass still takes each task in one kernel call
+    wide = SyntheticSpec("uniform", 16500, 48, seed=4)
+    assert 8192 > distance.CHUNK_ELEMS // wide.d
+    for spec, sizes in ((SyntheticSpec("uniform", 1500, 4, seed=2), (7, 64, 8192)),
+                        (wide, (1000, 8192, 20000))):
+        m = gen_synthetic(spec)
+        results = []
+        for ts in sizes:
+            cfg = EngineConfig(k=5, seed=5, T=2, task_size=ts, pruning=pruning,
+                               max_iters=25)
+            results.append(run_with_history(kmeans, m, cfg))
+        base, base_hist = results[0]
+        for r, r_hist in results[1:]:
+            assert r.n_iterations == base.n_iterations
+            for a, b in zip(r_hist, base_hist):
+                assert np.array_equal(a, b)
+            assert np.max(np.abs(r.centroids.means - base.centroids.means)) < 1e-9
 
 
 def test_scheduler_policy_does_not_change_results():

@@ -9,6 +9,7 @@ from numakmeans.scheduler import (
     PartitionedTaskQueue,
     bind_to_node,
     build_topology,
+    split_tasks,
     worker_nodes,
 )
 
@@ -22,26 +23,29 @@ def even_ranges(n, T):
     return [range(w * size, (w + 1) * size) for w in range(T)]
 
 
+def filled(T, N, ranges, task_size, policy="numa"):
+    q = PartitionedTaskQueue(topo(T, N), policy)
+    q.refill(split_tasks(ranges, task_size))
+    return q
+
+
 def test_topology_single_node():
-    t = topo(4, 1)
-    assert t.node_of == (0, 0, 0, 0)
+    assert topo(4, 1) == (0, 0, 0, 0)
 
 
 def test_topology_two_node_blocks():
-    t = topo(4, 2)
-    assert t.node_of == (0, 0, 1, 1)
-    assert topo(6, 3).node_of == (0, 0, 1, 1, 2, 2)
+    assert topo(4, 2) == (0, 0, 1, 1)
+    assert topo(6, 3) == (0, 0, 1, 1, 2, 2)
+    assert topo(2, 5) == (0, 1)  # at most one node per worker
 
 
 def test_topology_remainder_to_low_nodes():
-    t = topo(5, 2)
-    assert t.node_of == (0, 0, 0, 1, 1)
+    assert topo(5, 2) == (0, 0, 0, 1, 1)
 
 
 def test_topology_detection_fallback(monkeypatch):
     monkeypatch.setattr("numakmeans.scheduler.detect_node_count", lambda: 1)
-    t = build_topology(3)
-    assert t.n_nodes == 1
+    assert build_topology(3) == (0, 0, 0)
 
 
 def test_worker_nodes_blocks_and_rejects_bad_counts():
@@ -86,18 +90,16 @@ def test_bind_to_node_with_given_node_count(monkeypatch):
 
 
 def test_enqueue_one_task_per_partition_at_default_size():
-    q = PartitionedTaskQueue(topo(2, 1))
-    q.enqueue_iteration(even_ranges(16384, 2), task_size=8192)
+    q = filled(2, 1, even_ranges(16384, 2), 8192, "static")
     assert q.remaining() == 2
-    a = q.next_task(0, "static")
-    b = q.next_task(1, "static")
+    a = q.next_task(0)
+    b = q.next_task(1)
     assert (a.start, a.stop, a.owner) == (0, 8192, 0)
     assert (b.start, b.stop, b.owner) == (8192, 16384, 1)
 
 
 def test_enqueue_splits_with_short_tail():
-    q = PartitionedTaskQueue(topo(1, 1))
-    q.enqueue_iteration([range(0, 10)], task_size=3)
+    q = filled(1, 1, [range(0, 10)], 3)
     sizes = []
     while (t := q.next_task(0)) is not None:
         sizes.append(t.stop - t.start)
@@ -105,22 +107,45 @@ def test_enqueue_splits_with_short_tail():
 
 
 def test_empty_input_is_immediately_exhausted():
-    q = PartitionedTaskQueue(topo(2, 1))
-    q.enqueue_iteration([range(0, 0), range(0, 0)], task_size=4)
+    q = filled(2, 1, [range(0, 0), range(0, 0)], 4)
     assert q.next_task(0) is None
     assert q.next_task(1) is None
 
 
 def test_enqueue_requires_empty_queue():
-    q = PartitionedTaskQueue(topo(1, 1))
-    q.enqueue_iteration([range(0, 4)], task_size=4)
+    q = filled(1, 1, [range(0, 4)], 4)
     with pytest.raises(RuntimeError):
-        q.enqueue_iteration([range(0, 4)], task_size=4)
+        q.refill(split_tasks([range(0, 4)], 4))
+
+
+def test_split_tasks_rejects_a_task_size_below_one():
+    with pytest.raises(ValueError):
+        split_tasks([range(0, 4)], 0)
+
+
+def test_unknown_policy_is_rejected():
+    with pytest.raises(ValueError, match="bogus"):
+        PartitionedTaskQueue(topo(2, 1), "bogus")
+
+
+def test_refill_dispenses_the_same_tasks_with_zeroed_counters():
+    # the engine splits its task list once and refills the queue with it
+    # every iteration
+    tasks = split_tasks([range(0, 0), range(0, 8)], 4)
+    q = PartitionedTaskQueue(topo(2, 1), "fifo")
+    for _ in range(2):
+        q.refill(tasks)
+        assert q.counter_totals() == (0, 0, 0)
+        got = []
+        while (t := q.next_task(0)) is not None:
+            got.append(t)
+        assert len(got) == len(tasks) == 2
+        assert all(a is b for a, b in zip(got, tasks))
+        assert q.counter_totals() == (0, 2, 0)  # both stolen from worker 1
 
 
 def test_own_partition_first():
-    q = PartitionedTaskQueue(topo(2, 1))
-    q.enqueue_iteration(even_ranges(8, 2), task_size=4)
+    q = filled(2, 1, even_ranges(8, 2), 4)
     t = q.next_task(1)
     assert t.owner == 1
     assert q.taken_local == [0, 1]
@@ -128,52 +153,41 @@ def test_own_partition_first():
 
 def test_same_node_steal_preferred():
     # worker 1 (node 0) must steal from worker 0 (node 0) before 2/3 (node 1)
-    q = PartitionedTaskQueue(topo(4, 2))
-    q.enqueue_iteration(
-        [range(0, 4), range(4, 4), range(4, 8), range(8, 12)],
-        task_size=4,
-    )
-    t = q.next_task(1, "numa")
+    q = filled(4, 2, [range(0, 4), range(4, 4), range(4, 8), range(8, 12)], 4, "numa")
+    t = q.next_task(1)
     assert t.owner == 0
     assert q.stolen_same_node == [1, 0, 0, 0]
     assert q.stolen_remote == [0, 0, 0, 0]
 
 
 def test_remote_steal_when_same_node_empty():
-    q = PartitionedTaskQueue(topo(4, 2))
-    q.enqueue_iteration(
-        [range(0, 0), range(0, 0), range(0, 4), range(4, 8)],
-        task_size=4,
-    )
-    t = q.next_task(0, "numa")
+    q = filled(4, 2, [range(0, 0), range(0, 0), range(0, 4), range(4, 8)], 4, "numa")
+    t = q.next_task(0)
     assert t.owner == 2  # ascending scan over the remote node
     assert q.stolen_remote == [0, 0, 1, 0]
 
 
 def test_static_never_steals():
-    q = PartitionedTaskQueue(topo(2, 1))
-    q.enqueue_iteration([range(0, 0), range(0, 8)], task_size=4)
-    assert q.next_task(0, "static") is None
+    tasks = split_tasks([range(0, 0), range(0, 8)], 4)
+    q = PartitionedTaskQueue(topo(2, 1), "static")
+    q.refill(tasks)
+    assert q.next_task(0) is None
     assert q.remaining() == 2
-    while q.next_task(1, "static") is not None:
+    while q.next_task(1) is not None:
         pass
     assert q.counter_totals() == (2, 0, 0)
     # a new iteration starts its counts from zero
-    q.enqueue_iteration([range(0, 0), range(0, 8)], task_size=4)
+    q.refill(tasks)
     assert q.counter_totals() == (0, 0, 0)
 
 
 def test_fifo_steals_in_worker_order():
-    q = PartitionedTaskQueue(topo(4, 2))
-    q.enqueue_iteration(
-        [range(0, 0), range(0, 0), range(0, 4), range(4, 8)],
-        task_size=4,
-    )
-    t = q.next_task(0, "fifo")
+    q = filled(4, 2, [range(0, 0), range(0, 0), range(0, 4), range(4, 8)], 4, "fifo")
+    t = q.next_task(0)
     assert t.owner == 2
 
 
-def drain_concurrently(q, T, policy, stall_prob=0.0, seed=0):
+def drain_concurrently(q, T, stall_prob=0.0, seed=0):
     """Workers drain the queue; returns (dispensed task lists, premature flags)."""
     out = [[] for _ in range(T)]
     premature = []
@@ -182,7 +196,7 @@ def drain_concurrently(q, T, policy, stall_prob=0.0, seed=0):
     def work(w):
         r = rngs[w]
         while True:
-            task = q.next_task(w, policy)
+            task = q.next_task(w)
             if task is None:
                 if q.remaining():
                     premature.append(w)
@@ -202,14 +216,11 @@ def drain_concurrently(q, T, policy, stall_prob=0.0, seed=0):
 @pytest.mark.parametrize("policy", ["numa", "fifo"])
 def test_concurrent_drain_dispenses_exactly_once(policy):
     T = 4
-    q = PartitionedTaskQueue(topo(T, 2))
     # heavy skew: all tasks in partitions 0 and 2
-    q.enqueue_iteration(
-        [range(0, 500), range(500, 500), range(500, 1000), range(1000, 1000)],
-        task_size=2,
-    )
+    q = filled(T, 2, [range(0, 500), range(500, 500), range(500, 1000), range(1000, 1000)], 2,
+               policy)
     total = q.remaining()
-    out, premature = drain_concurrently(q, T, policy, stall_prob=0.05)
+    out, premature = drain_concurrently(q, T, stall_prob=0.05)
     got = [t.index for worker in out for t in worker]
     assert len(got) == total
     assert len(set(got)) == total
@@ -219,12 +230,8 @@ def test_concurrent_drain_dispenses_exactly_once(policy):
 
 def test_straggler_partition_fully_drained_by_thieves():
     T = 4
-    q = PartitionedTaskQueue(topo(T, 2))
-    q.enqueue_iteration(
-        [range(0, 40), range(40, 40), range(40, 40), range(40, 40)],
-        task_size=4,
-    )
-    out, premature = drain_concurrently(q, T, "numa", stall_prob=0.2, seed=3)
+    q = filled(T, 2, [range(0, 40), range(40, 40), range(40, 40), range(40, 40)], 4, "numa")
+    out, premature = drain_concurrently(q, T, stall_prob=0.2, seed=3)
     assert sum(len(o) for o in out) == 10
     assert not premature
 
@@ -234,13 +241,9 @@ def test_numa_policy_prefers_same_node_steals_under_skew():
     T, trials = 4, 20
     same_total = remote_total = 0
     for trial in range(trials):
-        q = PartitionedTaskQueue(topo(T, 2))
-        q.enqueue_iteration(
-            [range(0, 600), range(600, 600),
-             range(600, 1200), range(1200, 1200)],
-            task_size=2,
-        )
-        drain_concurrently(q, T, "numa", stall_prob=0.01, seed=trial)
+        q = filled(T, 2, [range(0, 600), range(600, 600), range(600, 1200), range(1200, 1200)],
+                   2, "numa")
+        drain_concurrently(q, T, stall_prob=0.01, seed=trial)
         _, same, remote = q.counter_totals()
         same_total += same
         remote_total += remote

@@ -8,7 +8,6 @@ import pytest
 from numakmeans.engine import EngineConfig, IoDelta, kmeans
 from numakmeans.matrix import MatrixFormatError, SyntheticSpec, gen_synthetic, save_matrix
 from numakmeans.outofcore import (
-    CacheSchedule,
     RowCache,
     RowStore,
     _DiskSource,
@@ -183,20 +182,23 @@ def test_bytes_read_matches_physical_shim(tmp_path, page_size):
 
 
 def test_refresh_schedule_start_five():
-    sched = CacheSchedule(5)
-    on = [t for t in range(1, 80) if should_refresh(t, sched)]
+    on = [t for t in range(1, 80) if should_refresh(t, 5)]
     assert on == [5, 15, 35, 75]
 
 
 def test_refresh_schedule_start_one():
-    sched = CacheSchedule(1)
-    on = [t for t in range(1, 16) if should_refresh(t, sched)]
+    on = [t for t in range(1, 16) if should_refresh(t, 1)]
     assert on == [1, 3, 7, 15]
 
 
 def test_refresh_before_start_is_false():
-    sched = CacheSchedule(5)
-    assert not any(should_refresh(t, sched) for t in range(1, 5))
+    assert not any(should_refresh(t, 5) for t in range(1, 5))
+
+
+def test_refresh_start_below_one_is_rejected(store_8):
+    store, _ = store_8
+    with pytest.raises(ValueError, match="refresh_start"):
+        kmeans_ondisk(store, EngineConfig(k=2, mode="sem"), refresh_start=0)
 
 
 def _published(cache):
@@ -348,7 +350,7 @@ def test_cache_slots_are_read_only(tmp_path):
     save_matrix(m, path, raw=True)
     task = Task(start=0, stop=3000, owner=0, index=0)
     with RowStore(path, 3000, 8) as store:
-        source = _DiskSource(store, 1, True, 1000 * 64, CacheSchedule(1))
+        source = _DiskSource(store, 1, True, 1000 * 64, 1)
         source.finish_iteration(1)  # iteration 1 refreshes
         ids = np.arange(0, 3000, 2)
         rows = source.rows_by_ids(task, ids)
@@ -378,7 +380,7 @@ def test_pruned_runs_on_read_only_slots(tmp_path, monkeypatch):
 
     monkeypatch.setattr(_DiskSource, "rows_by_ids", spy)
     with RowStore(path, *m.shape) as store:
-        disk = kmeans_ondisk(store, EngineConfig(mode="sem", **cfg), schedule=CacheSchedule(1))
+        disk = kmeans_ondisk(store, EngineConfig(mode="sem", **cfg), refresh_start=1)
     assert not all(seen) and any(seen)  # read-only slots and fresh fetches both ran
     mem = kmeans(m, EngineConfig(**cfg))
     assert np.array_equal(disk.assignments, mem.assignments)
@@ -427,7 +429,7 @@ def test_sem_rejects_non_finite_rows(tmp_path, bad):
             with RowStore(path, 300, 4) as store:
                 with pytest.raises(MatrixFormatError, match="non-finite value in row 137"):
                     kmeans_ondisk(store, cfg, cache_enabled=cache_enabled,
-                                  schedule=CacheSchedule(1))
+                                  refresh_start=1)
 
 
 def test_kmeanspp_error_names_the_lowest_bad_row_and_joins_its_threads(tmp_path):
@@ -476,7 +478,7 @@ def test_cache_zero_capacity_stays_empty(tmp_path):
                                                    cache_enabled=False)
     with RowStore(path, 1500, 6) as store:
         zero, zero_hist = run_with_history(kmeans_ondisk, store, EngineConfig(**base_cfg),
-                                           cache_capacity=0, schedule=CacheSchedule(1))
+                                           cache_capacity=0, refresh_start=1)
     assert zero.io_totals.cache_hits == 0
     for a, b in zip(no_cache_hist, zero_hist):
         assert np.array_equal(a, b)
@@ -496,7 +498,7 @@ def test_sem_matches_in_memory_and_capacity_is_transparent(tmp_path):
         with RowStore(path, 2000, 8) as store:
             sem, sem_hist = run_with_history(kmeans_ondisk, store, cfg,
                                              cache_capacity=capacity,
-                                             schedule=CacheSchedule(2))
+                                             refresh_start=2)
         assert sem.n_iterations == im.n_iterations
         for a, b in zip(sem_hist, im_hist):
             assert np.array_equal(a, b)
@@ -513,7 +515,7 @@ def test_sem_matches_in_memory_at_unaligned_page_size(tmp_path, page_size):
     im = kmeans(m, EngineConfig(k=4, seed=2, T=2))
     cfg = EngineConfig(k=4, seed=2, T=2, mode="sem")
     with RowStore(path, 3000, 5, page_size=page_size) as store:
-        sem = kmeans_ondisk(store, cfg, schedule=CacheSchedule(1))
+        sem = kmeans_ondisk(store, cfg, refresh_start=1)
     assert sem.io_totals.cache_hits > 0
     assert np.array_equal(sem.assignments, im.assignments)
     assert np.array_equal(sem.centroids.means, im.centroids.means)
@@ -538,7 +540,7 @@ def test_cached_rows_bit_identical_to_disk(tmp_path):
 
         outofcore._DiskSource = Spy
         try:
-            kmeans_ondisk(store, cfg, cache_capacity=10**7, schedule=CacheSchedule(1))
+            kmeans_ondisk(store, cfg, cache_capacity=10**7, refresh_start=1)
         finally:
             outofcore._DiskSource = orig
         ids, rows = _published(source_holder["src"].cache)
@@ -556,7 +558,7 @@ def test_elided_rows_generate_no_fetch(tmp_path):
     for cache_enabled in (False, True):
         with RowStore(path, 1600, 8) as store:
             res = kmeans_ondisk(store, cfg, cache_enabled=cache_enabled,
-                                schedule=CacheSchedule(1))
+                                refresh_start=1)
         for st in res.iterations:
             io = st.io
             assert io.rows_elided == st.skips
@@ -626,7 +628,7 @@ def test_quarter_capacity_hit_rate_tracks_stable_active_rows(tmp_path):
     cfg = EngineConfig(k=k, seed=13, T=2, max_iters=40, pruning=True, mode="sem")
     with RowStore(path, n, d) as store:
         res = kmeans_ondisk(store, cfg, cache_capacity=capacity,
-                            schedule=CacheSchedule(5))
+                            refresh_start=5)
     cached_rows = (capacity // 2) // (d * 8) * 2  # per-partition shares
     post = [st for st in res.iterations if st.t > 5]
     assert post
@@ -648,7 +650,7 @@ def test_bytes_read_covers_uncached_requests(tmp_path):
     cfg = EngineConfig(k=4, seed=2, T=2, max_iters=40, pruning=True, mode="sem")
     with RowStore(path, n, d) as store:
         res = kmeans_ondisk(store, cfg, cache_capacity=n * d * 8,
-                            schedule=CacheSchedule(2))
+                            refresh_start=2)
     for st in res.iterations:
         io = st.io
         assert io.bytes_read >= io.bytes_requested - io.cache_hits * d * 8
@@ -662,8 +664,8 @@ def test_cache_hits_accumulate_after_refresh(tmp_path):
     cfg = EngineConfig(k=6, seed=9, T=2, max_iters=60, mode="sem")
     with RowStore(path, 2400, 8) as store:
         res = kmeans_ondisk(store, cfg, cache_capacity=2400 * 64,
-                            schedule=CacheSchedule(2))
-    refreshes = [t for t in range(1, res.n_iterations) if should_refresh(t, CacheSchedule(2))]
+                            refresh_start=2)
+    refreshes = [t for t in range(1, res.n_iterations) if should_refresh(t, 2)]
     assert refreshes, "run too short to exercise the cache"
     first = refreshes[0]
     post = [st for st in res.iterations if st.t > first]
@@ -702,7 +704,7 @@ def traced_runs(tmp_path_factory):
                 with RowStore(path, n, d) as store:
                     tracemalloc.start()
                     try:
-                        res = kmeans_ondisk(store, cfg, schedule=CacheSchedule(1), **kw)
+                        res = kmeans_ondisk(store, cfg, refresh_start=1, **kw)
                         peaks.append(tracemalloc.get_traced_memory()[1])
                     finally:
                         tracemalloc.stop()

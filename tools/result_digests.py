@@ -8,6 +8,12 @@ old and the new source tree and compares the output:
     python tools/result_digests.py --src src > new.txt
     diff old.txt new.txt
 
+When the change also edits the calls this tool makes, such as an argument
+of ``kmeans_ondisk``, run the old tree's own copy of the tool against it:
+
+    git show HEAD:tools/result_digests.py > old_digests.py
+    python old_digests.py --src /path/to/old/src > old.txt
+
 Each line hashes one run's report (its ``deterministic_view``), final
 assignments, centroid means, ``peak_state_bytes`` and ``io_totals``.  The
 grid has 72 runs: in memory and on disk with the row cache on and off,
@@ -38,8 +44,8 @@ def main() -> int:
     args = parser.parse_args()
     sys.path.insert(0, str(Path(args.src).resolve()))
     import numakmeans
-    from numakmeans import (CacheSchedule, EngineConfig, RowStore, SyntheticSpec,
-                            gen_synthetic, kmeans, kmeans_ondisk, save_matrix)
+    from numakmeans import (EngineConfig, RowStore, SyntheticSpec, gen_synthetic, kmeans,
+                            kmeans_ondisk, save_matrix)
     from numakmeans.report import deterministic_view, format_report
 
     print(f"numakmeans from {numakmeans.__file__}", file=sys.stderr)
@@ -59,7 +65,7 @@ def main() -> int:
                     with RowStore(path, N, D) as store:
                         result = kmeans_ondisk(store, cfg, cache_enabled=mode == "sem-cache",
                                                cache_capacity=m.nbytes // 4,
-                                               schedule=CacheSchedule(1))
+                                               refresh_start=1)
                 config = {f.name: getattr(cfg, f.name) for f in fields(cfg)
                           if f.name != "initial_centroids"}
                 h = hashlib.sha1()
