@@ -37,10 +37,6 @@ class CentroidSet:
     def k(self) -> int:
         return self.means.shape[0]
 
-    @property
-    def d(self) -> int:
-        return self.means.shape[1]
-
     @classmethod
     def from_means(cls, means: np.ndarray) -> "CentroidSet":
         means = np.ascontiguousarray(means, dtype=np.float64)
@@ -198,25 +194,19 @@ def init_centroids(m: np.ndarray, k: int, method: str = "forgy", seed: int = 0,
     """
     m = check_matrix(m)
     n, d = m.shape
-
-    def block(lo, hi):
-        return m[lo:hi]
-
-    return init_from_rows(lambda ids: m[ids], lambda: block,
+    return init_from_rows(lambda ids: m[ids], lambda lo, hi: m[lo:hi],
                           n, d, k, method, seed, initial,
                           [range(n)] if ranges is None else ranges)
 
 
-def init_from_rows(take, reader, n: int, d: int, k: int, method: str, seed: int,
+def init_from_rows(take, block, n: int, d: int, k: int, method: str, seed: int,
                    initial: np.ndarray | None, ranges: list[range]) -> CentroidSet:
     """Seeded initial centroids from n rows of width d, wherever they live.
 
-    ``take(ids)`` returns the rows at ``ids`` in that order.  ``reader()``
-    returns a new ``block(lo, hi)``, which returns rows lo..hi-1 and may reuse
-    one buffer for them, so a block is valid only until its reader's next
-    call.
-    In-memory and on-disk runs share this one implementation, so both draw
-    exactly the same centroids.
+    ``take(ids)`` returns the rows at ``ids`` in that order and
+    ``block(lo, hi)`` rows lo..hi-1; any thread may call either, and their
+    results are only read.  In-memory and on-disk runs share this one
+    implementation, so both draw exactly the same centroids.
 
     forgy samples k distinct rows; random-partition splits a seeded
     permutation of the rows into k balanced groups and uses group means
@@ -226,10 +216,10 @@ def init_from_rows(take, reader, n: int, d: int, k: int, method: str, seed: int,
 
     kmeanspp's squared distances d2 to each centre but the last are computed
     on one thread per non-empty range of ``ranges``, the first on the calling
-    thread, each with its own reader and scratch, in blocks of
-    ``CHUNK_ELEMS // (2 * d)`` rows, so that a block and its scratch stay
-    within ``CHUNK_ELEMS`` elements; the ranges must cover rows 0..n-1 in
-    order, as ``partition_rows(n, T)`` does.  The first centre's pass runs the
+    thread, each with its own scratch, in blocks of ``CHUNK_ELEMS // (2 * d)``
+    rows, so that a block and its scratch stay within ``CHUNK_ELEMS``
+    elements; the ranges must cover rows 0..n-1 in order, as
+    ``partition_rows(n, T)`` does.  The first centre's pass runs the
     recipe on every row and keeps each row's sum for the
     :class:`~numakmeans.distance.SqDistanceFilter` of every later centre, which
     settles most rows by one matrix-vector product and sends the rest through
@@ -266,7 +256,7 @@ def init_from_rows(take, reader, n: int, d: int, k: int, method: str, seed: int,
         means = np.empty((k, d), dtype=np.float64)
         for j, g in enumerate(groups):
             if g.size == 0:
-                means[j] = reader()(0, n).mean(axis=0)
+                means[j] = block(0, n).mean(axis=0)
             else:
                 means[j] = take(np.sort(g)).mean(axis=0)
         return CentroidSet.from_means(means)
@@ -282,11 +272,10 @@ def init_from_rows(take, reader, n: int, d: int, k: int, method: str, seed: int,
     # q: the first pass's lowered sums; cdf: the draws' buffer.  One block,
     # so that it goes back to the system whole when init ends.
     d2, q, cdf = np.empty((3, n))
-    scratch = [(reader(), np.empty((min(step, len(r)), d)), np.empty(min(step, len(r))))
-               for r in ranges]
+    scratch = [(np.empty((min(step, len(r)), d)), np.empty(min(step, len(r)))) for r in ranges]
 
     def lower_d2(i: int, lower) -> None:
-        block, buf, tbuf = scratch[i]
+        buf, tbuf = scratch[i]
         for lo in range(ranges[i].start, ranges[i].stop, step):
             hi = min(lo + step, ranges[i].stop)
             lower(block(lo, hi), q[lo:hi], d2[lo:hi], buf[:hi - lo], tbuf[:hi - lo])

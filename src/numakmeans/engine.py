@@ -57,13 +57,7 @@ from .centroids import (
 )
 from .distance import nearest_block_into, single_thread_blas
 from .matrix import check_matrix, partition_rows
-from .pruning import (
-    PruneCounters,
-    PruneState,
-    centroid_geometry,
-    inflate_bounds,
-    scan_block,
-)
+from .pruning import PruneCounters, centroid_geometry, inflate_bounds, scan_block
 from .scheduler import POLICIES, PartitionedTaskQueue, bind_to_node, build_topology, split_tasks
 
 MODES = ("im", "sem")
@@ -217,15 +211,11 @@ class _Engine:
         self.k = self.centroids.k
         self.shift = self.centroids.means.mean(axis=0)
 
+        # per point: its centroid and, when pruning, an upper bound on its
+        # distance to it and whether that bound is the exact distance
         self.assignment = np.zeros(self.n, dtype=np.int32)
-        if cfg.pruning:
-            self.state = PruneState(
-                assignment=self.assignment,
-                upper=np.full(self.n, np.inf),
-                tight=np.zeros(self.n, dtype=bool),
-            )
-        else:
-            self.state = None
+        self.upper = np.full(self.n, np.inf) if cfg.pruning else None
+        self.tight = np.zeros(self.n, dtype=bool) if cfg.pruning else None
         self.totals = Accumulator.zeros(self.k, self.d)
         self.geometry = None
 
@@ -281,16 +271,16 @@ class _Engine:
             # so that equal assignments give bit-equal sums in either run
             acc.move_rows(ids[changed], old[changed], rows[changed], self.shift)
         old[:] = ids
-        if self.state is not None:
-            self.state.upper[lo:hi] = ndist
-            self.state.tight[lo:hi] = True
+        if self.upper is not None:
+            self.upper[lo:hi] = ndist
+            self.tight[lo:hi] = True
         return _TaskResult(acc, int(changed.size), PruneCounters(computed=(hi - lo) * self.k))
 
     def _task_pruned(self, task) -> _TaskResult:
         lo, hi = task.start, task.stop
         a = self.assignment[lo:hi]
-        u = self.state.upper[lo:hi]
-        tg = self.state.tight[lo:hi]
+        u = self.upper[lo:hi]
+        tg = self.tight[lo:hi]
         skip = u <= self.geometry.half_min[a]
         counters = PruneCounters(skips=int(skip.sum()))
         acc = Accumulator.zeros(self.k, self.d)
@@ -365,7 +355,7 @@ class _Engine:
 
         self.iter_t = t + 1
         if cfg.pruning:
-            inflate_bounds(self.state, new_centroids.drift)
+            inflate_bounds(self.upper, self.tight, self.assignment, new_centroids.drift)
             self.geometry = centroid_geometry(new_centroids)
         self.task_results = [None] * len(self.tasks)
         self.queue.refill(self.tasks)
@@ -375,7 +365,7 @@ class _Engine:
         total = self.source.state_bytes()
         total += self.assignment.nbytes + self.totals.state_bytes()
         if self.cfg.pruning:
-            total += self.state.upper.nbytes + self.state.tight.nbytes
+            total += self.upper.nbytes + self.tight.nbytes
             if self.geometry is not None:
                 total += self.geometry.state_bytes()
         total += self.centroids.state_bytes()

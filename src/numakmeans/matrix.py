@@ -4,8 +4,9 @@ The on-disk format is little-endian float64, row-major.  Files either carry a
 fixed 28-byte header (magic ``KNRM``, version, n, d, dtype code) or are raw
 headerless payloads whose shape must be supplied by the caller.  This module
 is the only one that knows the layout: :class:`RowStore` checks the shape and
-the payload length, and its ``read_rows`` is the one place where file bytes
-become rows, :func:`load_matrix`'s included.
+the payload length, its ``page_runs`` is the one place where rows map to
+pages, and its ``read_rows`` the one place where file bytes become rows,
+:func:`load_matrix`'s included.
 """
 
 from __future__ import annotations
@@ -190,6 +191,17 @@ class RowStore:
                 )
             got += part
         return buf
+
+    def page_runs(self, ids: np.ndarray) -> np.ndarray:
+        """Cuts of the coalesced page runs over ascending row ids: run r serves
+        ids[cuts[r]:cuts[r + 1]], and ids on the same or adjacent pages share a
+        run.  Empty ids give cuts [0]."""
+        ids = np.asarray(ids, dtype=np.int64)
+        first = ids * self.row_bytes // self.page_size
+        last = ((ids + 1) * self.row_bytes - 1) // self.page_size
+        opens = np.ones(ids.size, dtype=bool)
+        opens[1:] = first[1:] > last[:-1] + 1
+        return np.append(np.flatnonzero(opens), ids.size)
 
     def read_rows(self, lo: int, hi: int, buf: np.ndarray | None = None) -> tuple[np.ndarray, int]:
         """Rows lo..hi-1, checked finite, as a read-only view of the one page run

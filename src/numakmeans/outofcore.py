@@ -1,13 +1,14 @@
 """Out-of-core execution: disk-resident rows, page-granular I/O, row caching.
 
 Row data stays on disk and is read through :class:`numakmeans.matrix.RowStore`,
-which owns the file layout; only O(n) per-point state lives in memory.
-Reads happen at page granularity (4KB by default, any positive number of
-bytes), so fetching scattered rows pulls in more bytes than requested; the
-accounting here tracks both quantities.  Each coalesced run of pages is read
-and viewed as rows by one ``RowStore.read_rows`` call, so rows need not align
-with pages, and every row read from the file is checked finite each time it
-is read; rows served from the cache are not checked again.
+which owns the file layout, pages included; only O(n) per-point state lives
+in memory.  Reads happen at page granularity (4KB by default, any positive
+number of bytes), so fetching scattered rows pulls in more bytes than
+requested; the accounting here tracks both quantities.  ``RowStore.page_runs``
+groups the rows to fetch into coalesced page runs, and one
+``RowStore.read_rows`` call reads each run and views it as rows, so rows need
+not align with pages.  Every row read from the file is checked finite each
+time it is read; rows served from the cache are not checked again.
 A partitioned row cache pins active rows in memory at row granularity and is
 refreshed lazily on an exponential schedule, because rows that stay active
 tend to keep staying active.  The cache keeps one (ids, rows) slot per task:
@@ -28,18 +29,6 @@ from .matrix import RowStore
 
 DEFAULT_CACHE_BYTES = 64 * 1024 * 1024
 DEFAULT_REFRESH_START = 5
-
-
-def page_runs(ids: np.ndarray, row_bytes: int, page_size: int) -> np.ndarray:
-    """Cuts of the coalesced page runs over ascending row ids: run r serves
-    ids[cuts[r]:cuts[r + 1]], and ids on the same or adjacent pages share a
-    run.  Empty ids give cuts [0]."""
-    ids = np.asarray(ids, dtype=np.int64)
-    first = ids * row_bytes // page_size
-    last = ((ids + 1) * row_bytes - 1) // page_size
-    opens = np.ones(ids.size, dtype=bool)
-    opens[1:] = first[1:] > last[:-1] + 1
-    return np.append(np.flatnonzero(opens), ids.size)
 
 
 def fetch_rows(store: RowStore, ids: np.ndarray,
@@ -73,9 +62,6 @@ def fetch_rows(store: RowStore, ids: np.ndarray,
             stats.cache_hits += ids.size
         return cached[1]
     out = np.empty((ids.size, store.d), dtype=np.float64)
-    if ids.size == 0:
-        return out
-
     miss_ids = ids
     if cached is not None and cached[0].size:
         cached_ids, cached_rows = cached
@@ -93,7 +79,7 @@ def fetch_rows(store: RowStore, ids: np.ndarray,
     if miss_ids.size == 0:
         return out
 
-    cuts = page_runs(miss_ids, store.row_bytes, store.page_size)
+    cuts = store.page_runs(miss_ids)
     for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
         r0 = int(miss_ids[lo])
         view, nbytes = store.read_rows(r0, int(miss_ids[hi - 1]) + 1)
@@ -106,22 +92,6 @@ def fetch_rows(store: RowStore, ids: np.ndarray,
         else:
             out[miss_pos[lo:hi]] = view[miss_ids[lo:hi] - r0]
     return out
-
-
-def _range_reader(store: RowStore):
-    """A ``block(lo, hi)`` for one initialization thread:
-    :meth:`RowStore.read_rows` into one buffer that it keeps, replaced only by
-    a larger one when a block needs more."""
-    buf = np.empty(0, dtype=np.uint8)
-
-    def block(lo, hi):
-        nonlocal buf
-        need = (hi - lo) * store.row_bytes + 2 * store.page_size
-        if buf.size < need:
-            buf = np.empty(need, dtype=np.uint8)
-        return store.read_rows(lo, hi, buf)[0]
-
-    return block
 
 
 class RowCache:
@@ -240,15 +210,15 @@ class _DiskSource:
 def _init_from_store(store: RowStore, cfg: EngineConfig, ranges: list[range]) -> CentroidSet:
     """Seeded initialization from disk; the draws are the in-memory path's.
 
-    A block of rows is read once, into its thread's buffer, and used as a
-    view of the page run that holds it.
+    Each block of rows is read once, into an array of its own, and used as
+    a read-only view of the page run that holds it.
     """
 
     def take(ids):
         unique, inverse = np.unique(ids, return_inverse=True)
         return fetch_rows(store, unique)[inverse]
 
-    return init_from_rows(take, lambda: _range_reader(store),
+    return init_from_rows(take, lambda lo, hi: store.read_rows(lo, hi)[0],
                           store.n, store.d, cfg.k, cfg.init, cfg.seed,
                           cfg.initial_centroids, ranges)
 

@@ -109,15 +109,6 @@ def centroid_geometry(c: CentroidSet) -> CentroidGeometry:
 
 
 @dataclass
-class PruneState:
-    """Per-point assignment, distance upper bound, and bound tightness."""
-
-    assignment: np.ndarray  # (n,) int32
-    upper: np.ndarray       # (n,) float64, >= distance to assigned centroid
-    tight: np.ndarray       # (n,) bool, True when upper is the exact distance
-
-
-@dataclass
 class PruneCounters:
     """Work avoided (or spent) during one scan.
 
@@ -138,23 +129,25 @@ class PruneCounters:
         self.computed += other.computed
 
 
-def inflate_bounds(st: PruneState, drift: np.ndarray) -> None:
-    """Loosen every bound by its centroid's drift after a centroid update.
+def inflate_bounds(upper: np.ndarray, tight: np.ndarray, assign: np.ndarray,
+                   drift: np.ndarray) -> None:
+    """Loosen every bound ``upper[i]`` by the drift of its centroid
+    ``assign[i]`` after a centroid update, in place.
 
     A grown bound is taken one ulp up (times 1 + eps, at least one ulp above
     a normal sum rounded to nearest), so it is never under the exact sum.  A
     bound stays tight only if it was tight before and its centroid did not
     move; a zero drift must never resurrect a bound that was already stale.
     """
-    moved = drift[st.assignment]
-    st.upper += moved
-    np.logical_and(st.tight, moved == 0.0, out=st.tight)
+    moved = drift[assign]
+    upper += moved
+    np.logical_and(tight, moved == 0.0, out=tight)
     # moved becomes the factor, 1 + eps where the bound grew and 1 elsewhere:
     # in its own buffer this is faster than a masked multiply or a new array
     np.greater(moved, 0.0, out=moved)
     moved *= np.finfo(np.float64).eps
     moved += 1.0
-    st.upper *= moved
+    upper *= moved
 
 
 def scan_block(rows: np.ndarray, c: CentroidSet, geo: CentroidGeometry,

@@ -113,7 +113,7 @@ def check_prune_state(eng) -> None:
             )
         true_d = dmat[np.arange(hi - lo), eng.assignment[lo:hi]]
         slack = 1e-9 * np.maximum(1.0, true_d)
-        if np.any(eng.state.upper[lo:hi] + slack < true_d):
+        if np.any(eng.upper[lo:hi] + slack < true_d):
             raise AssertionError(f"iteration {t}: upper bound below true distance")
 
 

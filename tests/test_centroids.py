@@ -113,14 +113,16 @@ def test_kmeanspp_centres_are_equal_for_every_split(tmp_path, case):
     want = reference_kmeanspp(m, k, seed=17)
     path = tmp_path / "m.raw"
     save_matrix(m, path, raw=True)
-    with RowStore(path, n, d) as store:
+    # 100-byte pages hold no whole number of rows: on-disk blocks and rows
+    # start and end mid-page
+    with RowStore(path, n, d) as store, RowStore(path, n, d, page_size=100) as small:
         for T in (1, 2, 3, 5):
             ranges = partition_rows(n, T)
             cfg = EngineConfig(k=k, init="kmeanspp", seed=17, T=T)
             im = init_centroids(m, k, "kmeanspp", seed=17, ranges=ranges)
-            sem = _init_from_store(store, cfg, ranges)
+            sem = [_init_from_store(s, cfg, ranges) for s in (store, small)]
             engine = _Engine(_MemorySource(m), cfg).centroids
-            for got in (im, sem, engine):
+            for got in (im, *sem, engine):
                 assert np.array_equal(got.means, want), (case, T)
         assert np.array_equal(init_centroids(m, k, "kmeanspp", seed=17).means, want)
 

@@ -1,3 +1,4 @@
+import re
 import threading
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from numakmeans import distance, engine
 from numakmeans.engine import EngineConfig, kmeans
-from numakmeans.matrix import SyntheticSpec, gen_synthetic, save_matrix
+from numakmeans.matrix import MatrixFormatError, SyntheticSpec, gen_synthetic, save_matrix
 from numakmeans.outofcore import RowStore, kmeans_ondisk
 
 from conftest import naive_assign_all, naive_lloyd, run_with_history
@@ -187,6 +188,27 @@ def test_config_validation_errors(rng):
         kmeans(m, EngineConfig(k=2, mode="sem"))
     with pytest.raises(ValueError, match="k <= n"):
         kmeans(m, EngineConfig(k=11, init="forgy"))
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("T", 0, "T must be >= 1"),
+    ("N", -1, "N must be >= 0"),
+    ("tolerance", -1, "tolerance must be >= 0"),
+    ("mode", "bogus", "unknown mode 'bogus'"),
+])
+def test_config_validate_rejects_each_bad_field(field, value, message):
+    with pytest.raises(ValueError) as excinfo:
+        EngineConfig(k=2, **{field: value}).validate()
+    assert excinfo.type is ValueError and str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("m,message", [
+    (np.ones(4), "expected a 2-D matrix, got ndim=1"),
+    (np.ones((0, 3)), "matrix must be at least 1x1, got 0x3"),
+])
+def test_kmeans_rejects_a_1d_or_empty_matrix(m, message):
+    with pytest.raises(MatrixFormatError, match=f"^{re.escape(message)}$"):
+        kmeans(m, EngineConfig(k=1))
 
 
 def test_given_centroids_of_the_wrong_shape_raise(rng):

@@ -13,6 +13,7 @@ from numakmeans.matrix import (
     SyntheticSpec,
     gen_synthetic,
     load_matrix,
+    parse_header,
     partition_rows,
     save_matrix,
 )
@@ -92,6 +93,18 @@ def test_load_bad_magic(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(MatrixFormatError, match="magic"):
         load_matrix(path)
+
+
+@pytest.mark.parametrize("blob,message", [
+    (struct.pack("<4sIQQI", b"KNRM", 1, 2, 2, 0)[:27],
+     "file too short for header (expected >= 28 bytes, got 27)"),
+    (struct.pack("<4sIQQI", b"KNRM", 2, 2, 2, 0), "unsupported format version 2"),
+    (struct.pack("<4sIQQI", b"KNRM", 1, 2, 2, 1), "unknown dtype code 1"),
+])
+def test_parse_header_rejects_short_version_and_dtype(blob, message):
+    with pytest.raises(MatrixFormatError) as excinfo:
+        parse_header("m.knrm", blob)
+    assert str(excinfo.value) == f"m.knrm: {message}"
 
 
 def test_load_detects_non_finite_with_row(tmp_path):

@@ -1,5 +1,6 @@
 import importlib.util
 import tracemalloc
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,6 @@ from numakmeans.outofcore import kmeans_ondisk
 from numakmeans.pruning import (
     CentroidGeometry,
     PruneCounters,
-    PruneState,
     centroid_geometry,
     inflate_bounds,
     scan_block,
@@ -22,9 +22,18 @@ from numakmeans.pruning import (
 from conftest import naive_distance, naive_lloyd, run_with_history
 
 
-# Scalar reference for the vectorized scan_block: one point at a time.  It
-# takes its half distances from the means, not from the geometry under test,
-# and lowers them by the rounding margin itself.
+# Scalar reference for the vectorized scan_block: one point at a time, over
+# its own per-point state.  It takes its half distances from the means, not
+# from the geometry under test, and lowers them by the rounding margin itself.
+@dataclass
+class PointState:
+    """Per-point assignment, distance upper bound, and bound tightness."""
+
+    assignment: np.ndarray  # (n,) int32
+    upper: np.ndarray       # (n,) float64, >= distance to assigned centroid
+    tight: np.ndarray       # (n,) bool, True when upper is the exact distance
+
+
 def half_distances(means: np.ndarray) -> np.ndarray:
     """Half the centroid-to-centroid distances, by the package's recipe,
     lowered by the margin (d + 6) eps relative and 2^-500 absolute."""
@@ -33,12 +42,12 @@ def half_distances(means: np.ndarray) -> np.ndarray:
     return half * (1.0 - (d + 6) * np.finfo(np.float64).eps) - 2.0 ** -500
 
 
-def can_skip_point(i: int, st: PruneState, geo: CentroidGeometry) -> bool:
+def can_skip_point(i: int, st: PointState, geo: CentroidGeometry) -> bool:
     """True when point i provably stays in its cluster this iteration."""
     return bool(st.upper[i] <= geo.half_min[st.assignment[i]])
 
 
-def tighten_bound(i: int, v: np.ndarray, c: CentroidSet, st: PruneState) -> float:
+def tighten_bound(i: int, v: np.ndarray, c: CentroidSet, st: PointState) -> float:
     """Make the bound exact for point i; no-op (and no distance) while tight."""
     if not st.tight[i]:
         st.upper[i] = rowwise_distances(v[None, :], c.means[st.assignment[i]])[0]
@@ -47,7 +56,7 @@ def tighten_bound(i: int, v: np.ndarray, c: CentroidSet, st: PruneState) -> floa
 
 
 def scan_point(i: int, v: np.ndarray, c: CentroidSet, half: np.ndarray,
-               st: PruneState) -> tuple[int, PruneCounters]:
+               st: PointState) -> tuple[int, PruneCounters]:
     """Reassign point i after it failed the point-skip test.
 
     Tightens the bound once, then visits candidates in ascending id order,
@@ -93,7 +102,7 @@ def geometry_of(means):
 def test_geometry_single_centroid_never_blocks_skip():
     geo = geometry_of([[5.0]])
     assert geo.half_min[0] == np.inf
-    st = PruneState(
+    st = PointState(
         assignment=np.zeros(1, dtype=np.int32),
         upper=np.array([123.0]),
         tight=np.array([True]),
@@ -138,7 +147,7 @@ def test_geometry_matches_brute_force(rng):
 def test_skip_test_is_inclusive():
     geo = geometry_of([[0.0], [4.0]])
     assert geo.half_min[0] < 2.0
-    st = PruneState(
+    st = PointState(
         assignment=np.zeros(3, dtype=np.int32),
         upper=np.array([1.0, geo.half_min[0], 2.0]),
         tight=np.array([True, True, True]),
@@ -151,7 +160,7 @@ def test_skip_test_is_inclusive():
 def test_tighten_idempotent_and_exact(rng):
     c = CentroidSet.from_means(rng.normal(size=(3, 4)))
     v = rng.normal(size=4)
-    st = PruneState(
+    st = PointState(
         assignment=np.array([2], dtype=np.int32),
         upper=np.array([naive_distance(v, c.means[2]) + 0.5]),
         tight=np.array([False]),
@@ -167,7 +176,7 @@ def test_scan_point_on_its_centroid_prunes_everything(rng):
     means = rng.normal(size=(5, 3))
     c = CentroidSet.from_means(means)
     v = means[2].copy()
-    st = PruneState(
+    st = PointState(
         assignment=np.array([2], dtype=np.int32),
         upper=np.array([0.0]),
         tight=np.array([True]),
@@ -180,7 +189,7 @@ def test_scan_point_on_its_centroid_prunes_everything(rng):
 
 def test_scan_point_hand_trace():
     c = CentroidSet.from_means(np.array([[0.0], [6.0], [100.0]]))
-    st = PruneState(
+    st = PointState(
         assignment=np.array([0], dtype=np.int32),
         upper=np.array([5.0]),
         tight=np.array([False]),
@@ -226,7 +235,7 @@ def assert_scan_matches_scalar(rows, means, assign, upper, tight):
     c = CentroidSet.from_means(means)
     half = half_distances(c.means)
     want_counters = one_pass_counters(rows, c, half, assign, upper, tight)
-    st = PruneState(assignment=assign.copy(), upper=upper.copy(), tight=tight.copy())
+    st = PointState(assignment=assign.copy(), upper=upper.copy(), tight=tight.copy())
     for i in range(len(rows)):
         scan_point(i, rows[i], c, half, st)
 
@@ -462,38 +471,28 @@ def test_scan_block_scratch_follows_the_window(rng):
 
 
 def test_inflate_by_drift():
-    st = PruneState(
-        assignment=np.array([0, 1], dtype=np.int32),
-        upper=np.array([1.0, 2.0]),
-        tight=np.array([True, True]),
-    )
-    inflate_bounds(st, np.array([0.3, 0.0]))
+    upper = np.array([1.0, 2.0])
+    tight = np.array([True, True])
+    inflate_bounds(upper, tight, np.array([0, 1], dtype=np.int32), np.array([0.3, 0.0]))
     # a grown bound is the sum one ulp up; a bound that did not grow is exact
-    assert st.upper.tolist() == [np.nextafter(1.0 + 0.3, np.inf), 2.0]
-    assert st.tight.tolist() == [False, True]
+    assert upper.tolist() == [np.nextafter(1.0 + 0.3, np.inf), 2.0]
+    assert tight.tolist() == [False, True]
 
 
 def test_inflate_zero_drift_is_fixed_point():
-    st = PruneState(
-        assignment=np.array([0, 0], dtype=np.int32),
-        upper=np.array([1.0, 2.0]),
-        tight=np.array([True, True]),
-    )
-    inflate_bounds(st, np.zeros(1))
-    assert st.upper.tolist() == [1.0, 2.0]
-    assert st.tight.all()
+    upper = np.array([1.0, 2.0])
+    tight = np.array([True, True])
+    inflate_bounds(upper, tight, np.zeros(2, dtype=np.int32), np.zeros(1))
+    assert upper.tolist() == [1.0, 2.0]
+    assert tight.all()
 
 
 def test_inflate_never_resurrects_stale_bounds():
     # A bound loosened earlier must stay non-tight even when this round's
     # drift is zero; treating it as exact would permit wrong reassignments.
-    st = PruneState(
-        assignment=np.array([0], dtype=np.int32),
-        upper=np.array([5.0]),
-        tight=np.array([False]),
-    )
-    inflate_bounds(st, np.zeros(1))
-    assert not st.tight[0]
+    tight = np.array([False])
+    inflate_bounds(np.array([5.0]), tight, np.zeros(1, dtype=np.int32), np.zeros(1))
+    assert not tight[0]
 
 
 def test_inflated_bounds_remain_valid_after_move(rng):
@@ -505,14 +504,14 @@ def test_inflated_bounds_remain_valid_after_move(rng):
     from numakmeans.distance import nearest_centroid
 
     ids, dist = nearest_centroid(rows, c.means)
-    st = PruneState(assignment=ids, upper=dist.copy(), tight=np.ones(n, dtype=bool))
+    upper = dist.copy()
     moved = means + rng.normal(size=(k, d)) * 0.1
     drift = np.array([naive_distance(moved[j], means[j]) for j in range(k)])
     c_next = CentroidSet(means=moved, prev_means=means, counts=c.counts, drift=drift)
-    inflate_bounds(st, c_next.drift)
+    inflate_bounds(upper, np.ones(n, dtype=bool), ids, c_next.drift)
     for i in range(n):
-        true_d = naive_distance(rows[i], moved[st.assignment[i]])
-        assert st.upper[i] >= true_d - 1e-9
+        true_d = naive_distance(rows[i], moved[ids[i]])
+        assert upper[i] >= true_d - 1e-9
 
 
 def run_pair(m, k, seed, T=2, max_iters=40):

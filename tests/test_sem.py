@@ -1,3 +1,4 @@
+import re
 import threading
 import tracemalloc
 from dataclasses import fields
@@ -14,7 +15,6 @@ from numakmeans.outofcore import (
     _init_from_store,
     fetch_rows,
     kmeans_ondisk,
-    page_runs,
     should_refresh,
 )
 
@@ -79,14 +79,13 @@ def test_full_page_of_rows_reads_once(store_8):
 def test_adjacent_pages_coalesce(store_8):
     store, _ = store_8
     # rows 0 and 64 live on pages 0 and 1: one two-page run
-    assert page_runs(np.array([0, 64]), store.row_bytes, store.page_size).tolist() == [0, 2]
+    assert store.page_runs(np.array([0, 64])).tolist() == [0, 2]
     # rows 0 and 128 live on pages 0 and 2: two runs
-    assert page_runs(np.array([0, 128]), store.row_bytes, store.page_size).tolist() == [0, 1, 2]
+    assert store.page_runs(np.array([0, 128])).tolist() == [0, 1, 2]
     # rows on one page share its run; a gap of one page opens a new run
     ids = np.array([0, 5, 63, 64, 200, 255, 400])
-    assert page_runs(ids, store.row_bytes, store.page_size).tolist() == [0, 4, 6, 7]
-    assert page_runs(np.array([], dtype=np.int64), store.row_bytes,
-                     store.page_size).tolist() == [0]
+    assert store.page_runs(ids).tolist() == [0, 4, 6, 7]
+    assert store.page_runs(np.array([], dtype=np.int64)).tolist() == [0]
 
 
 def test_row_straddling_pages_counts_both(tmp_path):
@@ -157,6 +156,24 @@ def test_store_rejects_wrong_length(tmp_path):
         RowStore(path, 4, 4)
 
 
+@pytest.mark.parametrize("n,page_size,error,message", [
+    (4, 0, ValueError, "page_size must be >= 1"),
+    (0, 4096, MatrixFormatError, "matrix must be at least 1x1, got 0x4"),
+])
+def test_store_rejects_no_rows_and_pages_below_one_byte(tmp_path, n, page_size, error, message):
+    path = tmp_path / "w.raw"
+    path.write_bytes(b"\x00" * 128)
+    with pytest.raises(ValueError) as excinfo:
+        RowStore(path, n, 4, page_size=page_size)
+    assert excinfo.type is error and str(excinfo.value) == message
+
+
+def test_read_pages_rejects_a_buffer_too_small_for_the_run(store_8):
+    store, _ = store_8
+    with pytest.raises(ValueError, match="^buffer of 4095 bytes cannot hold 8192$"):
+        store.read_pages(3, 2, np.empty(4095, dtype=np.uint8))
+
+
 def test_store_open_header_file(tmp_path):
     m = gen_synthetic(SyntheticSpec("uniform", 100, 4, seed=9))
     path = tmp_path / "h.knrm"
@@ -199,6 +216,16 @@ def test_refresh_start_below_one_is_rejected(store_8):
     store, _ = store_8
     with pytest.raises(ValueError, match="refresh_start"):
         kmeans_ondisk(store, EngineConfig(k=2, mode="sem"), refresh_start=0)
+
+
+@pytest.mark.parametrize("mode,options,message", [
+    ("im", {}, "kmeans_ondisk() runs in sem mode; set cfg.mode='sem'"),
+    ("sem", {"cache_capacity": -1}, "capacity must be >= 0"),
+])
+def test_kmeans_ondisk_rejects_im_mode_and_a_negative_capacity(store_8, mode, options, message):
+    store, _ = store_8
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        kmeans_ondisk(store, EngineConfig(k=2, mode=mode), **options)
 
 
 def _published(cache):
