@@ -16,16 +16,21 @@ a task covers the same rows every iteration, so it searches only its own
 slot, and a refresh replaces each slot with that task's own fetch, made
 read-only.  In the steady state a task's survivors are its slot's ids, and
 the fetch returns the slot's rows themselves; other fetches copy their
-hits out of the slot.
+hits out of the slot.  Before the first refresh the slots hold the rows
+that initialization pinned: each partition's lowest rows up to its share,
+read once, which kmeans++ reads in place rather than from disk.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 import numpy as np
 
 from .centroids import CentroidSet, init_from_rows
 from .engine import EngineConfig, IoDelta, KmeansResult, _Engine
 from .matrix import RowStore
+from .scheduler import split_tasks
 
 DEFAULT_CACHE_BYTES = 64 * 1024 * 1024
 DEFAULT_REFRESH_START = 5
@@ -121,19 +126,28 @@ class RowCache:
     def cached_bytes(self) -> int:
         return sum(ids.size for ids, _ in self.slots.values()) * self.row_bytes
 
+    def admit(self, sizes: list[tuple[int, int]]) -> list[int]:
+        """Rows kept of each (partition, size) block, taken in order: each
+        partition keeps rows until it holds ``rows_per_partition``."""
+        room = [self.rows_per_partition] * self.n_partitions
+        kept = []
+        for part, size in sizes:
+            kept.append(min(size, room[part]))
+            room[part] -= kept[-1]
+        return kept
+
     def rebuild(self, owners: dict[int, int]) -> None:
         """Keep the slots of ``owners`` (task index -> partition), drop the rest.
 
-        In task order, i.e. ascending ids, each partition keeps rows until it
-        holds ``rows_per_partition``; a slot cut short keeps a read-only copy
-        of its head.
+        In task order, i.e. ascending ids, each partition keeps rows as
+        :meth:`admit` says; a slot cut short keeps a read-only copy of its
+        head.
         """
-        room = [self.rows_per_partition] * self.n_partitions
+        order = sorted(owners)
+        kept = self.admit([(owners[i], self.slots[i][0].size) for i in order])
         slots = {}
-        for index in sorted(owners):
+        for index, keep in zip(order, kept):
             ids, rows = self.slots[index]
-            keep = min(ids.size, room[owners[index]])
-            room[owners[index]] -= keep
             if keep == ids.size:
                 slots[index] = ids, rows
             elif keep:
@@ -202,24 +216,54 @@ class _DiskSource:
         return 0
 
     def init_centroids(self, cfg: EngineConfig, ranges: list[range]) -> CentroidSet:
-        # Initialization fetches pass no counter: their reads are setup cost
+        # Initialization reads pass no counter: their reads are setup cost
         # and stay out of the per-iteration I/O report and the run totals.
-        return _init_from_store(self.store, cfg, ranges)
+        if self.cache is None:
+            return _init_from_store(self.store, cfg, ranges)
+        # Read once the rows the cache would admit from a fetch of every row:
+        # each task's admitted head, in one read-only array of its own, is
+        # the task's slot until its fetch in the first refresh replaces it.
+        tasks = split_tasks(ranges, cfg.task_size)
+        kept = self.cache.admit([(task.owner, task.stop - task.start) for task in tasks])
+        for task, keep in zip(tasks, kept):
+            if keep:
+                stop = task.start + keep
+                self.cache.slots[task.index] = (np.arange(task.start, stop, dtype=np.int64),
+                                                self.store.read_rows(task.start, stop)[0])
+        return _init_from_store(self.store, cfg, ranges, list(self.cache.slots.values()))
 
 
-def _init_from_store(store: RowStore, cfg: EngineConfig, ranges: list[range]) -> CentroidSet:
+def _init_from_store(store: RowStore, cfg: EngineConfig, ranges: list[range],
+                     pinned: list[tuple[np.ndarray, np.ndarray]] = ()) -> CentroidSet:
     """Seeded initialization from disk; the draws are the in-memory path's.
 
-    Each block of rows is read once, into an array of its own, and used as
-    a read-only view of the page run that holds it.
+    ``pinned`` holds (ids, rows) blocks of consecutive rows already in
+    memory, in ascending id order.  A block of rows is a view into the
+    pinned block that holds it, put together from several when it spans
+    them, and only its rows outside every pinned block are read from disk,
+    each run of them into an array of its own.
     """
+    starts = [int(ids[0]) for ids, _ in pinned]
+    stops = [int(ids[-1]) + 1 for ids, _ in pinned]
+
+    def block(lo, hi):
+        parts = []
+        while lo < hi:
+            i = bisect_right(starts, lo) - 1
+            if i >= 0 and lo < stops[i]:
+                stop = min(hi, stops[i])
+                parts.append(pinned[i][1][lo - starts[i]:stop - starts[i]])
+            else:
+                stop = min(hi, starts[i + 1]) if i + 1 < len(starts) else hi
+                parts.append(store.read_rows(lo, stop)[0])
+            lo = stop
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def take(ids):
         unique, inverse = np.unique(ids, return_inverse=True)
         return fetch_rows(store, unique)[inverse]
 
-    return init_from_rows(take, lambda lo, hi: store.read_rows(lo, hi)[0],
-                          store.n, store.d, cfg.k, cfg.init, cfg.seed,
+    return init_from_rows(take, block, store.n, store.d, cfg.k, cfg.init, cfg.seed,
                           cfg.initial_centroids, ranges)
 
 
@@ -231,7 +275,8 @@ def kmeans_ondisk(store: RowStore, cfg: EngineConfig, *,
 
     Produces exactly the same per-iteration assignments as the in-memory
     engine on the same configuration; with pruning enabled, rows skipped by
-    the point-skip test are never read.  The row cache, when enabled, is
+    the point-skip test are never read.  The row cache, when enabled, starts
+    with the rows initialization read (up to ``cache_capacity`` bytes) and is
     refreshed at the iterations where ``should_refresh(t, refresh_start)``.
     """
     if cfg.mode != "sem":

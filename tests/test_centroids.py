@@ -10,6 +10,7 @@ from numakmeans.centroids import (
     _draw,
     finalize_centroids,
     init_centroids,
+    init_from_rows,
     merge_accumulators,
 )
 from numakmeans.distance import CHUNK_ELEMS, block_distances, rowwise_distances
@@ -207,6 +208,23 @@ def test_given_validates_shape_and_finiteness(rng):
     assert (c.drift == 0).all()
     assert (c.counts == 0).all()
     assert np.array_equal(c.means, c.prev_means)
+
+
+def test_from_means_rejects_an_array_that_is_not_2d():
+    with pytest.raises(ValueError, match=r"centroid means must be a \(k, d\) array"):
+        CentroidSet.from_means(np.ones(3))
+
+
+@pytest.mark.parametrize("method, k, message", [
+    ("bogus", 2, "unknown init method 'bogus'"),
+    ("forgy", 0, "k must be >= 1"),
+    ("given", 2, "init method 'given' requires initial centroids"),
+])
+def test_init_from_rows_rejects_its_arguments(method, k, message):
+    m = np.arange(20.0).reshape(10, 2)
+    with pytest.raises(ValueError, match=message):
+        init_from_rows(lambda ids: m[ids], lambda lo, hi: m[lo:hi], 10, 2, k, method, 0,
+                       None, [range(10)])
 
 
 def test_merge_single_unchanged(rng):

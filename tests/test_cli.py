@@ -129,6 +129,17 @@ def test_init_centroids_without_init_given_fail_cleanly(tmp_path, dataset, capsy
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, dest", [("-N", "N"), ("--tolerance", "tolerance"),
+                                        ("--cache-capacity", "cache_capacity")])
+def test_train_takes_zero_and_rejects_a_negative_count(dataset, capsys, flag, dest):
+    args = build_parser().parse_args(["train", "--data", "x", "--k", "3", flag, "0"])
+    assert getattr(args, dest) == 0
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["train", "--data", str(dataset), "--k", "4", flag, "-1"])
+    assert exc.value.code == 2  # argparse usage error
+    assert "must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_cache_flag_rejected_in_memory_mode(dataset):
     with pytest.raises(SystemExit):
         run_cli(["train", "--data", str(dataset), "--k", "4", "--mode", "im", "--cache"])

@@ -192,6 +192,17 @@ def test_partition_more_threads_than_rows():
     assert [len(p) for p in parts] == [1, 1, 1, 0]
 
 
+@pytest.mark.parametrize("family, n, d, k_true, message", [
+    ("cubes", 10, 2, 1, "unknown family 'cubes'"),
+    ("uniform", 0, 2, 1, "n and d must be >= 1"),
+    ("uniform", 10, 0, 1, "n and d must be >= 1"),
+    ("gaussian-mixture", 10, 2, 0, "k_true must be >= 1 for gaussian-mixture"),
+])
+def test_synthetic_spec_rejects_its_fields(family, n, d, k_true, message):
+    with pytest.raises(ValueError, match=message):
+        SyntheticSpec(family, n, d, seed=1, k_true=k_true)
+
+
 def test_partition_rejects_zero():
     with pytest.raises(ValueError):
         partition_rows(10, 0)

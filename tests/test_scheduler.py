@@ -48,6 +48,15 @@ def test_topology_detection_fallback(monkeypatch):
     assert build_topology(3) == (0, 0, 0)
 
 
+@pytest.mark.parametrize("T, N, message", [
+    (0, None, "need at least one worker"),
+    (2, 0, "node override must be >= 1"),
+])
+def test_topology_rejects_no_workers_and_no_nodes(T, N, message):
+    with pytest.raises(ValueError, match=message):
+        build_topology(T, N)
+
+
 def test_worker_nodes_blocks_and_rejects_bad_counts():
     assert worker_nodes(4, 2) == [0, 0, 1, 1]
     with pytest.raises(ValueError):

@@ -1,14 +1,22 @@
 import re
 import threading
 import tracemalloc
+import weakref
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from numakmeans.engine import EngineConfig, IoDelta, kmeans
-from numakmeans.matrix import MatrixFormatError, SyntheticSpec, gen_synthetic, save_matrix
+from numakmeans.matrix import (
+    MatrixFormatError,
+    SyntheticSpec,
+    gen_synthetic,
+    partition_rows,
+    save_matrix,
+)
 from numakmeans.outofcore import (
+    DEFAULT_CACHE_BYTES,
     RowCache,
     RowStore,
     _DiskSource,
@@ -235,6 +243,15 @@ def _published(cache):
     rows = np.concatenate([cache.slots[i][1] for i in order]
                           + [np.empty((0, cache.row_bytes // 8))])
     return ids, rows
+
+
+@pytest.mark.parametrize("partitions, capacity, message", [
+    (0, 1024, "need at least one partition"),
+    (2, -1, "capacity must be >= 0"),
+])
+def test_row_cache_rejects_no_partitions_and_a_negative_capacity(partitions, capacity, message):
+    with pytest.raises(ValueError, match=message):
+        RowCache(partitions, capacity, 64)
 
 
 def test_cache_rebuild_truncates_by_ascending_id(rng):
@@ -465,12 +482,16 @@ def test_kmeanspp_error_names_the_lowest_bad_row_and_joins_its_threads(tmp_path)
     path = tmp_path / "bad.raw"
     m.tofile(path)
     cfg = EngineConfig(k=3, init="kmeanspp", seed=1, T=2, mode="sem")
+    # cache off; on at the default capacity, which pins every row; and on
+    # with 750 rows a partition, which pins rows 0..749 and 1500..2249
+    options = [dict(cache_enabled=False), {}, dict(cache_capacity=2 * 750 * 4 * 8)]
     before = threading.active_count()
-    for _ in range(20):
-        with RowStore(path, 3000, 4) as store:
-            with pytest.raises(MatrixFormatError, match="non-finite value in row 700$"):
-                kmeans_ondisk(store, cfg, cache_enabled=False)
-        assert threading.active_count() == before
+    for kw in options:
+        for _ in range(20):
+            with RowStore(path, 3000, 4) as store:
+                with pytest.raises(MatrixFormatError, match="non-finite value in row 700$"):
+                    kmeans_ondisk(store, cfg, **kw)
+            assert threading.active_count() == before
 
 
 class ShortInSecondHalf(RowStore):
@@ -703,9 +724,102 @@ def test_cache_hits_accumulate_after_refresh(tmp_path):
     assert hits / max(1, hits + misses) > 0.5
 
 
+@pytest.mark.parametrize("d, T, task_size, share", [
+    (16, 1, 8192, 2),
+    (16, 2, 8192, 2),
+    (16, 3, 8192, 2),
+    (24, 2, 8192, 2),   # kmeans++ blocks of 5461 rows cross the pinned edge
+    (24, 3, 8192, 3),
+    (16, 2, 5000, 1),   # the file fits; blocks of 8192 rows span tasks of 5000
+    (16, 3, 5000, 3),
+])
+def test_pinned_rows_give_the_in_memory_results(tmp_path, monkeypatch, d, T, task_size, share):
+    n = 20000
+    spec = SyntheticSpec("gaussian-mixture", n, d, seed=41, k_true=16, separation=3.0)
+    m = gen_synthetic(spec)
+    path = tmp_path / "m.raw"
+    save_matrix(m, path, raw=True)
+    capacity = n * d * 8 // share
+    cfg = dict(k=16, init="kmeanspp", seed=5, T=T, max_iters=12, task_size=task_size)
+    im, im_hist = run_with_history(kmeans, m, EngineConfig(**cfg))
+    pinned = []  # the cache slots as init leaves them
+    init = _DiskSource.init_centroids
+
+    def spy(self, cfg, ranges):
+        centroids = init(self, cfg, ranges)
+        pinned.append(dict(self.cache.slots))
+        return centroids
+
+    monkeypatch.setattr(_DiskSource, "init_centroids", spy)
+    with RowStore(path, n, d) as store:
+        sem, sem_hist = run_with_history(kmeans_ondisk, store,
+                                         EngineConfig(mode="sem", **cfg),
+                                         cache_capacity=capacity)
+    assert sem.n_iterations == im.n_iterations > 5
+    for a, b in zip(sem_hist, im_hist):
+        assert np.array_equal(a, b)
+    assert np.array_equal(sem.centroids.means, im.centroids.means)
+
+    # each partition's lowest rows up to its share, one array per task
+    (slots,) = pinned
+    per_part = capacity // T // (d * 8)
+    want = np.concatenate([np.arange(r.start, r.start + min(len(r), per_part))
+                           for r in partition_rows(n, T)])
+    assert np.array_equal(np.concatenate([ids for ids, _ in slots.values()]), want)
+    assert (want.size == n) == (share == 1)
+    for ids, rows in slots.values():
+        assert np.array_equal(rows, m[ids]) and not rows.flags.writeable
+    # slots the pins fill serve iteration 0 without a read
+    assert sem.iterations[0].io.cache_hits == want.size
+
+
+def test_init_reads_a_fitting_file_once_and_iteration_0_reads_nothing(tmp_path, monkeypatch):
+    n, d, k, T = 20000, 16, 16, 2
+    spec = SyntheticSpec("gaussian-mixture", n, d, seed=41, k_true=16, separation=3.0)
+    m = gen_synthetic(spec)
+    path = tmp_path / "m.raw"
+    save_matrix(m, path, raw=True)
+    cfg = EngineConfig(k=k, init="kmeanspp", seed=3, T=T, max_iters=12, mode="sem")
+    read = []
+    read_pages = RowStore.read_pages
+
+    def counting(self, first_page, n_pages, out=None):
+        blob = read_pages(self, first_page, n_pages, out)
+        read.append(blob.size)
+        return blob
+
+    monkeypatch.setattr(RowStore, "read_pages", counting)
+    payload = n * d * 8
+    ranges = partition_rows(n, T)
+    with RowStore(path, n, d) as store:
+        for cache_enabled, capacity, pins in ((True, DEFAULT_CACHE_BYTES, n),
+                                              (True, 0, 0), (False, DEFAULT_CACHE_BYTES, 0)):
+            read.clear()
+            source = _DiskSource(store, T, cache_enabled, capacity, 5)
+            source.init_centroids(cfg, ranges)
+            held = 0 if source.cache is None else source.cache.cached_bytes()
+            assert held == pins * d * 8
+            if pins:
+                # the pinned rows once, with at most a page more at either
+                # end of each of the 4 tasks, and a page for each of the
+                # k - 1 centres taken during the draws and the k taken at the end
+                assert payload <= sum(read) <= payload + (2 * 4 + 2 * k - 1) * store.page_size
+            else:
+                # the first pass and the filter's k - 2 later ones read every row
+                assert sum(read) >= (k - 1) * payload
+        res = kmeans_ondisk(store, cfg)
+    assert res.n_iterations > 5
+    first = res.iterations[0].io
+    assert (first.bytes_read, first.cache_hits, first.cache_misses) == (0, n, 0)
+    # until the first refresh, every survivor is copied out of its pinned slot
+    assert all(st.io.bytes_read == 0 for st in res.iterations[:6])
+
+
 @pytest.fixture(scope="module")
 def traced_runs(tmp_path_factory):
-    """Traced-memory peaks of three kmeans_ondisk runs, and the cache after each rebuild.
+    """Traced-memory peaks of three kmeans_ondisk runs, the cache once init has
+    pinned its slots and after each rebuild, and whether each run's first
+    rebuild let go of every pinned array its refresh did not refetch whole.
 
     A peak moves by up to about 1 MB with how the two workers' temporaries
     happen to overlap, so the tests compare the lowest peak of a cache run
@@ -718,14 +832,29 @@ def traced_runs(tmp_path_factory):
     cfg = EngineConfig(k=64, seed=1, T=2, max_iters=16, mode="sem")
 
     def runs(**kw):
-        peaks, sizes = [], []
-        rebuild = RowCache.rebuild
+        peaks, sizes, dropped = [], [], []
+        rebuild, init = RowCache.rebuild, _DiskSource.init_centroids
+        pinned = {}
 
         def spy(self, owners):
             rebuild(self, owners)
             sizes.append(self.cached_bytes())
+            if pinned:
+                # the first rebuild: a pinned array outlives it only as the
+                # slot of a task whose refresh fetch returned it whole
+                slots = {i: rows for i, (_, rows) in self.slots.items()}
+                dropped.append(all(ref() is None or slots.get(i) is ref()
+                                   for i, ref in pinned.items()))
+                pinned.clear()
 
-        RowCache.rebuild = spy
+        def spy_init(self, cfg, ranges):
+            centroids = init(self, cfg, ranges)
+            if self.cache is not None and self.cache.slots:
+                sizes.append(self.cache.cached_bytes())
+                pinned.update((i, weakref.ref(rows)) for i, (_, rows) in self.cache.slots.items())
+            return centroids
+
+        RowCache.rebuild, _DiskSource.init_centroids = spy, spy_init
         try:
             for _ in range(3):
                 with RowStore(path, n, d) as store:
@@ -737,23 +866,25 @@ def traced_runs(tmp_path_factory):
                         tracemalloc.stop()
                 assert res.n_iterations == 16
         finally:
-            RowCache.rebuild = rebuild
-        return peaks, sizes
+            RowCache.rebuild, _DiskSource.init_centroids = rebuild, init
+        return peaks, sizes, dropped
 
     return runs, max(runs(cache_enabled=False)[0]), n * d * 8
 
 
 def test_cache_costs_its_rows_plus_one_task(traced_runs):
     runs, off, data_bytes = traced_runs
-    peaks, sizes = runs(cache_capacity=data_bytes)
-    # the cache at its largest, plus one 8192-row task fetched while the
-    # slot it replaces is still held
+    peaks, sizes, dropped = runs(cache_capacity=data_bytes)
+    # the cache at its largest, pinned slots included, plus one 8192-row
+    # task fetched while the slot it replaces is still held
     assert min(peaks) - off <= max(sizes) + 8192 * 16 * 8
-    assert len(sizes) == 3 * 4  # refreshes at iterations 1, 3, 7 and 15
+    # every row pinned in init, then refreshes at iterations 1, 3, 7 and 15
+    assert len(sizes) == 3 * 5 and sizes[0] == data_bytes
+    assert dropped == [True] * 3
 
 
 def test_zero_capacity_cache_collects_nothing(traced_runs):
     runs, off, _ = traced_runs
-    peaks, sizes = runs(cache_capacity=0)
+    peaks, sizes, _ = runs(cache_capacity=0)
     assert min(peaks) - off <= 250_000
     assert sizes == []
