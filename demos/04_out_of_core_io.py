@@ -6,10 +6,10 @@ configurations mirror the classic ablation:
 * pruning off, cache off  -- every row is requested every iteration;
 * pruning on,  cache off  -- requests shrink with the active set, but
   scattered small rows still drag in whole pages (fragmentation);
-* pruning on,  cache on   -- initialization reads the rows the cache can
-  hold once and hands them to it, so iteration 0 reads nothing; after each
-  refresh (here after every iteration) the cache pins the active rows,
-  collapsing what has to be read.
+* pruning on,  cache on   -- the row cache pins active rows after each
+  refresh (here after every iteration), collapsing what has to be read.
+  (A kmeans++ run would also start with the rows its initialization read,
+  up to the cache's capacity; this demo's forgy run starts with none.)
 """
 
 import os

@@ -172,7 +172,7 @@ class _MemorySource:
         self.matrix = matrix
         self.n, self.d = matrix.shape
 
-    def init_centroids(self, cfg: "EngineConfig", ranges: list[range]) -> CentroidSet:
+    def init_centroids(self, cfg: "EngineConfig", ranges: list[range], tasks) -> CentroidSet:
         return init_centroids(self.matrix, cfg.k, cfg.init, cfg.seed, cfg.initial_centroids,
                               ranges=ranges)
 
@@ -207,7 +207,7 @@ class _Engine:
         self.tasks = split_tasks(ranges, cfg.task_size)
         self.queue = PartitionedTaskQueue(self.node_of, cfg.scheduler)
         self.queue.refill(self.tasks)
-        self.centroids = source.init_centroids(cfg, ranges)
+        self.centroids = source.init_centroids(cfg, ranges, self.tasks)
         self.k = self.centroids.k
         self.shift = self.centroids.means.mean(axis=0)
 

@@ -16,9 +16,10 @@ a task covers the same rows every iteration, so it searches only its own
 slot, and a refresh replaces each slot with that task's own fetch, made
 read-only.  In the steady state a task's survivors are its slot's ids, and
 the fetch returns the slot's rows themselves; other fetches copy their
-hits out of the slot.  Before the first refresh the slots hold the rows
-that initialization pinned: each partition's lowest rows up to its share,
-read once, which kmeans++ reads in place rather than from disk.
+hits out of the slot.  In a kmeans++ run, the slots before the first
+refresh hold the rows that initialization pinned: each partition's lowest
+rows up to its share, read once, which kmeans++ reads in place rather than
+from disk once per centre.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ import numpy as np
 
 from .centroids import CentroidSet, init_from_rows
 from .engine import EngineConfig, IoDelta, KmeansResult, _Engine
-from .matrix import RowStore
-from .scheduler import split_tasks
+from .matrix import MatrixFormatError, RowStore
 
 DEFAULT_CACHE_BYTES = 64 * 1024 * 1024
 DEFAULT_REFRESH_START = 5
@@ -215,21 +215,27 @@ class _DiskSource:
         # separately from resident engine state.
         return 0
 
-    def init_centroids(self, cfg: EngineConfig, ranges: list[range]) -> CentroidSet:
+    def init_centroids(self, cfg: EngineConfig, ranges: list[range], tasks) -> CentroidSet:
         # Initialization reads pass no counter: their reads are setup cost
         # and stay out of the per-iteration I/O report and the run totals.
-        if self.cache is None:
+        if self.cache is None or cfg.init != "kmeanspp":
             return _init_from_store(self.store, cfg, ranges)
-        # Read once the rows the cache would admit from a fetch of every row:
-        # each task's admitted head, in one read-only array of its own, is
-        # the task's slot until its fetch in the first refresh replaces it.
-        tasks = split_tasks(ranges, cfg.task_size)
+        # kmeans++ reads every row once per centre, so read once the rows the
+        # cache would admit from a fetch of every row: each task's admitted
+        # head, in one read-only array of its own, is the task's slot until
+        # its fetch in the first refresh replaces it.
         kept = self.cache.admit([(task.owner, task.stop - task.start) for task in tasks])
-        for task, keep in zip(tasks, kept):
-            if keep:
-                stop = task.start + keep
-                self.cache.slots[task.index] = (np.arange(task.start, stop, dtype=np.int64),
-                                                self.store.read_rows(task.start, stop)[0])
+        try:
+            for task, keep in zip(tasks, kept):
+                if keep:
+                    stop = task.start + keep
+                    self.cache.slots[task.index] = (np.arange(task.start, stop, dtype=np.int64),
+                                                    self.store.read_rows(task.start, stop)[0])
+        except MatrixFormatError:
+            # the pins read in task order, not kmeans++'s: let the uncached
+            # init raise, for the lowest range's bad row
+            self.cache.slots.clear()
+            return _init_from_store(self.store, cfg, ranges)
         return _init_from_store(self.store, cfg, ranges, list(self.cache.slots.values()))
 
 
@@ -276,7 +282,8 @@ def kmeans_ondisk(store: RowStore, cfg: EngineConfig, *,
     Produces exactly the same per-iteration assignments as the in-memory
     engine on the same configuration; with pruning enabled, rows skipped by
     the point-skip test are never read.  The row cache, when enabled, starts
-    with the rows initialization read (up to ``cache_capacity`` bytes) and is
+    a kmeans++ run with the rows initialization read (up to
+    ``cache_capacity`` bytes), any other run empty, and is
     refreshed at the iterations where ``should_refresh(t, refresh_start)``.
     """
     if cfg.mode != "sem":

@@ -26,7 +26,7 @@ from numakmeans.outofcore import (
     should_refresh,
 )
 
-from numakmeans.scheduler import Task
+from numakmeans.scheduler import Task, split_tasks
 
 from conftest import run_with_history
 
@@ -477,21 +477,27 @@ def test_sem_rejects_non_finite_rows(tmp_path, bad):
 
 
 def test_kmeanspp_error_names_the_lowest_bad_row_and_joins_its_threads(tmp_path):
-    m = gen_synthetic(SyntheticSpec("uniform", 3000, 4, seed=8))
-    m[[700, 2300], 1] = np.nan  # one in each of the two ranges
-    path = tmp_path / "bad.raw"
-    m.tofile(path)
+    cases = [
+        # cache off; on at the default capacity, which pins every row; and
+        # on with 750 rows a partition, which pins rows 0..749 and 1500..2249
+        ([700, 2300], [dict(cache_enabled=False), {}, dict(cache_capacity=2 * 750 * 4 * 8)]),
+        # 500 rows a partition pin rows 0..499 and 1500..1999: row 1600 is
+        # pinned and row 700 is not
+        ([700, 1600], [dict(cache_capacity=2 * 500 * 4 * 8)]),
+    ]
     cfg = EngineConfig(k=3, init="kmeanspp", seed=1, T=2, mode="sem")
-    # cache off; on at the default capacity, which pins every row; and on
-    # with 750 rows a partition, which pins rows 0..749 and 1500..2249
-    options = [dict(cache_enabled=False), {}, dict(cache_capacity=2 * 750 * 4 * 8)]
     before = threading.active_count()
-    for kw in options:
-        for _ in range(20):
-            with RowStore(path, 3000, 4) as store:
-                with pytest.raises(MatrixFormatError, match="non-finite value in row 700$"):
-                    kmeans_ondisk(store, cfg, **kw)
-            assert threading.active_count() == before
+    for bad, options in cases:
+        m = gen_synthetic(SyntheticSpec("uniform", 3000, 4, seed=8))
+        m[bad, 1] = np.nan  # one in each of the two ranges
+        path = tmp_path / "bad.raw"
+        m.tofile(path)
+        for kw in options:
+            for _ in range(20):
+                with RowStore(path, 3000, 4) as store:
+                    with pytest.raises(MatrixFormatError, match="non-finite value in row 700$"):
+                        kmeans_ondisk(store, cfg, **kw)
+                assert threading.active_count() == before
 
 
 class ShortInSecondHalf(RowStore):
@@ -745,8 +751,8 @@ def test_pinned_rows_give_the_in_memory_results(tmp_path, monkeypatch, d, T, tas
     pinned = []  # the cache slots as init leaves them
     init = _DiskSource.init_centroids
 
-    def spy(self, cfg, ranges):
-        centroids = init(self, cfg, ranges)
+    def spy(self, cfg, ranges, tasks):
+        centroids = init(self, cfg, ranges, tasks)
         pinned.append(dict(self.cache.slots))
         return centroids
 
@@ -791,12 +797,13 @@ def test_init_reads_a_fitting_file_once_and_iteration_0_reads_nothing(tmp_path, 
     monkeypatch.setattr(RowStore, "read_pages", counting)
     payload = n * d * 8
     ranges = partition_rows(n, T)
+    tasks = split_tasks(ranges, cfg.task_size)
     with RowStore(path, n, d) as store:
         for cache_enabled, capacity, pins in ((True, DEFAULT_CACHE_BYTES, n),
                                               (True, 0, 0), (False, DEFAULT_CACHE_BYTES, 0)):
             read.clear()
             source = _DiskSource(store, T, cache_enabled, capacity, 5)
-            source.init_centroids(cfg, ranges)
+            source.init_centroids(cfg, ranges, tasks)
             held = 0 if source.cache is None else source.cache.cached_bytes()
             assert held == pins * d * 8
             if pins:
@@ -815,6 +822,28 @@ def test_init_reads_a_fitting_file_once_and_iteration_0_reads_nothing(tmp_path, 
     assert all(st.io.bytes_read == 0 for st in res.iterations[:6])
 
 
+@pytest.mark.parametrize("init", ["forgy", "given", "random-partition"])
+def test_init_pins_rows_only_for_kmeanspp(tmp_path, init):
+    # the other methods read the file at most once in init, so they pin
+    # nothing and iteration 0 reads the whole file, as with no pins
+    n, d, k = 6000, 8, 8
+    m = gen_synthetic(SyntheticSpec("gaussian-mixture", n, d, seed=41, k_true=8))
+    path = tmp_path / "m.raw"
+    save_matrix(m, path, raw=True)
+    given = m[:k].copy() if init == "given" else None
+    cfg = EngineConfig(k=k, init=init, seed=3, T=2, max_iters=4, mode="sem",
+                       initial_centroids=given)
+    ranges = partition_rows(n, 2)
+    with RowStore(path, n, d) as store:
+        source = _DiskSource(store, 2, True, DEFAULT_CACHE_BYTES, 5)
+        source.init_centroids(cfg, ranges, split_tasks(ranges, cfg.task_size))
+        assert source.cache.slots == {}
+        res = kmeans_ondisk(store, cfg)
+    first = res.iterations[0].io
+    assert (first.cache_hits, first.cache_misses) == (0, n)
+    assert first.bytes_read >= n * d * 8
+
+
 @pytest.fixture(scope="module")
 def traced_runs(tmp_path_factory):
     """Traced-memory peaks of three kmeans_ondisk runs, the cache once init has
@@ -829,7 +858,7 @@ def traced_runs(tmp_path_factory):
     spec = SyntheticSpec("gaussian-mixture", n, d, seed=11, k_true=32, separation=6.0)
     path = tmp_path_factory.mktemp("mem") / "m.raw"
     save_matrix(gen_synthetic(spec), path, raw=True)
-    cfg = EngineConfig(k=64, seed=1, T=2, max_iters=16, mode="sem")
+    cfg = EngineConfig(k=64, init="kmeanspp", seed=1, T=2, max_iters=16, mode="sem")
 
     def runs(**kw):
         peaks, sizes, dropped = [], [], []
@@ -847,8 +876,8 @@ def traced_runs(tmp_path_factory):
                                    for i, ref in pinned.items()))
                 pinned.clear()
 
-        def spy_init(self, cfg, ranges):
-            centroids = init(self, cfg, ranges)
+        def spy_init(self, cfg, ranges, tasks):
+            centroids = init(self, cfg, ranges, tasks)
             if self.cache is not None and self.cache.slots:
                 sizes.append(self.cache.cached_bytes())
                 pinned.update((i, weakref.ref(rows)) for i, (_, rows) in self.cache.slots.items())
