@@ -20,19 +20,36 @@ points cost neither distance work nor (out of core) any I/O.  Pruned and
 unpruned runs that assign alike thus hold bit-equal totals, centroids and
 WCSS at every iteration.
 
+A pruned run keeps one upper bound per point.  In memory it also keeps one
+float32 lower bound per point on its distance to every other centroid, and
+no flag that marks a bound exact: every centroid moves in nearly every
+iteration, so a survivor's bound is recomputed anyway, and a point then
+costs 16 bytes beside its row.  On disk the 4n bytes of lower bounds would
+add over a quarter to the resident state, so there a point keeps the flag
+and is skipped by the gap table alone.  Each pruned task first loosens its
+own rows' bounds by the last update's drift, so the barrier does O(k^2)
+work: merge, finalize, the gap table and the k-vector of drifts that the
+lower bounds lose.
+
 The run's layout is fixed when the engine is built: the node of each
 worker, one task list split from the workers' row ranges, and each
 worker's victim order under the run's policy.  The queue is filled with
 that list for iteration 0 and refilled with it at each barrier.  A task
 takes the pruned scan exactly when the iteration has a gap table, i.e. in
-every pruned iteration after the first, and a full pass otherwise.  A full
-pass is one :func:`nearest_block_into` call over the task's rows, whose
-kernels step in blocks of at most ``CHUNK_ELEMS`` elements.  Beside those
-blocks, a task's transient scratch scales with its rows: their ids and
-distances, and for its sums two (task_size, d) arrays of 8-byte elements,
-the shifted rows and their flat bin index; out of core, also the rows it
-fetched.  The resident-state accounting covers the arrays the engine keeps
-alive across iterations.
+every pruned iteration after the first, and a full pass otherwise.  A
+worker that takes a pruned task also takes up to half of the tasks left
+behind it in the same partition (:meth:`PartitionedTaskQueue.follow`) and
+runs them in one pass, since each array call of a pass hands the
+interpreter lock to the other workers and back: one bound update and skip
+test for all their rows, then scans of whole tasks, in memory with up to a
+task's worth of survivors each and on disk one task each.  A full pass is
+one :func:`nearest_block_into` call over the task's rows, whose kernels
+step in blocks of at most ``CHUNK_ELEMS`` elements.  Beside those blocks, a
+task's transient scratch scales with its rows: their ids and distances,
+and for its sums two (task_size, d) arrays of 8-byte elements, the shifted
+rows and their flat bin index; out of core, also the rows it fetched.  The
+resident-state accounting covers the arrays the engine keeps alive across
+iterations.
 
 The barrier takes the row source's I/O counts for the iteration (``None`` in
 memory), adds the rows the point-skip test elided, and sums them into
@@ -57,7 +74,7 @@ from .centroids import (
 )
 from .distance import nearest_block_into, single_thread_blas
 from .matrix import check_matrix, partition_rows
-from .pruning import PruneCounters, centroid_geometry, inflate_bounds, scan_block
+from .pruning import PruneCounters, centroid_geometry, inflate_bounds, other_drift, scan_block
 from .scheduler import POLICIES, PartitionedTaskQueue, bind_to_node, build_topology, split_tasks
 
 MODES = ("im", "sem")
@@ -212,10 +229,16 @@ class _Engine:
         self.shift = self.centroids.means.mean(axis=0)
 
         # per point: its centroid and, when pruning, an upper bound on its
-        # distance to it and whether that bound is the exact distance
+        # distance to it; in memory, a float32 lower bound on its distance to
+        # every other centroid (and per cluster what those lose in an update),
+        # on disk whether the upper bound is the exact distance
         self.assignment = np.zeros(self.n, dtype=np.int32)
         self.upper = np.full(self.n, np.inf) if cfg.pruning else None
-        self.tight = np.zeros(self.n, dtype=bool) if cfg.pruning else None
+        in_memory = cfg.pruning and cfg.mode == "im"
+        self.lower = np.zeros(self.n, dtype=np.float32) if in_memory else None
+        self.lower_drift = np.zeros(self.k, dtype=np.float32) if in_memory else None
+        on_disk = cfg.pruning and cfg.mode == "sem"
+        self.tight = np.zeros(self.n, dtype=bool) if on_disk else None
         self.totals = Accumulator.zeros(self.k, self.d)
         self.geometry = None
 
@@ -241,7 +264,7 @@ class _Engine:
                     task = self.queue.next_task(w)
                     if task is None:
                         break
-                    self._process_task(task)
+                    self._process(task, w)
                 self.barrier.wait()
                 if self.stop:
                     return
@@ -253,9 +276,16 @@ class _Engine:
                     self.error = exc
             self.barrier.abort()
 
-    def _process_task(self, task) -> None:
-        run = self._task_full if self.geometry is None else self._task_pruned
-        self.task_results[task.index] = run(task)
+    def _process(self, task, w: int) -> None:
+        if self.geometry is None:
+            self.task_results[task.index] = self._task_full(task)
+            return
+        # the tasks behind this one go with it in one pass: fewer and larger
+        # array calls, each of which hands the interpreter lock to the other
+        # workers and back
+        tasks = [task] + self.queue.follow(w, task)
+        for t, result in zip(tasks, self._task_pruned(tasks)):
+            self.task_results[t.index] = result
 
     def _task_full(self, task) -> _TaskResult:
         lo, hi = task.start, task.stop
@@ -273,33 +303,60 @@ class _Engine:
         old[:] = ids
         if self.upper is not None:
             self.upper[lo:hi] = ndist
+        if self.tight is not None:
             self.tight[lo:hi] = True
+        if self.lower is not None:
+            self.lower[lo:hi] = 0.0
         return _TaskResult(acc, int(changed.size), PruneCounters(computed=(hi - lo) * self.k))
 
-    def _task_pruned(self, task) -> _TaskResult:
-        lo, hi = task.start, task.stop
+    def _task_pruned(self, tasks) -> list[_TaskResult]:
+        """Consecutive tasks in one pass; each keeps its own accumulator, of
+        its moved rows in row order, as if it ran alone."""
+        lo, hi = tasks[0].start, tasks[-1].stop
         a = self.assignment[lo:hi]
         u = self.upper[lo:hi]
-        tg = self.tight[lo:hi]
-        skip = u <= self.geometry.half_min[a]
-        counters = PruneCounters(skips=int(skip.sum()))
-        acc = Accumulator.zeros(self.k, self.d)
-        reassigned = 0
-        surv = np.flatnonzero(~skip)
-        if surv.size:
-            rows = self.source.rows_by_ids(task, lo + surv)
-            a_s = a[surv]
-            u_s = u[surv]
-            t_s = tg[surv]
-            orig = scan_block(rows, self.centroids, self.geometry, a_s, u_s, t_s, counters)
-            a[surv] = a_s
-            u[surv] = u_s
-            tg[surv] = t_s
+        tg = None if self.tight is None else self.tight[lo:hi]
+        lw = None if self.lower is None else self.lower[lo:hi]
+        inflate_bounds(u, tg, a, self.centroids.drift, lw, self.lower_drift)
+        # a row is skipped when its bound is at most half_min or its lower bound
+        bound = np.take(self.geometry.half_min, a)
+        if lw is not None:
+            np.maximum(bound, lw, out=bound)
+        surv = np.flatnonzero(u > bound)
+        # the pass's work is counted once, with the first task
+        results = [_TaskResult(Accumulator.zeros(self.k, self.d), 0, PruneCounters())
+                   for _ in tasks]
+        counters = results[0].counters
+        counters.skips = a.size - surv.size
+        # task i's survivors are surv[ends[i]:ends[i + 1]].  In memory a scan
+        # takes whole tasks with at most a task's worth of survivors (or one
+        # task), which keeps its scratch that of one task; on disk it takes
+        # one task, whose rows the fetch reads through that task's cache slot
+        ends = [0, *np.searchsorted(surv, [t.stop - lo for t in tasks]).tolist()]
+        limit = self.cfg.task_size if self.cfg.mode == "im" else 0
+        for i, j in _task_groups(ends, limit):
+            sv = surv[ends[i]:ends[j]]
+            if not sv.size:
+                continue
+            rows = self.source.rows_by_ids(tasks[i], lo + sv)
+            a_s = a[sv]
+            u_s = u[sv]
+            t_s = None if tg is None else tg[sv]
+            l_s = None if lw is None else lw[sv]
+            orig = scan_block(rows, self.centroids, self.geometry, a_s, u_s, t_s, counters, l_s)
+            a[sv] = a_s
+            u[sv] = u_s
+            if tg is not None:
+                tg[sv] = t_s
+            if lw is not None:
+                lw[sv] = l_s
             changed = np.flatnonzero(a_s != orig)
-            reassigned = int(changed.size)
-            if changed.size:
-                acc.move_rows(a_s[changed], orig[changed], rows[changed], self.shift)
-        return _TaskResult(acc, reassigned, counters)
+            cuts = np.searchsorted(changed, np.subtract(ends[i + 1:j], ends[i]))
+            for res, c in zip(results[i:j], np.split(changed, cuts)):
+                res.reassigned = int(c.size)
+                if c.size:
+                    res.acc.move_rows(a_s[c], orig[c], rows[c], self.shift)
+        return results
 
     # ---- barrier action --------------------------------------------------
 
@@ -332,8 +389,7 @@ class _Engine:
                 self.io_totals = IoDelta()
             self.io_totals += io
         taken, same, remote = self.queue.counter_totals()
-        now = time.perf_counter()
-        self.iterations.append(IterationStats(
+        stats = IterationStats(
             t=t,
             reassignments=reassigned,
             wcss=wcss,
@@ -341,31 +397,39 @@ class _Engine:
             skips=counters.skips,
             pruned_stale=counters.pruned_stale,
             pruned_tight=counters.pruned_tight,
-            wall_s=now - self._iter_start,
             io=io,
             sched=SchedCounters(taken, same, remote),
-        ))
+        )
+        self.iterations.append(stats)
 
         self._track_state_bytes()
         self.centroids = new_centroids
         self.converged = reassigned <= cfg.tolerance
         if self.converged or t + 1 >= cfg.max_iters:
             self.stop = True
-            return
-
-        self.iter_t = t + 1
-        if cfg.pruning:
-            inflate_bounds(self.upper, self.tight, self.assignment, new_centroids.drift)
-            self.geometry = centroid_geometry(new_centroids)
-        self.task_results = [None] * len(self.tasks)
-        self.queue.refill(self.tasks)
-        self._iter_start = time.perf_counter()
+        else:
+            # the tasks of iteration t + 1 loosen their bounds by this drift
+            self.iter_t = t + 1
+            if cfg.pruning:
+                self.geometry = centroid_geometry(new_centroids)
+            if self.lower is not None:
+                self.lower_drift = other_drift(new_centroids.drift)
+            self.task_results = [None] * len(self.tasks)
+            self.queue.refill(self.tasks)
+        # the barrier's own work is part of the iteration it ends
+        now = time.perf_counter()
+        stats.wall_s = now - self._iter_start
+        self._iter_start = now
 
     def _track_state_bytes(self) -> None:
         total = self.source.state_bytes()
         total += self.assignment.nbytes + self.totals.state_bytes()
         if self.cfg.pruning:
-            total += self.upper.nbytes + self.tight.nbytes
+            total += self.upper.nbytes
+            if self.lower is not None:
+                total += self.lower.nbytes + self.lower_drift.nbytes
+            else:
+                total += self.tight.nbytes
             if self.geometry is not None:
                 total += self.geometry.state_bytes()
         total += self.centroids.state_bytes()
@@ -397,6 +461,19 @@ class _Engine:
             io_totals=self.io_totals,
             peak_state_bytes=self.peak_state_bytes,
         )
+
+
+def _task_groups(ends: list[int], limit: int):
+    """``(i, j)`` for each run of consecutive tasks i..j-1, where task t's
+    survivors are ``ends[t]:ends[t + 1]``: one task, or as many as hold at
+    most ``limit`` survivors together."""
+    i = 0
+    while i < len(ends) - 1:
+        j = i + 1
+        while j < len(ends) - 1 and ends[j + 1] - ends[i] <= limit:
+            j += 1
+        yield i, j
+        i = j
 
 
 def kmeans(matrix: np.ndarray, cfg: EngineConfig) -> KmeansResult:

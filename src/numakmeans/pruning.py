@@ -2,11 +2,15 @@
 
 The scheme keeps one upper bound per point on its distance to the assigned
 centroid, plus one k x k gap table between centroids, built once per
-iteration.  Three tests skip work without changing any assignment:
+iteration.  In memory it also keeps one float32 lower bound per point on its
+distance to every other centroid (Hamerly's bound, SDM 2010).  Four tests
+skip work without changing any assignment:
 
 * point skip: if the bound is at most the smallest gap in the assigned
   centroid's row, no other centroid can beat it, so the whole point is
   skipped (and in out-of-core mode its row is never read);
+* lower-bound skip (in memory): if the bound is at most the point's lower
+  bound, the point is skipped too;
 * stale-bound candidate prune: a candidate centroid x is skipped when the
   bound (as carried over from the previous iteration) is at most the gap
   between the assigned centroid and x;
@@ -16,16 +20,23 @@ iteration.  Three tests skip work without changing any assignment:
 A gap is half a centroid-to-centroid distance, which is what makes the
 tests sound: d(v, x) >= d(a, x) - d(v, a), so d(v, a) <= d(a, x)/2
 guarantees d(v, x) >= d(v, a).  There is no lower bound matrix; memory
-stays O(n + k^2).
+stays O(n + k^2).  On disk the lower bounds are not kept: their 4n bytes
+would be over a quarter of the run's resident state there, beside a row
+cache, and they would change which rows are fetched.
 
 Every test must hold for the distances as computed, not only for exact
 ones: a full pass gives an exact tie to the lower centroid id and takes a
 centroid one ulp closer by rounding.  So the table holds each half distance
-lowered by a rounding margin (derived at ``centroid_geometry``), a test that
-passes proves the candidate's computed distance strictly larger, and a row
-within the margin of a bound is scanned, where the recipe's distances and
-the lower-id rule decide it.  The diagonal is infinite, since a row's own
-centroid is never a candidate.
+lowered by a rounding margin (derived at ``centroid_geometry``), each lower
+bound is lowered by a margin of its own (derived at ``_lowered_f32``), a
+test that passes proves the candidate's computed distance strictly larger,
+and a row within the margin of a bound is scanned, where the recipe's
+distances and the lower-id rule decide it.  The diagonal is infinite, since
+a row's own centroid is never a candidate.
+
+Each task loosens its own rows' bounds by the centroids' drift before its
+skip test (:func:`inflate_bounds`), so the work between iterations that
+falls on one thread is only the O(k^2) gap table.
 
 The rows that fail the point skip are scanned in one pass over whole blocks,
 not one pass per centroid: every candidate is tested against the row's
@@ -90,9 +101,42 @@ class CentroidGeometry:
 _GAP_ABS = 2.0 ** -500
 
 
+# Why ``u <= lower`` proves that every centroid x other than a row's a is
+# strictly farther as computed.  With D, r, e, eps, m and a as in the gaps'
+# comment above, and u0 the row's tightened r(v, c_a0) to its centroid a0
+# before the scan, each source of l0, the minimum that :func:`scan_block`
+# takes, bounds D(v, c_x) from below:
+# - a computed r (a candidate's, or u0 when the row moved): D >= (1 - e) r - a;
+# - a pruned x, whose entry G >= u0 lies under its exact half gap g with the
+#   table's margin to spare, g >= (1 + m - e - eps) G: then D(v, c_x) >=
+#   2g - D(v, c_a0) >= fl(2G - u0) + (2m - 3e - 3 eps) G, and m makes that
+#   last term positive.
+# The stored l = fl32_down(fl(fl(l0 (1 - n)) - A)) is then at most
+# L - l0 (n - e - eps) - A / 2 for L = min D(v, c_x), to first order.  Each
+# update takes o >= r(drift) of every other centroid off l, rounded down, and
+# moves D(v, c_x) by at most (1 + e) o + a, while D(v, c_a) <= (1 + e) u + a
+# holds for the inflated u as the gaps' comment says.  At a test u <= l the
+# drifts sum to at most l0 - u, so D(v, c_x) - D(v, c_a) >= l0 (n - e - eps)
+# - e (l0 - u) - e u, less the a's, and both roundings of r give r(v, c_x) >
+# r(v, c_a) once that is above 2e u and the a's.  With u <= l0 this holds when
+# n > 4e + eps = (d + 5) eps: n = (d + 7) eps leaves 2 eps for the
+# second-order terms, and A = 2^-500 covers the a's as it does for the gaps.
+# A passing test then makes every other centroid strictly farther as
+# computed, an exact tie included, whichever id is lower.
+def _lowered_f32(low, d):
+    """``low`` lowered in place by the margin derived above, then as float32
+    one ulp under its nearest float32, which is at most it; a value past
+    float32's range becomes its largest finite value."""
+    low *= 1.0 - (d + 7) * np.finfo(np.float64).eps
+    low -= _GAP_ABS
+    with np.errstate(over="ignore"):
+        f = low.astype(np.float32)
+    return np.nextafter(f, np.float32(-np.inf), out=f)
+
+
 def centroid_geometry(c: CentroidSet) -> CentroidGeometry:
     """Exact centroid-to-centroid distances, halved once and lowered by the
-    margin derived above.
+    margin derived at ``_GAP_ABS``.
 
     The absolute part of the margin sets a scale floor: on data whose half
     distances between centroids fall below 2^-500 (about 3e-151) every gap
@@ -117,7 +161,7 @@ class PruneCounters:
     ``pruned_stale`` and ``pruned_tight``.
     """
 
-    skips: int = 0          # whole points skipped by the point-skip test
+    skips: int = 0          # whole points skipped by a point-skip test
     pruned_stale: int = 0   # candidates pruned by the carried-over bound
     pruned_tight: int = 0   # candidates pruned only after tightening
     computed: int = 0       # point-to-centroid distances actually evaluated
@@ -129,30 +173,48 @@ class PruneCounters:
         self.computed += other.computed
 
 
-def inflate_bounds(upper: np.ndarray, tight: np.ndarray, assign: np.ndarray,
-                   drift: np.ndarray) -> None:
+def other_drift(drift: np.ndarray) -> np.ndarray:
+    """For each centroid a, the largest drift of any other centroid, rounded
+    up to float32: what a lower bound of a point in cluster a must lose.
+    Built from the two largest drifts, in O(k)."""
+    top = int(np.argmax(drift))
+    out = np.full(drift.size, drift[top])
+    out[top] = np.max(np.delete(drift, top), initial=0.0)
+    with np.errstate(over="ignore"):
+        up = out.astype(np.float32)
+    return np.nextafter(up, np.float32(np.inf), out=up, where=up < out)
+
+
+def inflate_bounds(upper: np.ndarray, tight: np.ndarray | None, assign: np.ndarray,
+                   drift: np.ndarray, lower: np.ndarray | None = None,
+                   lower_drift: np.ndarray | None = None) -> None:
     """Loosen every bound ``upper[i]`` by the drift of its centroid
-    ``assign[i]`` after a centroid update, in place.
+    ``assign[i]`` after a centroid update, and lower ``lower[i]`` (when
+    given) by ``lower_drift[assign[i]]`` (:func:`other_drift`), in place.
 
     A grown bound is taken one ulp up (times 1 + eps, at least one ulp above
     a normal sum rounded to nearest), so it is never under the exact sum.  A
     bound stays tight only if it was tight before and its centroid did not
     move; a zero drift must never resurrect a bound that was already stale.
+    ``tight`` is None where no bound is ever taken as exact.  A lower bound
+    is taken one float32 ulp down after the subtraction, under the exact
+    difference, which lies within half an ulp of the rounded one.  The update is elementwise, so a task may
+    run it on its own slice.
     """
-    moved = drift[assign]
+    if lower is not None:
+        lower -= np.take(lower_drift, assign)
+        np.nextafter(lower, np.float32(-np.inf), out=lower)
+    moved = np.take(drift, assign)
     upper += moved
-    np.logical_and(tight, moved == 0.0, out=tight)
-    # moved becomes the factor, 1 + eps where the bound grew and 1 elsewhere:
-    # in its own buffer this is faster than a masked multiply or a new array
-    np.greater(moved, 0.0, out=moved)
-    moved *= np.finfo(np.float64).eps
-    moved += 1.0
-    upper *= moved
+    if tight is not None:
+        np.logical_and(tight, moved == 0.0, out=tight)
+    # 1 + eps where the bound grew and 1 elsewhere, gathered per centroid
+    upper *= np.take(np.where(drift > 0.0, 1.0 + np.finfo(np.float64).eps, 1.0), assign)
 
 
 def scan_block(rows: np.ndarray, c: CentroidSet, geo: CentroidGeometry,
-               assign: np.ndarray, upper: np.ndarray, tight: np.ndarray,
-               counters: PruneCounters):
+               assign: np.ndarray, upper: np.ndarray, tight: np.ndarray | None,
+               counters: PruneCounters, lower: np.ndarray | None = None):
     """Reassign the non-skipped rows of one task in one pass over each block.
 
     Each loose bound is tightened to the exact distance u to the row's
@@ -167,31 +229,45 @@ def scan_block(rows: np.ndarray, c: CentroidSet, geo: CentroidGeometry,
 
     No bound of the call reaches a gap at or above ``bmax``, the largest
     tightened or carried bound, so each row of the table is cut to a window
-    of w columns: its gaps below ``bmax`` in ascending id order, padded with
-    its other gaps, which are never candidates and always pruned by both
-    bounds.  w is the widest such row, k - 1 when a bound reaches every
-    gap, and a block holds at most ``CHUNK_ELEMS // w`` rows.
+    of w columns: its w smallest gaps in ascending order, all its gaps below
+    ``bmax`` and then gaps that are never candidates and always pruned by
+    both bounds.  w is the widest such row, k - 1 when a bound reaches every
+    gap, and a block holds at most ``CHUNK_ELEMS // w`` rows.  A row's
+    candidates are thus the first columns of its window.
 
     ``assign``, ``upper`` and ``tight`` are the survivors' slices; the arrays
     are updated in place and ``counters`` accumulates the work done: every
-    (row, x != a) pair is either a computed candidate or pruned.  Returns
-    the survivors' original assignments (before any reassignment).
+    (row, x != a) pair is either a computed candidate or pruned.  ``tight``
+    None takes every bound as loose.  When ``lower`` (the survivors' float32
+    slice) is given, each row's lower bound on its distance to every
+    centroid but its final one is set: the smaller of the second smallest
+    among u and its computed candidates' distances (a multiset, so a tie
+    keeps the bound at the row's final distance) and 2 * (its smallest
+    pruned gap) - u, lowered as :func:`_lowered_f32` says.  Returns the
+    survivors' original assignments (before any reassignment).
     """
     k = c.k
     orig = assign.copy()
     stale = upper.copy()
-    loose = np.flatnonzero(~tight)
+    loose = slice(None) if tight is None else np.flatnonzero(~tight)
     # after an update every bound is loose as a rule: read the rows in place
-    ri = None if loose.size == tight.size else loose
-    upper[loose] = _pair_distances(rows, ri, c.means, orig[loose])
-    counters.computed += int(loose.size)
-    tight[:] = True
-    # the window: row a's w columns are ids[a], their gaps window[a]
+    ri = None if tight is None or loose.size == tight.size else loose
+    fresh = _pair_distances(rows, ri, c.means, orig[loose])
+    upper[loose] = fresh
+    counters.computed += fresh.size
+    del fresh
+    if tight is not None:
+        tight[:] = True
+    # row a's window is the first w of its gaps in ascending order, ranked[a],
+    # whose ids are order[a] (equal gaps in any order: they are candidates
+    # alike); reach[j], the smallest j-th gap of any row, is below bmax
+    # exactly when some row has more than j gaps below bmax
+    order = np.argsort(geo.gaps, axis=1)
+    ranked = np.take(geo.gaps, order + np.arange(0, k * k, k)[:, None])
+    reach = ranked.min(axis=0)
     bmax = max(upper.max(initial=-np.inf), stale.max(initial=-np.inf))
-    near = geo.gaps < bmax
-    w = max(1, int(near.sum(axis=1).max()))
-    ids = np.argsort(~near, axis=1, kind="stable")[:, :w]
-    window = np.take_along_axis(geo.gaps, ids, axis=1)
+    w = max(1, int(np.searchsorted(reach, bmax)))
+    window = np.ascontiguousarray(ranked[:, :w])
     step = max(1, CHUNK_ELEMS // w)
     for lo in range(0, rows.shape[0], step):
         og = orig[lo:lo + step]
@@ -204,23 +280,46 @@ def scan_block(rows: np.ndarray, c: CentroidSet, geo: CentroidGeometry,
         n_stale = og.size * (k - 1) - int(np.count_nonzero(gap < both[:, None]))
         del gap  # the largest block; free it before the distances
         f = np.flatnonzero(cand)
+        del cand
         r = f // w
-        # f indexes the (rows, w) block; moved from row r to row og[r] of ids
-        f += np.take((og - np.arange(og.size)) * w, r)
-        x = np.take(ids, f)
+        # f indexes the (rows, w) block; moved from row r to row og[r] of order
+        f += np.take(og.astype(np.intp) * k - np.arange(og.size) * w, r)
+        x = np.take(order, f)
         del f
+        if lower is not None:
+            # a row's candidates are its first columns, so the next one holds
+            # its smallest pruned gap, in the window or beyond it; the bound
+            # is 2 * that gap - u, before any move
+            at = og * k
+            at += np.bincount(r, minlength=og.size)
+            low = np.take(ranked, at)
+            low *= 2.0
+            low -= u
         dx = _pair_distances(rows, lo + r, c.means, x)
         counters.computed += int(r.size)
         counters.pruned_stale += n_stale
         counters.pruned_tight += og.size * (k - 1) - int(r.size) - n_stale
         ur = u[r]
-        better = np.flatnonzero((dx < ur) | ((dx == ur) & (x < og[r])))
-        # by row, then distance; the sort is stable, so equal distances stay
-        # in ascending id order and each row's first entry is its winner
-        better = better[np.lexsort((dx[better], r[better]))]
+        # the candidates that beat (u, a): strictly closer, or as close with a
+        # lower id
+        better = np.flatnonzero(dx <= ur)
+        better = better[(dx[better] < ur[better]) | (x[better] < og[r[better]])]
+        # by row, then distance, then id: each row's first entry is its winner
+        better = better[np.lexsort((x[better], dx[better], r[better]))]
         best = better[np.unique(r[better], return_index=True)[1]]
-        assign[lo + r[best]] = x[best]
-        u[r[best]] = dx[best]
+        moved = r[best]
+        assign[lo + moved] = x[best]
+        u[moved] = dx[best]
+        if lower is not None:
+            if r.size:
+                # the second smallest of u and the candidates' distances: the
+                # smallest candidate but a moved row's winner, or its old u
+                dx[best] = np.inf
+                first = np.flatnonzero(np.diff(r, prepend=-1))
+                rows_with = r[first]
+                low[rows_with] = np.minimum(low[rows_with], np.minimum.reduceat(dx, first))
+                low[moved] = np.minimum(low[moved], ur[best])
+            lower[lo:lo + step] = _lowered_f32(low, c.means.shape[1])
     return orig
 
 

@@ -160,14 +160,38 @@ class PartitionedTaskQueue:
         with self._locks[p]:
             if not self._parts[p]:
                 return None
-            task = self._parts[p].popleft()
-            if p == w:
-                self.taken_local[p] += 1
-            elif self.node_of[p] == self.node_of[w]:
-                self.stolen_same_node[p] += 1
-            else:
-                self.stolen_remote[p] += 1
-            return task
+            return self._take(p, w)
+
+    def _take(self, p: int, w: int) -> Task:
+        # the front of partition p, counted for worker w; p's lock is held
+        if p == w:
+            self.taken_local[p] += 1
+        elif self.node_of[p] == self.node_of[w]:
+            self.stolen_same_node[p] += 1
+        else:
+            self.stolen_remote[p] += 1
+        return self._parts[p].popleft()
+
+    def follow(self, worker: int, task: Task) -> list[Task]:
+        """Dispense to ``worker`` the tasks that directly follow ``task`` in
+        its partition, at most half (rounded up) of those left there.
+
+        With ``task`` they cover consecutive rows, so the worker can take
+        them in one pass; the rest stay for their owner and thieves, in
+        ever smaller shares (guided self-scheduling, Polychronopoulos and
+        Kuck, 1987).  Stops early where another worker took the next task.
+        """
+        p = task.owner
+        out: list[Task] = []
+        with self._locks[p]:
+            part = self._parts[p]
+            stop = task.stop
+            for _ in range((len(part) + 1) // 2):
+                if part[0].start != stop:
+                    break
+                out.append(self._take(p, worker))
+                stop = out[-1].stop
+        return out
 
     def next_task(self, worker: int) -> Task | None:
         """Dispense one task to ``worker`` or None when every victim is empty.

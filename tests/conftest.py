@@ -99,8 +99,10 @@ def naive_lloyd(m, means0, max_iters=100, tolerance=0):
 def check_prune_state(eng) -> None:
     """Every stored assignment (skipped points included) must equal the
     exhaustive argmin, and every bound must dominate the true distance to the
-    assigned centroid (tiny slack for FP reassociation).  Needs the in-memory
-    matrix and the centroids the iteration assigned against."""
+    assigned centroid (tiny slack for FP reassociation).  Every lower bound,
+    kept in memory, must be at most the computed distance to each other
+    centroid, with no slack.  Needs the in-memory matrix and the centroids
+    the iteration assigned against."""
     matrix = eng.source.matrix
     t = eng.iter_t
     for lo in range(0, eng.n, 8192):
@@ -115,6 +117,11 @@ def check_prune_state(eng) -> None:
         slack = 1e-9 * np.maximum(1.0, true_d)
         if np.any(eng.upper[lo:hi] + slack < true_d):
             raise AssertionError(f"iteration {t}: upper bound below true distance")
+        if eng.lower is not None:
+            dmat[np.arange(hi - lo), eng.assignment[lo:hi]] = np.inf
+            if np.any(eng.lower[lo:hi] > dmat.min(axis=1)):
+                raise AssertionError(
+                    f"iteration {t}: lower bound above the distance to another centroid")
 
 
 def run_with_history(run, *args, validate_bounds=False, **kwargs):

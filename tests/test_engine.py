@@ -394,3 +394,13 @@ def test_overflowing_data_ends_in_an_error(mode, pruning, init, tmp_path):
             save_matrix(m, path, raw=True)
             with RowStore(path, 4000, 4) as store:
                 kmeans_ondisk(store, cfg)
+
+
+def test_task_groups_take_whole_tasks_up_to_the_limit():
+    # survivors per task: 3, 0, 7, 2
+    ends = [0, 3, 3, 10, 12]
+    assert list(engine._task_groups(ends, 5)) == [(0, 2), (2, 3), (3, 4)]
+    assert list(engine._task_groups(ends, 12)) == [(0, 4)]
+    # a limit of 0 gives each task with survivors a group of its own
+    assert list(engine._task_groups(ends, 0)) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+    assert list(engine._task_groups([0], 5)) == []

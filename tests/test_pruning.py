@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from numakmeans import engine
 from numakmeans.centroids import CentroidSet
 from numakmeans.distance import CHUNK_ELEMS, block_distances, rowwise_distances
 from numakmeans.engine import EngineConfig, kmeans
@@ -16,10 +17,11 @@ from numakmeans.pruning import (
     PruneCounters,
     centroid_geometry,
     inflate_bounds,
+    other_drift,
     scan_block,
 )
 
-from conftest import naive_distance, naive_lloyd, run_with_history
+from conftest import naive_distance, naive_lloyd, naive_nearest, run_with_history
 
 
 # Scalar reference for the vectorized scan_block: one point at a time, over
@@ -205,51 +207,88 @@ def test_scan_point_hand_trace():
     assert counters.pruned_stale + counters.pruned_tight == 1
 
 
-def one_pass_counters(rows, c, half, assign, upper, tight) -> PruneCounters:
+def round_down_f32(x: float) -> np.float32:
+    """One float32 ulp under x's nearest float32, so at most x; past
+    float32's range, its largest finite value."""
+    with np.errstate(over="ignore"):
+        return np.nextafter(np.float32(x), np.float32(-np.inf))
+
+
+def one_pass(rows, c, half, assign, upper, tight):
     """The work of one pass, row by row: tighten a loose bound, then prune
-    each x other than the assigned centroid against the tightened bound,
-    counting it stale when the carried bound prunes it too, or compute it."""
+    each x other than the assigned centroid against the tightened bound u,
+    counting it stale when the carried bound prunes it too, or compute it.
+    Also each row's lower bound: the smaller of the second smallest of u and
+    the computed distances, and twice the smallest pruned gap less u, lowered
+    by (d + 7) eps relative and 2^-500 absolute and rounded down to float32
+    as :func:`round_down_f32` does.
+    Returns the counters and the bounds."""
     counters = PruneCounters()
+    lower = np.empty(len(rows), dtype=np.float32)
     for i in range(len(rows)):
+        # the row's distance to each centroid, as the scan computes it
+        recipe = rowwise_distances(np.broadcast_to(rows[i], c.means.shape), c.means)
         orig = int(assign[i])
         stale = u = float(upper[i])
         if not tight[i]:
-            u = rowwise_distances(rows[i][None, :], c.means[orig])[0]
+            u = recipe[orig]
             counters.computed += 1
+        dists, pruned_gap = [u], np.inf
         for x in range(c.k):
             if x == orig:
                 continue
             gap = half[orig, x]
             if u > gap:
                 counters.computed += 1
-            elif stale <= gap:
+                dists.append(recipe[x])
+                continue
+            pruned_gap = min(pruned_gap, gap)
+            if stale <= gap:
                 counters.pruned_stale += 1
             else:
                 counters.pruned_tight += 1
-    return counters
+        runner_up = sorted(dists)[1] if len(dists) > 1 else np.inf
+        low = min(runner_up, 2.0 * pruned_gap - u)
+        low *= 1.0 - (c.means.shape[1] + 7) * np.finfo(np.float64).eps
+        lower[i] = round_down_f32(low - 2.0 ** -500)
+    return counters, lower
 
 
 def assert_scan_matches_scalar(rows, means, assign, upper, tight):
     """scan_block on the whole block equals scan_point row by row, and its
-    counters those of one pass."""
+    counters and lower bounds those of one pass; so does it with no bound
+    taken as exact (``tight`` None, as in memory), against a pass that
+    tightens every bound."""
     c = CentroidSet.from_means(means)
     half = half_distances(c.means)
-    want_counters = one_pass_counters(rows, c, half, assign, upper, tight)
     st = PointState(assignment=assign.copy(), upper=upper.copy(), tight=tight.copy())
     for i in range(len(rows)):
         scan_point(i, rows[i], c, half, st)
 
-    a2, u2, t2 = assign.copy(), upper.copy(), tight.copy()
-    block_counters = PruneCounters()
-    orig = scan_block(rows, c, centroid_geometry(c), a2, u2, t2, block_counters)
+    for exact in (tight, None):
+        want_counters, want_lower = one_pass(rows, c, half, assign, upper,
+                                             np.zeros_like(tight) if exact is None else exact)
+        a2, u2 = assign.copy(), upper.copy()
+        t2 = None if exact is None else exact.copy()
+        l2 = np.full(len(rows), np.nan, dtype=np.float32)
+        block_counters = PruneCounters()
+        orig = scan_block(rows, c, centroid_geometry(c), a2, u2, t2, block_counters, l2)
 
-    assert np.array_equal(orig, assign)
-    assert np.array_equal(a2, st.assignment)
-    assert np.array_equal(u2, st.upper)
-    assert t2.all() and st.tight.all()
-    assert block_counters == want_counters
-    work = block_counters.computed + block_counters.pruned_stale + block_counters.pruned_tight
-    assert work == np.count_nonzero(~tight) + len(rows) * (c.k - 1)
+        assert np.array_equal(orig, assign)
+        assert np.array_equal(a2, st.assignment)
+        assert np.array_equal(u2, st.upper)
+        assert t2 is None or t2.all()
+        assert l2.tobytes() == want_lower.tobytes()
+        assert block_counters == want_counters
+        work = block_counters.computed + block_counters.pruned_stale + block_counters.pruned_tight
+        loose = len(rows) if exact is None else np.count_nonzero(~exact)
+        assert work == loose + len(rows) * (c.k - 1)
+
+    # without lower bounds, as on disk, the scan does the same
+    a3, u3, t3 = assign.copy(), upper.copy(), tight.copy()
+    scan_block(rows, c, centroid_geometry(c), a3, u3, t3, PruneCounters())
+    assert np.array_equal(a3, st.assignment) and np.array_equal(u3, st.upper)
+    assert st.tight.all()
     return st.assignment
 
 
@@ -440,7 +479,7 @@ def scan_peak(*args):
         tracemalloc.stop()
 
 
-def test_scan_block_scratch_is_bounded_by_the_chunk(rng):
+def assert_dense_scan_scratch_is_bounded(rng, in_memory):
     # random rows and centroids: nearly every pair is a candidate, the worst
     # case for the candidate index and distance arrays
     m, d, k = 20000, 16, 64
@@ -449,13 +488,23 @@ def test_scan_block_scratch_is_bounded_by_the_chunk(rng):
     geo = centroid_geometry(c)
     assign = rng.integers(0, k, size=m).astype(np.int32)
     upper = np.full(m, np.inf)
-    tight = np.zeros(m, dtype=bool)
+    tight = None if in_memory else np.zeros(m, dtype=bool)
+    lower = np.zeros(m, dtype=np.float32) if in_memory else None
     counters = PruneCounters()
-    peak = scan_peak(rows, c, geo, assign, upper, tight, counters)
+    peak = scan_peak(rows, c, geo, assign, upper, tight, counters, lower)
     assert counters.computed > m * k // 2
     # the row block plus one chunk's (rows x w) float64 scratch, w <= k - 1
     # the window's width
     assert peak <= 4 * (rows.nbytes + 8 * CHUNK_ELEMS)
+
+
+def test_scan_block_scratch_is_bounded_by_the_chunk(rng):
+    assert_dense_scan_scratch_is_bounded(rng, in_memory=False)
+
+
+def test_scan_block_scratch_with_lower_bounds_is_bounded_by_the_chunk(rng):
+    # as in memory: the scan also sets lower bounds and takes no bound as exact
+    assert_dense_scan_scratch_is_bounded(rng, in_memory=True)
 
 
 def test_scan_block_scratch_follows_the_window(rng):
@@ -468,6 +517,32 @@ def test_scan_block_scratch_follows_the_window(rng):
     peak = scan_peak(rows, c, centroid_geometry(c), assign, upper, tight, counters)
     assert counters.computed > 0
     assert peak < m * k * 8 / 2
+
+
+def test_other_drift_is_the_largest_other_drift_rounded_up():
+    up = np.nextafter(np.float32(0.7), np.float32(np.inf))
+    assert float(np.float32(0.7)) < 0.7 <= float(up)
+    # two centroids share the largest drift: each loses the other's
+    assert other_drift(np.array([0.1, 0.7, 0.3, 0.7])).tolist() == [up] * 4
+    # one largest drift: every other centroid loses it, and it the runner-up;
+    # a drift past float32's range rounds up to infinity
+    got = other_drift(np.array([0.1, 0.7, 1e300]))
+    assert got.dtype == np.float32
+    assert got.tolist() == [np.inf, np.inf, up]
+    assert other_drift(np.array([0.5])).tolist() == [0.0]
+
+
+def test_inflate_lowers_the_lower_bounds_by_the_other_drift():
+    upper = np.array([1.0, 2.0])
+    lower = np.array([3.0, 0.0], dtype=np.float32)
+    assign = np.array([0, 1], dtype=np.int32)
+    drift = np.array([0.0, 0.25])
+    inflate_bounds(upper, None, assign, drift, lower, other_drift(drift))
+    # row 0 loses centroid 1's drift, row 1 nothing; both one float32 ulp
+    down = np.float32(-np.inf)
+    assert lower.tolist() == [np.nextafter(np.float32(2.75), down),
+                              np.nextafter(np.float32(0.0), down)]
+    assert upper.tolist() == [1.0, np.nextafter(2.25, np.inf)]
 
 
 def test_inflate_by_drift():
@@ -512,6 +587,60 @@ def test_inflated_bounds_remain_valid_after_move(rng):
     for i in range(n):
         true_d = naive_distance(rows[i], moved[ids[i]])
         assert upper[i] >= true_d - 1e-9
+
+
+def task_engine(rows, means, assign):
+    """An in-memory pruned engine over ``rows`` in one task, centroids
+    ``means``, its rows assigned by ``assign`` and their bounds not yet
+    known (upper infinite, lower 0), so its next task scans every row."""
+    means = np.asarray(means, dtype=float)
+    eng = engine._Engine(engine._MemorySource(np.asarray(rows, dtype=float)), EngineConfig(
+        k=len(means), init="given", initial_centroids=means))
+    assert len(eng.tasks) == 1 and eng.tight is None
+    eng.assignment[:] = assign
+    return eng
+
+
+def run_task(eng, means):
+    """One pruned iteration of the engine's task after the centroids move to
+    ``means``, as the engine runs it; returns the task's counters."""
+    prev = eng.centroids.means
+    means = np.asarray(means, dtype=float)
+    eng.centroids = CentroidSet(means=means, prev_means=prev, counts=eng.centroids.counts,
+                                drift=rowwise_distances(means, prev))
+    eng.geometry = centroid_geometry(eng.centroids)
+    eng.lower_drift = other_drift(eng.centroids.drift)
+    return eng._task_pruned(eng.tasks)[0].counters
+
+
+def test_lower_bound_skips_a_row_that_half_min_cannot():
+    # two sibling centroids 1 apart and a row 2 away on centroid 1's side:
+    # the gap table never skips it, its lower bound does once it is scanned;
+    # the other row is halfway and is scanned every time
+    rows = [[3.0], [0.5]]
+    eng = task_engine(rows, [[0.0], [1.0]], [1, 0])
+    assert run_task(eng, [[0.0], [1.0]]).skips == 0
+    assert eng.lower[0] > eng.upper[0]
+    second = run_task(eng, [[-0.01], [1.01]])
+    u, a = eng.upper[0], eng.assignment[0]
+    assert u > eng.geometry.half_min[a]
+    assert u <= eng.lower[0]
+    assert second.skips == 1
+    assert eng.assignment.tolist() == [naive_nearest(np.array(v), eng.centroids.means)[0]
+                                       for v in rows]
+
+
+def test_lower_bound_never_skips_an_exact_tie_with_a_lower_id():
+    # a row on centroid 1's side is 1 from it and 2 from centroid 0; then
+    # centroid 0 moves 1 closer, an exact tie, which goes to the lower id
+    eng = task_engine([[0.0]], [[-2.0], [1.0]], [1])
+    run_task(eng, [[-2.0], [1.0]])
+    assert eng.assignment[0] == 1 and eng.lower[0] > eng.upper[0]  # skipped, had nothing moved
+    counters = run_task(eng, [[-1.0], [1.0]])
+    d = rowwise_distances(np.zeros((2, 1)), eng.centroids.means)
+    assert d[0] == d[1] == 1.0
+    assert counters.skips == 0
+    assert eng.assignment[0] == 0 == naive_nearest(np.zeros(1), eng.centroids.means)[0]
 
 
 def run_pair(m, k, seed, T=2, max_iters=40):

@@ -153,6 +153,30 @@ def test_refill_dispenses_the_same_tasks_with_zeroed_counters():
         assert q.counter_totals() == (0, 2, 0)  # both stolen from worker 1
 
 
+def test_follow_takes_half_of_the_tasks_left_behind_a_task():
+    # 13 tasks of 1 row: the owner takes 1 + 6, then 1 + 3, 1 + 1 and 1
+    q = filled(2, 1, [range(0, 13), range(13, 13)], 1)
+    sizes = []
+    while (t := q.next_task(0)) is not None:
+        batch = [t] + q.follow(0, t)
+        assert [b.start for b in batch] == list(range(t.start, t.start + len(batch)))
+        sizes.append(len(batch))
+    assert sizes == [7, 4, 2]
+    assert q.counter_totals() == (13, 0, 0)
+
+
+def test_follow_stops_where_another_worker_took_the_next_task():
+    q = filled(2, 1, [range(0, 8), range(8, 8)], 1)
+    t = q.next_task(0)
+    stolen = q.next_task(1)  # worker 1 steals task 1, right behind task 0
+    assert (t.start, stolen.start) == (0, 1)
+    assert q.follow(0, t) == []
+    assert q.counter_totals() == (1, 1, 0)
+    # a thief's own follow counts as stolen
+    assert [b.start for b in q.follow(1, stolen)] == [2, 3, 4]
+    assert q.counter_totals() == (1, 4, 0)
+
+
 def test_own_partition_first():
     q = filled(2, 1, even_ranges(8, 2), 4)
     t = q.next_task(1)

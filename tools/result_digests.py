@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print one sha1 per run of a fixed configuration grid.
+"""Print two sha1s per run of a fixed configuration grid.
 
 A refactor that must leave every result byte-identical runs this under the
 old and the new source tree and compares the output:
@@ -14,9 +14,12 @@ of ``kmeans_ondisk``, run the old tree's own copy of the tool against it:
     git show HEAD:tools/result_digests.py > old_digests.py
     python old_digests.py --src /path/to/old/src > old.txt
 
-Each line hashes one run's report (its ``deterministic_view``), final
-assignments, centroid means, ``peak_state_bytes`` and ``io_totals``.  The
-grid has 72 runs: in memory and on disk with the row cache on and off,
+Each line carries two hashes of one run.  ``results=`` covers its results
+alone: final assignments, centroid means, and each iteration's WCSS and
+reassignments.  ``full=`` also covers the rest of its report (its
+``deterministic_view``, counters included), ``peak_state_bytes`` and
+``io_totals``.  A change that moves only work counters or state accounting
+keeps every ``results=`` hash.  The grid has 72 runs: in memory and on disk with the row cache on and off,
 pruned and unpruned, T = 1 and 2, three initializations, and the data at
 the origin and offset by 1e6.
 """
@@ -68,6 +71,11 @@ def main() -> int:
                                                refresh_start=1)
                 config = {f.name: getattr(cfg, f.name) for f in fields(cfg)
                           if f.name != "initial_centroids"}
+                res = hashlib.sha1()
+                res.update(result.assignments.tobytes())
+                res.update(result.centroids.means.tobytes())
+                res.update(repr([(st.wcss, st.reassignments)
+                                 for st in result.iterations]).encode())
                 h = hashlib.sha1()
                 h.update(deterministic_view(format_report(config, result)).encode())
                 h.update(result.assignments.tobytes())
@@ -76,7 +84,7 @@ def main() -> int:
                 io = None if result.io_totals is None else asdict(result.io_totals)
                 h.update(repr(io).encode())
                 print(f"offset={offset:g} mode={mode} pruning={pruning} T={T} init={init} "
-                      f"{h.hexdigest()}")
+                      f"results={res.hexdigest()} full={h.hexdigest()}")
     return 0
 
 
