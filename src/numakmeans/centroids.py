@@ -156,7 +156,7 @@ def finalize_centroids(merged: Accumulator, prev: CentroidSet, shift: np.ndarray
     keep their previous position (drift 0); drift is the distance each
     centroid moved, and at least the smallest subnormal for a centroid that
     moved by less than the recipe can see (its squared length underflows),
-    so the pruning bounds of its points do not stay marked exact.
+    so the upper bounds of its points still grow.
     """
     k, d = merged.sums.shape
     means = np.empty((k, d), dtype=np.float64)
@@ -165,7 +165,7 @@ def finalize_centroids(merged: Accumulator, prev: CentroidSet, shift: np.ndarray
     means[~occupied] = prev.means[~occupied]
     drift = rowwise_distances(means, prev.means)
     drift[~occupied] = 0.0
-    # a move whose squared length underflows still moves: bounds must loosen
+    # a move whose squared length underflows still moves: its bounds must grow
     drift[(drift == 0.0) & np.any(means != prev.means, axis=1)] = np.nextafter(0.0, 1.0)
     return CentroidSet(
         means=means,

@@ -20,13 +20,13 @@ points cost neither distance work nor (out of core) any I/O.  Pruned and
 unpruned runs that assign alike thus hold bit-equal totals, centroids and
 WCSS at every iteration.
 
-A pruned run keeps one upper bound per point.  In memory it also keeps one
-float32 lower bound per point on its distance to every other centroid, and
-no flag that marks a bound exact: every centroid moves in nearly every
-iteration, so a survivor's bound is recomputed anyway, and a point then
+A pruned run keeps one upper bound per point, and no flag that marks it
+exact: a survivor's bound is recomputed, which costs a distance more only
+where its centroid did not move.  In memory it also keeps one float32
+lower bound per point on its distance to every other centroid, so a point
 costs 16 bytes beside its row.  On disk the 4n bytes of lower bounds would
-add over a quarter to the resident state, so there a point keeps the flag
-and is skipped by the gap table alone.  Each pruned task first loosens its
+add over a quarter to the resident state, so there a point is skipped by
+the gap table alone and costs 12 bytes.  Each pruned task first loosens its
 own rows' bounds by the last update's drift, so the barrier does O(k^2)
 work: merge, finalize, the gap table and the k-vector of drifts that the
 lower bounds lose.
@@ -230,15 +230,12 @@ class _Engine:
 
         # per point: its centroid and, when pruning, an upper bound on its
         # distance to it; in memory, a float32 lower bound on its distance to
-        # every other centroid (and per cluster what those lose in an update),
-        # on disk whether the upper bound is the exact distance
+        # every other centroid (and per cluster what those lose in an update)
         self.assignment = np.zeros(self.n, dtype=np.int32)
         self.upper = np.full(self.n, np.inf) if cfg.pruning else None
         in_memory = cfg.pruning and cfg.mode == "im"
         self.lower = np.zeros(self.n, dtype=np.float32) if in_memory else None
         self.lower_drift = np.zeros(self.k, dtype=np.float32) if in_memory else None
-        on_disk = cfg.pruning and cfg.mode == "sem"
-        self.tight = np.zeros(self.n, dtype=bool) if on_disk else None
         self.totals = Accumulator.zeros(self.k, self.d)
         self.geometry = None
 
@@ -303,8 +300,6 @@ class _Engine:
         old[:] = ids
         if self.upper is not None:
             self.upper[lo:hi] = ndist
-        if self.tight is not None:
-            self.tight[lo:hi] = True
         if self.lower is not None:
             self.lower[lo:hi] = 0.0
         return _TaskResult(acc, int(changed.size), PruneCounters(computed=(hi - lo) * self.k))
@@ -315,9 +310,8 @@ class _Engine:
         lo, hi = tasks[0].start, tasks[-1].stop
         a = self.assignment[lo:hi]
         u = self.upper[lo:hi]
-        tg = None if self.tight is None else self.tight[lo:hi]
         lw = None if self.lower is None else self.lower[lo:hi]
-        inflate_bounds(u, tg, a, self.centroids.drift, lw, self.lower_drift)
+        inflate_bounds(u, a, self.centroids.drift, lw, self.lower_drift)
         # a row is skipped when its bound is at most half_min or its lower bound
         bound = np.take(self.geometry.half_min, a)
         if lw is not None:
@@ -341,13 +335,10 @@ class _Engine:
             rows = self.source.rows_by_ids(tasks[i], lo + sv)
             a_s = a[sv]
             u_s = u[sv]
-            t_s = None if tg is None else tg[sv]
             l_s = None if lw is None else lw[sv]
-            orig = scan_block(rows, self.centroids, self.geometry, a_s, u_s, t_s, counters, l_s)
+            orig = scan_block(rows, self.centroids, self.geometry, a_s, u_s, counters, l_s)
             a[sv] = a_s
             u[sv] = u_s
-            if tg is not None:
-                tg[sv] = t_s
             if lw is not None:
                 lw[sv] = l_s
             changed = np.flatnonzero(a_s != orig)
@@ -428,8 +419,6 @@ class _Engine:
             total += self.upper.nbytes
             if self.lower is not None:
                 total += self.lower.nbytes + self.lower_drift.nbytes
-            else:
-                total += self.tight.nbytes
             if self.geometry is not None:
                 total += self.geometry.state_bytes()
         total += self.centroids.state_bytes()

@@ -3,8 +3,10 @@
 The scheme keeps one upper bound per point on its distance to the assigned
 centroid, plus one k x k gap table between centroids, built once per
 iteration.  In memory it also keeps one float32 lower bound per point on its
-distance to every other centroid (Hamerly's bound, SDM 2010).  Four tests
-skip work without changing any assignment:
+distance to every other centroid (Hamerly's bound, SDM 2010).  No flag marks
+an upper bound exact, in memory or on disk: each scanned row's bound is
+recomputed first, which costs a distance more only where the row's centroid
+did not move.  Four tests skip work without changing any assignment:
 
 * point skip: if the bound is at most the smallest gap in the assigned
   centroid's row, no other centroid can beat it, so the whole point is
@@ -156,8 +158,8 @@ def centroid_geometry(c: CentroidSet) -> CentroidGeometry:
 class PruneCounters:
     """Work avoided (or spent) during one scan.
 
-    Each scanned row adds one computed distance when its bound was loose,
-    and each of its k - 1 other centroids to exactly one of ``computed``,
+    Each scanned row adds one computed distance for its bound, and each of
+    its k - 1 other centroids to exactly one of ``computed``,
     ``pruned_stale`` and ``pruned_tight``.
     """
 
@@ -185,39 +187,35 @@ def other_drift(drift: np.ndarray) -> np.ndarray:
     return np.nextafter(up, np.float32(np.inf), out=up, where=up < out)
 
 
-def inflate_bounds(upper: np.ndarray, tight: np.ndarray | None, assign: np.ndarray,
-                   drift: np.ndarray, lower: np.ndarray | None = None,
+def inflate_bounds(upper: np.ndarray, assign: np.ndarray, drift: np.ndarray,
+                   lower: np.ndarray | None = None,
                    lower_drift: np.ndarray | None = None) -> None:
     """Loosen every bound ``upper[i]`` by the drift of its centroid
     ``assign[i]`` after a centroid update, and lower ``lower[i]`` (when
     given) by ``lower_drift[assign[i]]`` (:func:`other_drift`), in place.
 
     A grown bound is taken one ulp up (times 1 + eps, at least one ulp above
-    a normal sum rounded to nearest), so it is never under the exact sum.  A
-    bound stays tight only if it was tight before and its centroid did not
-    move; a zero drift must never resurrect a bound that was already stale.
-    ``tight`` is None where no bound is ever taken as exact.  A lower bound
+    a normal sum rounded to nearest), so it is never under the exact sum; a
+    bound whose centroid did not move keeps its bits.  No bound is taken as
+    exact afterwards: the scan recomputes every survivor's.  A lower bound
     is taken one float32 ulp down after the subtraction, under the exact
-    difference, which lies within half an ulp of the rounded one.  The update is elementwise, so a task may
-    run it on its own slice.
+    difference, which lies within half an ulp of the rounded one.  The
+    update is elementwise, so a task may run it on its own slice.
     """
     if lower is not None:
         lower -= np.take(lower_drift, assign)
         np.nextafter(lower, np.float32(-np.inf), out=lower)
-    moved = np.take(drift, assign)
-    upper += moved
-    if tight is not None:
-        np.logical_and(tight, moved == 0.0, out=tight)
+    upper += np.take(drift, assign)
     # 1 + eps where the bound grew and 1 elsewhere, gathered per centroid
     upper *= np.take(np.where(drift > 0.0, 1.0 + np.finfo(np.float64).eps, 1.0), assign)
 
 
 def scan_block(rows: np.ndarray, c: CentroidSet, geo: CentroidGeometry,
-               assign: np.ndarray, upper: np.ndarray, tight: np.ndarray | None,
-               counters: PruneCounters, lower: np.ndarray | None = None):
+               assign: np.ndarray, upper: np.ndarray, counters: PruneCounters,
+               lower: np.ndarray | None = None):
     """Reassign the non-skipped rows of one task in one pass over each block.
 
-    Each loose bound is tightened to the exact distance u to the row's
+    Every bound is first tightened to the exact distance u to the row's
     assigned centroid a.  The candidates are the centroids x that the test
     against a leaves standing, ``geo.gaps[a, x] < u``, read from the table
     that ``centroid_geometry`` built for this iteration.  Each is evaluated
@@ -235,29 +233,22 @@ def scan_block(rows: np.ndarray, c: CentroidSet, geo: CentroidGeometry,
     gap, and a block holds at most ``CHUNK_ELEMS // w`` rows.  A row's
     candidates are thus the first columns of its window.
 
-    ``assign``, ``upper`` and ``tight`` are the survivors' slices; the arrays
-    are updated in place and ``counters`` accumulates the work done: every
-    (row, x != a) pair is either a computed candidate or pruned.  ``tight``
-    None takes every bound as loose.  When ``lower`` (the survivors' float32
-    slice) is given, each row's lower bound on its distance to every
-    centroid but its final one is set: the smaller of the second smallest
-    among u and its computed candidates' distances (a multiset, so a tie
-    keeps the bound at the row's final distance) and 2 * (its smallest
-    pruned gap) - u, lowered as :func:`_lowered_f32` says.  Returns the
-    survivors' original assignments (before any reassignment).
+    ``assign`` and ``upper`` are the survivors' slices; the arrays are
+    updated in place and ``counters`` accumulates the work done: every
+    (row, x != a) pair is either a computed candidate or pruned.  When
+    ``lower`` (the survivors' float32 slice) is given, each row's lower
+    bound on its distance to every centroid but its final one is set: the
+    smaller of the second smallest among u and its computed candidates'
+    distances (a multiset, so a tie keeps the bound at the row's final
+    distance) and 2 * (its smallest pruned gap) - u, lowered as
+    :func:`_lowered_f32` says.  Returns the survivors' original assignments
+    (before any reassignment).
     """
     k = c.k
     orig = assign.copy()
     stale = upper.copy()
-    loose = slice(None) if tight is None else np.flatnonzero(~tight)
-    # after an update every bound is loose as a rule: read the rows in place
-    ri = None if tight is None or loose.size == tight.size else loose
-    fresh = _pair_distances(rows, ri, c.means, orig[loose])
-    upper[loose] = fresh
-    counters.computed += fresh.size
-    del fresh
-    if tight is not None:
-        tight[:] = True
+    upper[:] = _pair_distances(rows, None, c.means, orig)
+    counters.computed += upper.size
     # row a's window is the first w of its gaps in ascending order, ranked[a],
     # whose ids are order[a] (equal gaps in any order: they are candidates
     # alike); reach[j], the smallest j-th gap of any row, is below bmax

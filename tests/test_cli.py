@@ -165,6 +165,18 @@ def test_report_totals_are_column_sums(dataset, tmp_path):
         assert totals[col] == sum(it[col] for it in iters), col
 
 
+def test_train_without_report_writes_it_to_stdout(dataset, tmp_path, capsys):
+    rc = run_cli(["train", "--data", str(dataset), "--k", "4", "--seed", "5",
+                  "-T", "2", "--max-iters", "40"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert out.startswith("# numakmeans run report v1\n")
+    rep = parse_report(out)
+    assert rep["config"]["k"] == 4 and rep["iterations"]
+    # the same run as written to a file
+    assert deterministic_view(out) == deterministic_view(train(dataset, tmp_path, "file"))
+
+
 def test_saved_outputs_roundtrip(dataset, tmp_path):
     cpath = tmp_path / "c.knrm"
     apath = tmp_path / "a.knrm"

@@ -226,29 +226,59 @@ def test_initial_centroids_without_init_given_raise(rng, init):
         kmeans(m, EngineConfig(k=2, init=init, initial_centroids=m[:2]))
 
 
-def test_worker_errors_propagate_and_every_thread_ends(rng, monkeypatch):
-    # a pruned task raises inside a worker thread, mid-run
-    m = rng.normal(size=(4000, 4))
-    cfg = EngineConfig(k=5, seed=1, T=2, pruning=True, max_iters=10)
-    calls = []
-    scan = engine.scan_block
-
-    def failing_scan(*args):
-        calls.append(threading.current_thread().name)
-        if len(calls) == 3:
-            raise RuntimeError("third scan fails")
-        return scan(*args)
-
-    monkeypatch.setattr(engine, "scan_block", failing_scan)
+def assert_worker_error_ends_the_run(cfg, m, match):
+    """``kmeans(m, cfg)`` raises ``match`` from a worker thread, and every
+    worker has ended and the BLAS thread count is restored by then."""
     blas = distance._blas_threads()
     blas_before = blas[0]() if blas is not None else None
     threads_before = threading.active_count()
-    with pytest.raises(RuntimeError, match="third scan fails"):
+    with pytest.raises(RuntimeError, match=match):
         kmeans(m, cfg)
-    assert calls[2].startswith("kmeans-worker-")
     assert threading.active_count() == threads_before
     if blas is not None:
         assert blas[0]() == blas_before
+
+
+@pytest.mark.parametrize("name", ["scan_block", "nearest_block_into"])
+def test_worker_errors_propagate_and_every_thread_ends(monkeypatch, name):
+    # the pruned scan or the full pass raises inside a worker thread, mid-run;
+    # on separated clusters the scan runs in every iteration after the first
+    spec = SyntheticSpec("gaussian-mixture", 4000, 4, seed=7, k_true=5, separation=8.0)
+    m = gen_synthetic(spec)
+    cfg = EngineConfig(k=5, seed=1, T=2, pruning=True, max_iters=10, task_size=1000)
+    calls = []
+    inner = getattr(engine, name)
+
+    def failing(*args):
+        calls.append(threading.current_thread().name)
+        if len(calls) == 3:
+            raise RuntimeError("third call fails")
+        return inner(*args)
+
+    monkeypatch.setattr(engine, name, failing)
+    assert_worker_error_ends_the_run(cfg, m, "third call fails")
+    assert calls[2].startswith("kmeans-worker-")
+
+
+def test_lost_accumulator_count_raises_and_every_thread_ends(rng, monkeypatch):
+    # a merge that loses one count in iteration 1 must end the run, not
+    # finalize centroids from totals that miss a row
+    m = rng.normal(size=(600, 3))
+    cfg = EngineConfig(k=4, seed=1, T=2, pruning=False, max_iters=5, task_size=100)
+    merges = []
+    merge = engine.merge_accumulators
+
+    def lossy_merge(accs):
+        merged = merge(accs)
+        merges.append(threading.current_thread().name)
+        if len(merges) == 2:
+            merged.counts[0] -= 1
+        return merged
+
+    monkeypatch.setattr(engine, "merge_accumulators", lossy_merge)
+    assert_worker_error_ends_the_run(cfg, m,
+                                     "^iteration 1: accumulator counts sum to 599, expected 600$")
+    assert len(merges) == 2 and merges[1].startswith("kmeans-worker-")
 
 
 @pytest.mark.skipif(distance._blas_threads() is None,

@@ -256,39 +256,35 @@ def one_pass(rows, c, half, assign, upper, tight):
 
 def assert_scan_matches_scalar(rows, means, assign, upper, tight):
     """scan_block on the whole block equals scan_point row by row, and its
-    counters and lower bounds those of one pass; so does it with no bound
-    taken as exact (``tight`` None, as in memory), against a pass that
-    tightens every bound."""
+    counters and lower bounds those of one pass that tightens every bound.
+    ``tight`` marks the bounds that are already the recipe's distance: the
+    scalar scan keeps them, the block scan recomputes them to the same bits."""
     c = CentroidSet.from_means(means)
     half = half_distances(c.means)
     st = PointState(assignment=assign.copy(), upper=upper.copy(), tight=tight.copy())
     for i in range(len(rows)):
         scan_point(i, rows[i], c, half, st)
+    assert st.tight.all()
 
-    for exact in (tight, None):
-        want_counters, want_lower = one_pass(rows, c, half, assign, upper,
-                                             np.zeros_like(tight) if exact is None else exact)
-        a2, u2 = assign.copy(), upper.copy()
-        t2 = None if exact is None else exact.copy()
-        l2 = np.full(len(rows), np.nan, dtype=np.float32)
-        block_counters = PruneCounters()
-        orig = scan_block(rows, c, centroid_geometry(c), a2, u2, t2, block_counters, l2)
+    want_counters, want_lower = one_pass(rows, c, half, assign, upper, np.zeros_like(tight))
+    a2, u2 = assign.copy(), upper.copy()
+    l2 = np.full(len(rows), np.nan, dtype=np.float32)
+    block_counters = PruneCounters()
+    orig = scan_block(rows, c, centroid_geometry(c), a2, u2, block_counters, l2)
 
-        assert np.array_equal(orig, assign)
-        assert np.array_equal(a2, st.assignment)
-        assert np.array_equal(u2, st.upper)
-        assert t2 is None or t2.all()
-        assert l2.tobytes() == want_lower.tobytes()
-        assert block_counters == want_counters
-        work = block_counters.computed + block_counters.pruned_stale + block_counters.pruned_tight
-        loose = len(rows) if exact is None else np.count_nonzero(~exact)
-        assert work == loose + len(rows) * (c.k - 1)
+    assert np.array_equal(orig, assign)
+    assert np.array_equal(a2, st.assignment)
+    assert np.array_equal(u2, st.upper)
+    assert l2.tobytes() == want_lower.tobytes()
+    assert block_counters == want_counters
+    work = block_counters.computed + block_counters.pruned_stale + block_counters.pruned_tight
+    assert work == len(rows) * c.k
 
     # without lower bounds, as on disk, the scan does the same
-    a3, u3, t3 = assign.copy(), upper.copy(), tight.copy()
-    scan_block(rows, c, centroid_geometry(c), a3, u3, t3, PruneCounters())
+    a3, u3, c3 = assign.copy(), upper.copy(), PruneCounters()
+    scan_block(rows, c, centroid_geometry(c), a3, u3, c3)
     assert np.array_equal(a3, st.assignment) and np.array_equal(u3, st.upper)
-    assert st.tight.all()
+    assert c3 == want_counters
     return st.assignment
 
 
@@ -418,8 +414,8 @@ def test_scan_block_dense_task_runs_several_blocks(rng):
 
 
 def test_scan_block_runs_on_a_read_only_block(rng):
-    # a cache slot is handed to the scan read-only; every bound loose reads
-    # it in place, a partly loose block gathers from it
+    # a cache slot is handed to the scan read-only: the bounds read it in
+    # place, the candidates gather from it
     k, d, m = 9, 3, 500
     rows = rng.normal(size=(m, d)) * 3
     rows.flags.writeable = False
@@ -442,15 +438,13 @@ def test_scan_block_reads_the_geometry_it_is_given(rng):
     loose = rng.random(m) < 0.5
     exact = rowwise_distances(rows, c.means[assign])
     upper = np.where(loose, exact + rng.random(m), exact)
-    tight = ~loose
     counters = PruneCounters()
     a2 = assign.copy()
-    orig = scan_block(rows, c, geo, a2, upper, tight, counters)
+    orig = scan_block(rows, c, geo, a2, upper, counters)
     assert np.array_equal(orig, assign)
     assert np.array_equal(a2, assign)
     assert np.array_equal(upper, exact)
-    assert tight.all()
-    assert counters.computed == np.count_nonzero(loose)
+    assert counters.computed == m
     assert counters.pruned_stale + counters.pruned_tight == m * (k - 1)
 
 
@@ -488,10 +482,9 @@ def assert_dense_scan_scratch_is_bounded(rng, in_memory):
     geo = centroid_geometry(c)
     assign = rng.integers(0, k, size=m).astype(np.int32)
     upper = np.full(m, np.inf)
-    tight = None if in_memory else np.zeros(m, dtype=bool)
     lower = np.zeros(m, dtype=np.float32) if in_memory else None
     counters = PruneCounters()
-    peak = scan_peak(rows, c, geo, assign, upper, tight, counters, lower)
+    peak = scan_peak(rows, c, geo, assign, upper, counters, lower)
     assert counters.computed > m * k // 2
     # the row block plus one chunk's (rows x w) float64 scratch, w <= k - 1
     # the window's width
@@ -503,7 +496,7 @@ def test_scan_block_scratch_is_bounded_by_the_chunk(rng):
 
 
 def test_scan_block_scratch_with_lower_bounds_is_bounded_by_the_chunk(rng):
-    # as in memory: the scan also sets lower bounds and takes no bound as exact
+    # as in memory: the scan also sets lower bounds
     assert_dense_scan_scratch_is_bounded(rng, in_memory=True)
 
 
@@ -511,10 +504,10 @@ def test_scan_block_scratch_follows_the_window(rng):
     # every bound reaches only its partner, so the scan gathers (rows x w)
     # gaps with w <= 2, not a (rows x k) block
     m, d, k = 4096, 2, 64
-    rows, means, assign, upper, tight = paired_case(rng, m, d, k)
+    rows, means, assign, upper, _ = paired_case(rng, m, d, k)
     c = CentroidSet.from_means(means)
     counters = PruneCounters()
-    peak = scan_peak(rows, c, centroid_geometry(c), assign, upper, tight, counters)
+    peak = scan_peak(rows, c, centroid_geometry(c), assign, upper, counters)
     assert counters.computed > 0
     assert peak < m * k * 8 / 2
 
@@ -537,7 +530,7 @@ def test_inflate_lowers_the_lower_bounds_by_the_other_drift():
     lower = np.array([3.0, 0.0], dtype=np.float32)
     assign = np.array([0, 1], dtype=np.int32)
     drift = np.array([0.0, 0.25])
-    inflate_bounds(upper, None, assign, drift, lower, other_drift(drift))
+    inflate_bounds(upper, assign, drift, lower, other_drift(drift))
     # row 0 loses centroid 1's drift, row 1 nothing; both one float32 ulp
     down = np.float32(-np.inf)
     assert lower.tolist() == [np.nextafter(np.float32(2.75), down),
@@ -547,27 +540,16 @@ def test_inflate_lowers_the_lower_bounds_by_the_other_drift():
 
 def test_inflate_by_drift():
     upper = np.array([1.0, 2.0])
-    tight = np.array([True, True])
-    inflate_bounds(upper, tight, np.array([0, 1], dtype=np.int32), np.array([0.3, 0.0]))
-    # a grown bound is the sum one ulp up; a bound that did not grow is exact
+    inflate_bounds(upper, np.array([0, 1], dtype=np.int32), np.array([0.3, 0.0]))
+    # a grown bound is the sum one ulp up; a bound that did not grow keeps
+    # its bits
     assert upper.tolist() == [np.nextafter(1.0 + 0.3, np.inf), 2.0]
-    assert tight.tolist() == [False, True]
 
 
 def test_inflate_zero_drift_is_fixed_point():
     upper = np.array([1.0, 2.0])
-    tight = np.array([True, True])
-    inflate_bounds(upper, tight, np.zeros(2, dtype=np.int32), np.zeros(1))
+    inflate_bounds(upper, np.zeros(2, dtype=np.int32), np.zeros(1))
     assert upper.tolist() == [1.0, 2.0]
-    assert tight.all()
-
-
-def test_inflate_never_resurrects_stale_bounds():
-    # A bound loosened earlier must stay non-tight even when this round's
-    # drift is zero; treating it as exact would permit wrong reassignments.
-    tight = np.array([False])
-    inflate_bounds(np.array([5.0]), tight, np.zeros(1, dtype=np.int32), np.zeros(1))
-    assert not tight[0]
 
 
 def test_inflated_bounds_remain_valid_after_move(rng):
@@ -583,7 +565,7 @@ def test_inflated_bounds_remain_valid_after_move(rng):
     moved = means + rng.normal(size=(k, d)) * 0.1
     drift = np.array([naive_distance(moved[j], means[j]) for j in range(k)])
     c_next = CentroidSet(means=moved, prev_means=means, counts=c.counts, drift=drift)
-    inflate_bounds(upper, np.ones(n, dtype=bool), ids, c_next.drift)
+    inflate_bounds(upper, ids, c_next.drift)
     for i in range(n):
         true_d = naive_distance(rows[i], moved[ids[i]])
         assert upper[i] >= true_d - 1e-9
@@ -596,7 +578,7 @@ def task_engine(rows, means, assign):
     means = np.asarray(means, dtype=float)
     eng = engine._Engine(engine._MemorySource(np.asarray(rows, dtype=float)), EngineConfig(
         k=len(means), init="given", initial_centroids=means))
-    assert len(eng.tasks) == 1 and eng.tight is None
+    assert len(eng.tasks) == 1
     eng.assignment[:] = assign
     return eng
 
@@ -673,8 +655,8 @@ def test_pruned_run_matches_unpruned_every_iteration(family, n, d, k):
 def test_pruned_run_on_tiny_data_matches_unpruned(scale, prunes):
     # Below the margin's 2^-500 floor every gap is negative: nothing is
     # skipped or pruned, and the run must still be the unpruned one.  There
-    # the squared centroid moves underflow, so a drift of 0 must not keep a
-    # moved centroid's bounds tight.
+    # the squared centroid moves underflow, so a moved centroid's drift must
+    # not be 0: its points' bounds must still grow.
     spec = SyntheticSpec("gaussian-mixture", 2000, 4, seed=21, k_true=6, separation=8.0)
     m = gen_synthetic(spec) * scale
     (pruned, pruned_hist), (plain, plain_hist) = run_pair(m, 6, seed=4)
@@ -726,7 +708,7 @@ def test_exact_tie_goes_to_the_lower_id_every_iteration(case, mode, tmp_path):
 # The initial centroids average to exactly 0, the engine's shift, so the
 # means are exactly those.  In "candidate" centroid 0 moves in the update and
 # the row is scanned against its candidates; in "skip" it stays, and the
-# row's tight bound meets the point-skip test.
+# row's recomputed bound meets the point-skip test.
 NEAR_TIES = {
     "candidate": ([[1, 2], [2, 0], [3, 2], [0, 2], [0, 3], [0, 3], [20, -30], [-22, 24.5]],
                   [[2, 2], [20, -30], [-22, 24.5], [0, 3.5]]),

@@ -627,6 +627,24 @@ def test_elided_rows_generate_no_fetch(tmp_path):
     assert all(st.io is None for st in im.iterations)
 
 
+def test_pruning_on_disk_keeps_one_bound_per_row_and_the_gap_table(tmp_path):
+    # resident state beside an unpruned run: one float64 upper bound per row,
+    # the (k, k) gap table and its k row minima, and nothing else per row
+    n, d, k = 6000, 5, 7
+    spec = SyntheticSpec("gaussian-mixture", n, d, seed=29, k_true=k, separation=4.0)
+    path = tmp_path / "m.raw"
+    save_matrix(gen_synthetic(spec), path, raw=True)
+    peaks = {}
+    for pruning in (True, False):
+        cfg = EngineConfig(k=k, seed=2, T=2, task_size=500, max_iters=20, pruning=pruning,
+                           mode="sem")
+        with RowStore(path, n, d) as store:
+            res = kmeans_ondisk(store, cfg)
+        assert res.n_iterations > 2
+        peaks[pruning] = res.peak_state_bytes
+    assert peaks[True] - peaks[False] == 8 * n + 8 * (k * k + k)
+
+
 def test_requested_vs_read_fragmentation(tmp_path):
     spec = SyntheticSpec("gaussian-mixture", 2000, 8, seed=23, k_true=5, separation=2.0)
     m = gen_synthetic(spec)
