@@ -20,16 +20,15 @@ points cost neither distance work nor (out of core) any I/O.  Pruned and
 unpruned runs that assign alike thus hold bit-equal totals, centroids and
 WCSS at every iteration.
 
-A pruned run keeps one upper bound per point, and no flag that marks it
-exact: a survivor's bound is recomputed, which costs a distance more only
-where its centroid did not move.  In memory it also keeps one float32
-lower bound per point on its distance to every other centroid, so a point
-costs 16 bytes beside its row.  On disk the 4n bytes of lower bounds would
-add over a quarter to the resident state, so there a point is skipped by
-the gap table alone and costs 12 bytes.  Each pruned task first loosens its
-own rows' bounds by the last update's drift, so the barrier does O(k^2)
-work: merge, finalize, the gap table and the k-vector of drifts that the
-lower bounds lose.
+A pruned run keeps two float32 bounds per point, in memory and on disk
+alike: an upper bound on its distance to its centroid, rounded up, and a
+lower bound on its distance to every other centroid, rounded down, so a
+point costs 12 bytes beside its row.  No flag marks an upper bound exact: a
+survivor's bound is recomputed, which costs a distance more only where its
+centroid did not move.  Each pruned task first loosens its own rows' bounds
+by the last update's drift, so the barrier does O(k^2) work: merge,
+finalize, the gap table with its row minima rounded down to float32, and
+the k-vector of drifts that the lower bounds lose.
 
 The run's layout is fixed when the engine is built: the node of each
 worker, one task list split from the workers' row ranges, and each
@@ -41,8 +40,13 @@ worker that takes a pruned task also takes up to half of the tasks left
 behind it in the same partition (:meth:`PartitionedTaskQueue.follow`) and
 runs them in one pass, since each array call of a pass hands the
 interpreter lock to the other workers and back: one bound update and skip
-test for all their rows, then scans of whole tasks, in memory with up to a
-task's worth of survivors each and on disk one task each.  A full pass is
+test for all their rows, then scans of whole tasks with up to a task's
+worth of survivors each (or one task).  The skip test is float32 and has
+two parts.  A row whose bound is at most its centroid's smallest gap is
+neither fetched nor scanned; any other row is scanned unless its bound is
+at most its lower bound.  Out of core, just before a scan, its tasks fetch
+every row that the first part did not skip, so the reads and the rows a
+cache refresh keeps do not depend on the lower bounds.  A full pass is
 one :func:`nearest_block_into` call over the task's rows, whose kernels
 step in blocks of at most ``CHUNK_ELEMS`` elements.  Beside those blocks, a
 task's transient scratch scales with its rows: their ids and distances,
@@ -52,8 +56,8 @@ resident-state accounting covers the arrays the engine keeps alive across
 iterations.
 
 The barrier takes the row source's I/O counts for the iteration (``None`` in
-memory), adds the rows the point-skip test elided, and sums them into
-``io_totals``.  Per-iteration test oracles live in ``tests/conftest.py``.
+memory) and sums them into ``io_totals``.  Per-iteration test oracles live
+in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -74,7 +78,15 @@ from .centroids import (
 )
 from .distance import nearest_block_into, single_thread_blas
 from .matrix import check_matrix, partition_rows
-from .pruning import PruneCounters, centroid_geometry, inflate_bounds, other_drift, scan_block
+from .pruning import (
+    PruneCounters,
+    centroid_geometry,
+    f32_down,
+    f32_up,
+    inflate_bounds,
+    other_drift,
+    scan_block,
+)
 from .scheduler import POLICIES, PartitionedTaskQueue, bind_to_node, build_topology, split_tasks
 
 MODES = ("im", "sem")
@@ -123,7 +135,11 @@ class EngineConfig:
 
 @dataclass
 class IoDelta:
-    """I/O counters for one iteration (or totals for a run)."""
+    """I/O counters for one iteration (or totals for a run).
+
+    ``rows_elided`` counts the rows never requested: the point skip elided
+    them.
+    """
 
     bytes_requested: int = 0
     bytes_read: int = 0
@@ -196,8 +212,8 @@ class _MemorySource:
     def task_rows(self, task):
         return self.matrix[task.start:task.stop]
 
-    def rows_by_ids(self, task, ids):
-        return self.matrix[ids]
+    def rows_by_ids(self, tasks, fetch_ids, scan):
+        return self.matrix[fetch_ids[scan]]
 
     def finish_iteration(self, next_t):
         return None
@@ -228,16 +244,14 @@ class _Engine:
         self.k = self.centroids.k
         self.shift = self.centroids.means.mean(axis=0)
 
-        # per point: its centroid and, when pruning, an upper bound on its
-        # distance to it; in memory, a float32 lower bound on its distance to
-        # every other centroid (and per cluster what those lose in an update)
+        # per point: its centroid and, when pruning, float32 bounds on its
+        # distance to it (rounded up) and to every other centroid (rounded
+        # down); per pruned iteration, the tables of :meth:`_prune_tables`
         self.assignment = np.zeros(self.n, dtype=np.int32)
-        self.upper = np.full(self.n, np.inf) if cfg.pruning else None
-        in_memory = cfg.pruning and cfg.mode == "im"
-        self.lower = np.zeros(self.n, dtype=np.float32) if in_memory else None
-        self.lower_drift = np.zeros(self.k, dtype=np.float32) if in_memory else None
+        self.upper = np.full(self.n, np.inf, dtype=np.float32) if cfg.pruning else None
+        self.lower = np.zeros(self.n, dtype=np.float32) if cfg.pruning else None
         self.totals = Accumulator.zeros(self.k, self.d)
-        self.geometry = None
+        self.geometry = self.half_min = self.lower_drift = None
 
         self.task_results: list[_TaskResult | None] = [None] * len(self.tasks)
         self.iterations: list[IterationStats] = []
@@ -299,8 +313,7 @@ class _Engine:
             acc.move_rows(ids[changed], old[changed], rows[changed], self.shift)
         old[:] = ids
         if self.upper is not None:
-            self.upper[lo:hi] = ndist
-        if self.lower is not None:
+            self.upper[lo:hi] = f32_up(ndist)
             self.lower[lo:hi] = 0.0
         return _TaskResult(acc, int(changed.size), PruneCounters(computed=(hi - lo) * self.k))
 
@@ -310,43 +323,50 @@ class _Engine:
         lo, hi = tasks[0].start, tasks[-1].stop
         a = self.assignment[lo:hi]
         u = self.upper[lo:hi]
-        lw = None if self.lower is None else self.lower[lo:hi]
+        lw = self.lower[lo:hi]
         inflate_bounds(u, a, self.centroids.drift, lw, self.lower_drift)
-        # a row is skipped when its bound is at most half_min or its lower bound
-        bound = np.take(self.geometry.half_min, a)
-        if lw is not None:
-            np.maximum(bound, lw, out=bound)
-        surv = np.flatnonzero(u > bound)
+        # a row is fetched unless its bound is at most half_min, and scanned
+        # unless it is also at most its lower bound
+        fetch = u > np.take(self.half_min, a)
+        scan = u > lw
+        scan &= fetch
+        fetched = np.flatnonzero(fetch)
+        scanned = np.flatnonzero(scan)
+        scan = np.take(scan, fetched)
         # the pass's work is counted once, with the first task
         results = [_TaskResult(Accumulator.zeros(self.k, self.d), 0, PruneCounters())
                    for _ in tasks]
         counters = results[0].counters
-        counters.skips = a.size - surv.size
-        # task i's survivors are surv[ends[i]:ends[i + 1]].  In memory a scan
-        # takes whole tasks with at most a task's worth of survivors (or one
-        # task), which keeps its scratch that of one task; on disk it takes
-        # one task, whose rows the fetch reads through that task's cache slot
-        ends = [0, *np.searchsorted(surv, [t.stop - lo for t in tasks]).tolist()]
-        limit = self.cfg.task_size if self.cfg.mode == "im" else 0
-        for i, j in _task_groups(ends, limit):
-            sv = surv[ends[i]:ends[j]]
+        counters.skips = a.size - scanned.size
+        # task i's rows are fetched[fends[i]:fends[i + 1]], which scan marks,
+        # and scanned[ends[i]:ends[i + 1]].  A scan takes whole tasks with at
+        # most a task's worth of scanned rows (or one task), which keeps its
+        # scratch that of one task, and fetches their rows just before it
+        stops = [t.stop - lo for t in tasks]
+        ends = [0, *np.searchsorted(scanned, stops).tolist()]
+        fends = [0, *np.searchsorted(fetched, stops).tolist()]
+        for i, j in _task_groups(ends, self.cfg.task_size):
+            if fends[i] == fends[j]:
+                continue
+            sv = scanned[ends[i]:ends[j]]
+            rows = self.source.rows_by_ids(tasks[i:j], lo + fetched[fends[i]:fends[j]],
+                                           scan[fends[i]:fends[j]])
             if not sv.size:
                 continue
-            rows = self.source.rows_by_ids(tasks[i], lo + sv)
             a_s = a[sv]
             u_s = u[sv]
-            l_s = None if lw is None else lw[sv]
+            l_s = lw[sv]
             orig = scan_block(rows, self.centroids, self.geometry, a_s, u_s, counters, l_s)
             a[sv] = a_s
             u[sv] = u_s
-            if lw is not None:
-                lw[sv] = l_s
+            lw[sv] = l_s
             changed = np.flatnonzero(a_s != orig)
             cuts = np.searchsorted(changed, np.subtract(ends[i + 1:j], ends[i]))
             for res, c in zip(results[i:j], np.split(changed, cuts)):
                 res.reassigned = int(c.size)
                 if c.size:
                     res.acc.move_rows(a_s[c], orig[c], rows[c], self.shift)
+            del rows  # before the next group's fetch
         return results
 
     # ---- barrier action --------------------------------------------------
@@ -375,7 +395,6 @@ class _Engine:
 
         io = self.source.finish_iteration(t + 1)
         if io is not None:
-            io.rows_elided = counters.skips
             if self.io_totals is None:
                 self.io_totals = IoDelta()
             self.io_totals += io
@@ -402,9 +421,7 @@ class _Engine:
             # the tasks of iteration t + 1 loosen their bounds by this drift
             self.iter_t = t + 1
             if cfg.pruning:
-                self.geometry = centroid_geometry(new_centroids)
-            if self.lower is not None:
-                self.lower_drift = other_drift(new_centroids.drift)
+                self._prune_tables(new_centroids)
             self.task_results = [None] * len(self.tasks)
             self.queue.refill(self.tasks)
         # the barrier's own work is part of the iteration it ends
@@ -412,15 +429,22 @@ class _Engine:
         stats.wall_s = now - self._iter_start
         self._iter_start = now
 
+    def _prune_tables(self, c: CentroidSet) -> None:
+        """What the pruned tasks of the next iteration read beside their
+        bounds: the gap table, its row minima rounded down to float32 for
+        the point skip, and per cluster what the lower bounds lose."""
+        self.geometry = centroid_geometry(c)
+        self.half_min = f32_down(self.geometry.half_min)
+        self.lower_drift = other_drift(c.drift)
+
     def _track_state_bytes(self) -> None:
         total = self.source.state_bytes()
         total += self.assignment.nbytes + self.totals.state_bytes()
         if self.cfg.pruning:
-            total += self.upper.nbytes
-            if self.lower is not None:
-                total += self.lower.nbytes + self.lower_drift.nbytes
+            total += self.upper.nbytes + self.lower.nbytes
             if self.geometry is not None:
-                total += self.geometry.state_bytes()
+                total += (self.geometry.state_bytes() + self.half_min.nbytes
+                          + self.lower_drift.nbytes)
         total += self.centroids.state_bytes()
         for r in self.task_results:
             total += r.acc.state_bytes()

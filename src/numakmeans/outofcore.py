@@ -14,12 +14,13 @@ refreshed lazily on an exponential schedule, because rows that stay active
 tend to keep staying active.  The cache keeps one (ids, rows) slot per task:
 a task covers the same rows every iteration, so it searches only its own
 slot, and a refresh replaces each slot with that task's own fetch, made
-read-only.  In the steady state a task's survivors are its slot's ids, and
-the fetch returns the slot's rows themselves; other fetches copy their
-hits out of the slot.  In a kmeans++ run, the slots before the first
-refresh hold the rows that initialization pinned: each partition's lowest
-rows up to its share, read once, which kmeans++ reads in place rather than
-from disk once per centre.
+read-only.  A task fetches the rows that the point skip leaves, and the
+engine scans those the lower bounds leave too.  In the steady state the
+fetched ids are the slot's ids, and the fetch returns the slot's rows
+themselves; other fetches copy their hits out of the slot.  In a kmeans++
+run, the slots before the first refresh hold the rows that initialization
+pinned: each partition's lowest rows up to its share, read once, which
+kmeans++ reads in place rather than from disk once per centre.
 """
 
 from __future__ import annotations
@@ -195,14 +196,36 @@ class _DiskSource:
     def task_rows(self, task) -> np.ndarray:
         return self._fetch(task, np.arange(task.start, task.stop, dtype=np.int64))
 
-    def rows_by_ids(self, task, ids) -> np.ndarray:
-        return self._fetch(task, np.asarray(ids, dtype=np.int64))
+    def rows_by_ids(self, tasks, fetch_ids, scan) -> np.ndarray:
+        """The rows of the ascending ``fetch_ids`` that the mask ``scan`` marks.
+
+        Each task fetches its own share of ``fetch_ids`` through its cache
+        slot, and its marked rows are copied out before the next task
+        fetches; a lone task whose fetched rows are all marked hands its
+        fetch over as it is.
+        """
+        if len(tasks) == 1 and scan.all():
+            return self._fetch(tasks[0], fetch_ids)
+        cuts = np.searchsorted(fetch_ids, [task.stop for task in tasks]).tolist()
+        out = np.empty((int(np.count_nonzero(scan)), self.d))
+        f0 = s0 = 0
+        for task, f1 in zip(tasks, cuts):
+            if f1 > f0:
+                rows = self._fetch(task, fetch_ids[f0:f1])
+                pos = np.flatnonzero(scan[f0:f1])
+                np.take(rows, pos, axis=0, out=out[s0:s0 + pos.size], mode="clip")
+                del rows  # before the next task's fetch
+                s0 += pos.size
+            f0 = f1
+        return out
 
     def finish_iteration(self, next_t: int) -> IoDelta:
-        """This iteration's counts; a refresh iteration's slots become the cache."""
+        """This iteration's counts, with every row never requested counted as
+        elided; a refresh iteration's slots become the cache."""
         io = IoDelta()
         for local in self._io.values():
             io += local
+        io.rows_elided = self.n - io.bytes_requested // self.store.row_bytes
         if self._refresh:
             self.cache.rebuild({task.index: task.owner for task in self._io})
         self._io = {}

@@ -1,18 +1,22 @@
 """Triangle-inequality pruning with O(n) per-point state.
 
-The scheme keeps one upper bound per point on its distance to the assigned
-centroid, plus one k x k gap table between centroids, built once per
-iteration.  In memory it also keeps one float32 lower bound per point on its
-distance to every other centroid (Hamerly's bound, SDM 2010).  No flag marks
-an upper bound exact, in memory or on disk: each scanned row's bound is
-recomputed first, which costs a distance more only where the row's centroid
-did not move.  Four tests skip work without changing any assignment:
+The scheme keeps two float32 bounds per point, in memory and on disk alike:
+an upper bound on its distance to the assigned centroid, rounded up, and a
+lower bound on its distance to every other centroid (Hamerly's bound, SDM
+2010), rounded down; plus one k x k gap table between centroids, built once
+per iteration.  No flag marks an upper bound exact: each scanned row's
+bound is recomputed first, which costs a distance more only where the row's
+centroid did not move.  Four tests skip work without changing any
+assignment:
 
 * point skip: if the bound is at most the smallest gap in the assigned
-  centroid's row, no other centroid can beat it, so the whole point is
-  skipped (and in out-of-core mode its row is never read);
-* lower-bound skip (in memory): if the bound is at most the point's lower
-  bound, the point is skipped too;
+  centroid's row (rounded down to float32), no other centroid can beat it,
+  so the whole point is skipped (and in out-of-core mode its row is never
+  read);
+* lower-bound skip: if the bound is at most the point's lower bound, the
+  point is not scanned either.  Out of core its row is still fetched when
+  the point skip fails, so the reads and the rows a cache refresh keeps
+  are those of the point skip alone;
 * stale-bound candidate prune: a candidate centroid x is skipped when the
   bound (as carried over from the previous iteration) is at most the gap
   between the assigned centroid and x;
@@ -22,14 +26,13 @@ did not move.  Four tests skip work without changing any assignment:
 A gap is half a centroid-to-centroid distance, which is what makes the
 tests sound: d(v, x) >= d(a, x) - d(v, a), so d(v, a) <= d(a, x)/2
 guarantees d(v, x) >= d(v, a).  There is no lower bound matrix; memory
-stays O(n + k^2).  On disk the lower bounds are not kept: their 4n bytes
-would be over a quarter of the run's resident state there, beside a row
-cache, and they would change which rows are fetched.
+stays O(n + k^2), 8 bytes of bounds per point.
 
 Every test must hold for the distances as computed, not only for exact
 ones: a full pass gives an exact tie to the lower centroid id and takes a
 centroid one ulp closer by rounding.  So the table holds each half distance
-lowered by a rounding margin (derived at ``centroid_geometry``), each lower
+lowered by a rounding margin (derived at ``centroid_geometry``), each upper
+bound is rounded up to float32 (derived beside the margin), each lower
 bound is lowered by a margin of its own (derived at ``_lowered_f32``), a
 test that passes proves the candidate's computed distance strictly larger,
 and a row within the margin of a bound is scanned, where the recipe's
@@ -40,14 +43,15 @@ Each task loosens its own rows' bounds by the centroids' drift before its
 skip test (:func:`inflate_bounds`), so the work between iterations that
 falls on one thread is only the O(k^2) gap table.
 
-The rows that fail the point skip are scanned in one pass over whole blocks,
+The rows that fail both skips are scanned in one pass over whole blocks,
 not one pass per centroid: every candidate is tested against the row's
 assigned centroid with a handful of large array operations, and the
 surviving candidates are evaluated at once.  A row reads only the window
 of its centroid's gaps that the largest bound of the call can reach, w
 columns instead of k, and a block takes at most ``CHUNK_ELEMS`` (row,
-column) pairs, which caps its scratch whatever the task size.  The result
-and bounds are those of a sequential per-row scan, bit for bit; the
+column) pairs, which caps its scratch whatever the task size.  The scan
+decides in float64 and stores each bound as float32 at the end; the result
+and bounds are those of a sequential per-row scan, bit for bit, and the
 counters count the work the pass does.
 """
 
@@ -87,11 +91,17 @@ class CentroidGeometry:
 #   bounds what gradual underflow of the d squares (2^-1075 each) adds after
 #   the sqrt;
 # - gap: g^ = r(c_a, c_x) / 2 is within e*g + a of g = D(c_a, c_x) / 2;
-# - bound: a tightened u is r(v, c_a), so D(v, c_a) <= (1 + e) u + a.
-#   :func:`inflate_bounds` adds the recipe's drift and takes the sum one ulp
-#   up, so u never falls under u + drift: each update adds one more a (which
-#   also covers a subnormal sum, too small to take up) and no relative error;
+# - bound: a stored u is r(v, c_a) rounded up to float32 (+inf past its
+#   range), so D(v, c_a) <= (1 + e) u + a.  :func:`inflate_bounds` adds the
+#   recipe's drift o rounded up to float32, and the float32 sum, rounded to
+#   nearest, lies within half an ulp of the exact one (exact where it is
+#   subnormal), so one ulp up it is at least u + o; a sum past the range is
+#   +inf, which every test scans.  The centroid moves by D <= (1 + e) o + a,
+#   so each update adds one more a and no relative error, and rounding only
+#   ever raises u;
 # - test: the table's entry G = fl(fl(g^ (1 - m)) - A) takes two roundings.
+# - point skip: u <= fl32_down(min_x G), which is at most every G of row a
+#   (float32 and float64 compare exactly).
 # By the triangle inequality D(v, c_x) >= 2g - D(v, c_a), and both errors of r
 # then give r(v, c_x) > r(v, c_a) once D(v, c_a) < (1 - e) g - a.  With u <= G
 # that holds when m > 3e + eps = (3d + 16) eps / 4 and A covers the a's: m =
@@ -136,6 +146,37 @@ def _lowered_f32(low, d):
     return np.nextafter(f, np.float32(-np.inf), out=f)
 
 
+_INF_BITS = np.float32(np.inf).view(np.int32)
+
+
+def _step_up(f: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Move the float32 ``f``, each at least +0, one ulp up in place where
+    ``step`` is true.  Such values order as their bit patterns do as
+    integers, so one ulp up is the pattern plus one: the step of
+    ``np.nextafter``, subnormals included, at a fraction of its masked cost.
+    +inf plus one would be a NaN's pattern and is clamped back to +inf."""
+    bits = f.view(np.int32)
+    bits += step
+    np.minimum(bits, _INF_BITS, out=bits)
+    return f
+
+
+def f32_up(x: np.ndarray) -> np.ndarray:
+    """``x``, each at least 0, rounded up to float32: at least it, and +inf
+    past the range."""
+    with np.errstate(over="ignore"):
+        f = x.astype(np.float32)
+    return _step_up(f, f < x)
+
+
+def f32_down(x: np.ndarray) -> np.ndarray:
+    """``x`` rounded down to float32: at most it, and the largest finite
+    value past the range."""
+    with np.errstate(over="ignore"):
+        f = x.astype(np.float32)
+    return np.nextafter(f, np.float32(-np.inf), out=f, where=f > x)
+
+
 def centroid_geometry(c: CentroidSet) -> CentroidGeometry:
     """Exact centroid-to-centroid distances, halved once and lowered by the
     margin derived at ``_GAP_ABS``.
@@ -163,7 +204,7 @@ class PruneCounters:
     ``pruned_stale`` and ``pruned_tight``.
     """
 
-    skips: int = 0          # whole points skipped by a point-skip test
+    skips: int = 0          # points not scanned: skipped by the gap table or lower bound
     pruned_stale: int = 0   # candidates pruned by the carried-over bound
     pruned_tight: int = 0   # candidates pruned only after tightening
     computed: int = 0       # point-to-centroid distances actually evaluated
@@ -182,37 +223,35 @@ def other_drift(drift: np.ndarray) -> np.ndarray:
     top = int(np.argmax(drift))
     out = np.full(drift.size, drift[top])
     out[top] = np.max(np.delete(drift, top), initial=0.0)
-    with np.errstate(over="ignore"):
-        up = out.astype(np.float32)
-    return np.nextafter(up, np.float32(np.inf), out=up, where=up < out)
+    return f32_up(out)
 
 
 def inflate_bounds(upper: np.ndarray, assign: np.ndarray, drift: np.ndarray,
-                   lower: np.ndarray | None = None,
-                   lower_drift: np.ndarray | None = None) -> None:
-    """Loosen every bound ``upper[i]`` by the drift of its centroid
-    ``assign[i]`` after a centroid update, and lower ``lower[i]`` (when
-    given) by ``lower_drift[assign[i]]`` (:func:`other_drift`), in place.
+                   lower: np.ndarray, lower_drift: np.ndarray) -> None:
+    """Loosen every float32 bound ``upper[i]`` by the drift of its centroid
+    ``assign[i]`` after a centroid update, and lower ``lower[i]`` by
+    ``lower_drift[assign[i]]`` (:func:`other_drift`), in place.
 
-    A grown bound is taken one ulp up (times 1 + eps, at least one ulp above
-    a normal sum rounded to nearest), so it is never under the exact sum; a
-    bound whose centroid did not move keeps its bits.  No bound is taken as
-    exact afterwards: the scan recomputes every survivor's.  A lower bound
-    is taken one float32 ulp down after the subtraction, under the exact
-    difference, which lies within half an ulp of the rounded one.  The
-    update is elementwise, so a task may run it on its own slice.
+    A bound whose centroid moved gets the drift rounded up to float32, and
+    the sum is taken one float32 ulp up, so it is never under the exact sum
+    (the ulp step of ``np.nextafter`` moves a subnormal sum too, where a
+    factor 1 + eps would not); one whose centroid did not move keeps its
+    bits.  No bound is taken as exact afterwards: the scan recomputes every
+    survivor's.  A lower bound is taken one float32 ulp down after the
+    subtraction, under the exact difference, which lies within half an ulp
+    of the rounded one.  The update is elementwise, so a task may run it on
+    its own slice.
     """
-    if lower is not None:
-        lower -= np.take(lower_drift, assign)
-        np.nextafter(lower, np.float32(-np.inf), out=lower)
-    upper += np.take(drift, assign)
-    # 1 + eps where the bound grew and 1 elsewhere, gathered per centroid
-    upper *= np.take(np.where(drift > 0.0, 1.0 + np.finfo(np.float64).eps, 1.0), assign)
+    lower -= np.take(lower_drift, assign)
+    np.nextafter(lower, np.float32(-np.inf), out=lower)
+    with np.errstate(over="ignore"):
+        upper += np.take(f32_up(drift), assign)
+    _step_up(upper, np.take(drift > 0.0, assign))
 
 
 def scan_block(rows: np.ndarray, c: CentroidSet, geo: CentroidGeometry,
                assign: np.ndarray, upper: np.ndarray, counters: PruneCounters,
-               lower: np.ndarray | None = None):
+               lower: np.ndarray):
     """Reassign the non-skipped rows of one task in one pass over each block.
 
     Every bound is first tightened to the exact distance u to the row's
@@ -233,22 +272,23 @@ def scan_block(rows: np.ndarray, c: CentroidSet, geo: CentroidGeometry,
     gap, and a block holds at most ``CHUNK_ELEMS // w`` rows.  A row's
     candidates are thus the first columns of its window.
 
-    ``assign`` and ``upper`` are the survivors' slices; the arrays are
-    updated in place and ``counters`` accumulates the work done: every
-    (row, x != a) pair is either a computed candidate or pruned.  When
-    ``lower`` (the survivors' float32 slice) is given, each row's lower
-    bound on its distance to every centroid but its final one is set: the
-    smaller of the second smallest among u and its computed candidates'
-    distances (a multiset, so a tie keeps the bound at the row's final
-    distance) and 2 * (its smallest pruned gap) - u, lowered as
-    :func:`_lowered_f32` says.  Returns the survivors' original assignments
-    (before any reassignment).
+    ``assign``, ``upper`` and ``lower`` are the survivors' slices, the
+    bounds float32; the arrays are updated in place and ``counters``
+    accumulates the work done: every (row, x != a) pair is either a
+    computed candidate or pruned.  Every test and every distance is float64;
+    only the results are stored as float32.  Each row's upper bound is its
+    final distance rounded up, and its lower bound on its distance to every
+    centroid but its final one is the smaller of the second smallest among
+    u and its computed candidates' distances (a multiset, so a tie keeps the
+    bound at the row's final distance) and 2 * (its smallest pruned gap) -
+    u, lowered as :func:`_lowered_f32` says.  Returns the survivors'
+    original assignments (before any reassignment).
     """
     k = c.k
     orig = assign.copy()
-    stale = upper.copy()
-    upper[:] = _pair_distances(rows, None, c.means, orig)
-    counters.computed += upper.size
+    stale = upper.astype(np.float64)
+    dist = _pair_distances(rows, None, c.means, orig)
+    counters.computed += dist.size
     # row a's window is the first w of its gaps in ascending order, ranked[a],
     # whose ids are order[a] (equal gaps in any order: they are candidates
     # alike); reach[j], the smallest j-th gap of any row, is below bmax
@@ -256,13 +296,13 @@ def scan_block(rows: np.ndarray, c: CentroidSet, geo: CentroidGeometry,
     order = np.argsort(geo.gaps, axis=1)
     ranked = np.take(geo.gaps, order + np.arange(0, k * k, k)[:, None])
     reach = ranked.min(axis=0)
-    bmax = max(upper.max(initial=-np.inf), stale.max(initial=-np.inf))
+    bmax = max(dist.max(initial=-np.inf), stale.max(initial=-np.inf))
     w = max(1, int(np.searchsorted(reach, bmax)))
     window = np.ascontiguousarray(ranked[:, :w])
     step = max(1, CHUNK_ELEMS // w)
     for lo in range(0, rows.shape[0], step):
         og = orig[lo:lo + step]
-        u = upper[lo:lo + step]
+        u = dist[lo:lo + step]
         gap = np.take(window, og, axis=0)
         cand = gap < u[:, None]
         # every x != a is pruned by the carried bound too, unless its gap lies
@@ -277,15 +317,14 @@ def scan_block(rows: np.ndarray, c: CentroidSet, geo: CentroidGeometry,
         f += np.take(og.astype(np.intp) * k - np.arange(og.size) * w, r)
         x = np.take(order, f)
         del f
-        if lower is not None:
-            # a row's candidates are its first columns, so the next one holds
-            # its smallest pruned gap, in the window or beyond it; the bound
-            # is 2 * that gap - u, before any move
-            at = og * k
-            at += np.bincount(r, minlength=og.size)
-            low = np.take(ranked, at)
-            low *= 2.0
-            low -= u
+        # a row's candidates are its first columns, so the next one holds its
+        # smallest pruned gap, in the window or beyond it; the bound is
+        # 2 * that gap - u, before any move
+        at = og * k
+        at += np.bincount(r, minlength=og.size)
+        low = np.take(ranked, at)
+        low *= 2.0
+        low -= u
         dx = _pair_distances(rows, lo + r, c.means, x)
         counters.computed += int(r.size)
         counters.pruned_stale += n_stale
@@ -301,16 +340,16 @@ def scan_block(rows: np.ndarray, c: CentroidSet, geo: CentroidGeometry,
         moved = r[best]
         assign[lo + moved] = x[best]
         u[moved] = dx[best]
-        if lower is not None:
-            if r.size:
-                # the second smallest of u and the candidates' distances: the
-                # smallest candidate but a moved row's winner, or its old u
-                dx[best] = np.inf
-                first = np.flatnonzero(np.diff(r, prepend=-1))
-                rows_with = r[first]
-                low[rows_with] = np.minimum(low[rows_with], np.minimum.reduceat(dx, first))
-                low[moved] = np.minimum(low[moved], ur[best])
-            lower[lo:lo + step] = _lowered_f32(low, c.means.shape[1])
+        if r.size:
+            # the second smallest of u and the candidates' distances: the
+            # smallest candidate but a moved row's winner, or its old u
+            dx[best] = np.inf
+            first = np.flatnonzero(np.diff(r, prepend=-1))
+            rows_with = r[first]
+            low[rows_with] = np.minimum(low[rows_with], np.minimum.reduceat(dx, first))
+            low[moved] = np.minimum(low[moved], ur[best])
+        lower[lo:lo + step] = _lowered_f32(low, c.means.shape[1])
+    upper[:] = f32_up(dist)
     return orig
 
 

@@ -1,5 +1,6 @@
 import importlib.util
 import tracemalloc
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,11 +30,10 @@ from conftest import naive_distance, naive_lloyd, naive_nearest, run_with_histor
 # from the geometry under test, and lowers them by the rounding margin itself.
 @dataclass
 class PointState:
-    """Per-point assignment, distance upper bound, and bound tightness."""
+    """Per-point assignment and distance upper bound."""
 
     assignment: np.ndarray  # (n,) int32
-    upper: np.ndarray       # (n,) float64, >= distance to assigned centroid
-    tight: np.ndarray       # (n,) bool, True when upper is the exact distance
+    upper: np.ndarray       # (n,) float32, >= distance to assigned centroid
 
 
 def half_distances(means: np.ndarray) -> np.ndarray:
@@ -50,31 +50,36 @@ def can_skip_point(i: int, st: PointState, geo: CentroidGeometry) -> bool:
 
 
 def tighten_bound(i: int, v: np.ndarray, c: CentroidSet, st: PointState) -> float:
-    """Make the bound exact for point i; no-op (and no distance) while tight."""
-    if not st.tight[i]:
-        st.upper[i] = rowwise_distances(v[None, :], c.means[st.assignment[i]])[0]
-        st.tight[i] = True
-    return float(st.upper[i])
+    """The exact distance, as the recipe computes it, from point i to its
+    assigned centroid: what a scan decides by before it stores a bound."""
+    return float(rowwise_distances(v[None, :], c.means[st.assignment[i]])[0])
+
+
+def round_up_f32(x: float) -> np.float32:
+    """The float32 nearest x, one ulp up when that is below x; past
+    float32's range, +inf."""
+    with np.errstate(over="ignore"):
+        f = np.float32(x)
+    return np.nextafter(f, np.float32(np.inf)) if float(f) < x else f
 
 
 def scan_point(i: int, v: np.ndarray, c: CentroidSet, half: np.ndarray,
                st: PointState) -> tuple[int, PruneCounters]:
     """Reassign point i after it failed the point-skip test.
 
-    Tightens the bound once, then visits candidates in ascending id order,
+    Tightens the bound, then visits candidates in ascending id order,
     pruning each against half the gap to the current assignment and switching
     to a closer centroid, or to an equally close one with a lower id.  The
     original centroid is never revisited: its exact distance is the tightened
-    bound itself.  Returns the final id and the work counters.
+    bound itself.  Stores the final distance rounded up to float32.  Returns
+    the final id and the work counters.
     """
     counters = PruneCounters()
     stale = float(st.upper[i])
-    if not st.tight[i]:
-        counters.computed += 1
-    tighten_bound(i, v, c, st)
+    counters.computed += 1
     orig = int(st.assignment[i])
     cur = orig
-    u = float(st.upper[i])
+    u = tighten_bound(i, v, c, st)
     for x in range(c.k):
         if x == cur or x == orig:
             continue
@@ -91,8 +96,7 @@ def scan_point(i: int, v: np.ndarray, c: CentroidSet, half: np.ndarray,
             cur = x
             u = float(dx)
     st.assignment[i] = cur
-    st.upper[i] = u
-    st.tight[i] = True
+    st.upper[i] = round_up_f32(u)
     return cur, counters
 
 
@@ -106,8 +110,7 @@ def test_geometry_single_centroid_never_blocks_skip():
     assert geo.half_min[0] == np.inf
     st = PointState(
         assignment=np.zeros(1, dtype=np.int32),
-        upper=np.array([123.0]),
-        tight=np.array([True]),
+        upper=np.array([123.0], dtype=np.float32),
     )
     assert can_skip_point(0, st, geo)
 
@@ -152,7 +155,6 @@ def test_skip_test_is_inclusive():
     st = PointState(
         assignment=np.zeros(3, dtype=np.int32),
         upper=np.array([1.0, geo.half_min[0], 2.0]),
-        tight=np.array([True, True, True]),
     )
     assert can_skip_point(0, st, geo)       # u < bound
     assert can_skip_point(1, st, geo)       # u == bound: inclusive
@@ -164,12 +166,10 @@ def test_tighten_idempotent_and_exact(rng):
     v = rng.normal(size=4)
     st = PointState(
         assignment=np.array([2], dtype=np.int32),
-        upper=np.array([naive_distance(v, c.means[2]) + 0.5]),
-        tight=np.array([False]),
+        upper=np.array([naive_distance(v, c.means[2]) + 0.5], dtype=np.float32),
     )
     got = tighten_bound(0, v, c, st)
     assert got == pytest.approx(naive_distance(v, c.means[2]), rel=1e-12)
-    assert st.tight[0]
     again = tighten_bound(0, v, c, st)
     assert again == got
 
@@ -180,12 +180,11 @@ def test_scan_point_on_its_centroid_prunes_everything(rng):
     v = means[2].copy()
     st = PointState(
         assignment=np.array([2], dtype=np.int32),
-        upper=np.array([0.0]),
-        tight=np.array([True]),
+        upper=np.array([0.0], dtype=np.float32),
     )
     new_id, counters = scan_point(0, v, c, half_distances(c.means), st)
     assert new_id == 2
-    assert counters.computed == 0
+    assert counters.computed == 1  # the bound, recomputed
     assert counters.pruned_stale + counters.pruned_tight == 4
 
 
@@ -193,8 +192,7 @@ def test_scan_point_hand_trace():
     c = CentroidSet.from_means(np.array([[0.0], [6.0], [100.0]]))
     st = PointState(
         assignment=np.array([0], dtype=np.int32),
-        upper=np.array([5.0]),
-        tight=np.array([False]),
+        upper=np.array([5.0], dtype=np.float32),
     )
     v = np.array([5.0])
     new_id, counters = scan_point(0, v, c, half_distances(c.means), st)
@@ -202,7 +200,6 @@ def test_scan_point_hand_trace():
     # reassign); half(1,2)=47 >= 1 so centroid 2 is pruned.
     assert new_id == 1
     assert st.upper[0] == 1.0
-    assert st.tight[0]
     assert counters.computed == 2  # tighten + candidate 1
     assert counters.pruned_stale + counters.pruned_tight == 1
 
@@ -214,8 +211,8 @@ def round_down_f32(x: float) -> np.float32:
         return np.nextafter(np.float32(x), np.float32(-np.inf))
 
 
-def one_pass(rows, c, half, assign, upper, tight):
-    """The work of one pass, row by row: tighten a loose bound, then prune
+def one_pass(rows, c, half, assign, upper):
+    """The work of one pass, row by row: tighten the bound, then prune
     each x other than the assigned centroid against the tightened bound u,
     counting it stale when the carried bound prunes it too, or compute it.
     Also each row's lower bound: the smaller of the second smallest of u and
@@ -229,10 +226,8 @@ def one_pass(rows, c, half, assign, upper, tight):
         # the row's distance to each centroid, as the scan computes it
         recipe = rowwise_distances(np.broadcast_to(rows[i], c.means.shape), c.means)
         orig = int(assign[i])
-        stale = u = float(upper[i])
-        if not tight[i]:
-            u = recipe[orig]
-            counters.computed += 1
+        stale, u = float(upper[i]), recipe[orig]
+        counters.computed += 1
         dists, pruned_gap = [u], np.inf
         for x in range(c.k):
             if x == orig:
@@ -254,19 +249,20 @@ def one_pass(rows, c, half, assign, upper, tight):
     return counters, lower
 
 
-def assert_scan_matches_scalar(rows, means, assign, upper, tight):
+def assert_scan_matches_scalar(rows, means, assign, upper):
     """scan_block on the whole block equals scan_point row by row, and its
     counters and lower bounds those of one pass that tightens every bound.
-    ``tight`` marks the bounds that are already the recipe's distance: the
-    scalar scan keeps them, the block scan recomputes them to the same bits."""
+    ``upper`` holds valid bounds, stored as float32 rounded up as the engine
+    keeps them; both scans store their bounds that way too, and they are
+    compared bit for bit."""
+    upper = np.array([round_up_f32(x) for x in upper], dtype=np.float32)
     c = CentroidSet.from_means(means)
     half = half_distances(c.means)
-    st = PointState(assignment=assign.copy(), upper=upper.copy(), tight=tight.copy())
+    st = PointState(assignment=assign.copy(), upper=upper.copy())
     for i in range(len(rows)):
         scan_point(i, rows[i], c, half, st)
-    assert st.tight.all()
 
-    want_counters, want_lower = one_pass(rows, c, half, assign, upper, np.zeros_like(tight))
+    want_counters, want_lower = one_pass(rows, c, half, assign, upper)
     a2, u2 = assign.copy(), upper.copy()
     l2 = np.full(len(rows), np.nan, dtype=np.float32)
     block_counters = PruneCounters()
@@ -274,17 +270,11 @@ def assert_scan_matches_scalar(rows, means, assign, upper, tight):
 
     assert np.array_equal(orig, assign)
     assert np.array_equal(a2, st.assignment)
-    assert np.array_equal(u2, st.upper)
+    assert u2.tobytes() == st.upper.tobytes()
     assert l2.tobytes() == want_lower.tobytes()
     assert block_counters == want_counters
     work = block_counters.computed + block_counters.pruned_stale + block_counters.pruned_tight
     assert work == len(rows) * c.k
-
-    # without lower bounds, as on disk, the scan does the same
-    a3, u3, c3 = assign.copy(), upper.copy(), PruneCounters()
-    scan_block(rows, c, centroid_geometry(c), a3, u3, c3)
-    assert np.array_equal(a3, st.assignment) and np.array_equal(u3, st.upper)
-    assert c3 == want_counters
     return st.assignment
 
 
@@ -298,10 +288,9 @@ def test_scan_block_matches_scalar_scan(rng):
         assign = rng.integers(0, k, size=m).astype(np.int32)
         true_d = np.array([naive_distance(rows[i], means[assign[i]]) for i in range(m)])
         upper = true_d + rng.random(m)  # valid, possibly loose bounds
-        tight = upper == true_d
-        assert_scan_matches_scalar(rows, means, assign, upper, tight)
+        assert_scan_matches_scalar(rows, means, assign, upper)
 
-    # k up to 70, with loose, tight and mixed bounds
+    # k up to 70, with loose, exact and mixed bounds
     for k in (33, 64, 70):
         means = rng.normal(size=(k, 4)) * 3
         rows = rng.normal(size=(300, 4)) * 3
@@ -309,7 +298,7 @@ def test_scan_block_matches_scalar_scan(rng):
         exact = rowwise_distances(rows, means[assign])
         for loose in (np.ones(300, bool), np.zeros(300, bool), rng.random(300) < 0.5):
             upper = np.where(loose, exact + rng.random(300), exact)
-            assert_scan_matches_scalar(rows, means, assign, upper, ~loose)
+            assert_scan_matches_scalar(rows, means, assign, upper)
 
     # centroids on a line, every row assigned to the first: most rows switch
     # many times within one scan
@@ -319,13 +308,12 @@ def test_scan_block_matches_scalar_scan(rng):
     rows = np.zeros((200, 2))
     rows[:, 0] = rng.uniform(0, 10.0 * k, 200)
     assign = np.zeros(200, dtype=np.int32)
-    final = assert_scan_matches_scalar(rows, means, assign,
-                                       rowwise_distances(rows, means[assign]), np.ones(200, bool))
+    final = assert_scan_matches_scalar(rows, means, assign, rowwise_distances(rows, means[assign]))
     assert np.count_nonzero(final >= 2) > 100  # each of them switched at least twice
 
     # duplicate centroids (zero half-distance) and integer rows and means,
     # for exact ties of distances with the bounds and between candidates;
-    # bounds tight, loose by whole units, or below the exact distance (as
+    # bounds exact, loose by whole units, or below the exact distance (as
     # rounding can leave a carried bound)
     for trial in range(10):
         k = int(rng.integers(2, 40))
@@ -335,13 +323,11 @@ def test_scan_block_matches_scalar_scan(rng):
         assign = rng.integers(0, k, size=200).astype(np.int32)
         offset = rng.choice([-0.5, 0.0, 0.0, 1.0, 2.0], size=200)
         upper = rowwise_distances(rows, means[assign]) + offset
-        assert_scan_matches_scalar(rows, means, assign, upper, offset == 0.0)
+        assert_scan_matches_scalar(rows, means, assign, upper)
 
     # an empty block
     means = rng.normal(size=(5, 3))
-    empty = np.zeros(0)
-    assert_scan_matches_scalar(np.zeros((0, 3)), means, np.zeros(0, dtype=np.int32),
-                               empty, empty.astype(bool))
+    assert_scan_matches_scalar(np.zeros((0, 3)), means, np.zeros(0, dtype=np.int32), np.zeros(0))
 
     # a task longer than CHUNK_ELEMS // k rows; its bounds need not reach
     # every gap, so it may still fit in one block of the narrower window
@@ -352,12 +338,12 @@ def test_scan_block_matches_scalar_scan(rng):
     means = centers[np.arange(k) % 16] + rng.normal(size=(k, 3))
     assign = rng.integers(0, k, size=m).astype(np.int32)
     upper = rowwise_distances(rows, means[assign]) + rng.random(m)
-    assert_scan_matches_scalar(rows, means, assign, upper, np.zeros(m, bool))
+    assert_scan_matches_scalar(rows, means, assign, upper)
 
 
 def paired_case(rng, m, d, k=64):
     """Rows around k/2 far-apart pairs of close centroids, each row assigned
-    to one of its pair, with tight or loose bounds: no bound reaches past
+    to one of its pair, with exact or loose bounds: no bound reaches past
     the partner.  The ids are shuffled, so partners are not neighbours."""
     pairs = np.zeros((k // 2, d))
     pairs[:, 0] = 100.0 * np.arange(k // 2)
@@ -373,7 +359,7 @@ def paired_case(rng, m, d, k=64):
     loose = rng.random(m) < 0.5
     exact = rowwise_distances(rows, means[assign])
     upper = np.where(loose, exact + rng.random(m), exact)
-    return rows, means, assign, upper, ~loose
+    return rows, means, assign, upper
 
 
 def window_width(means, upper, rows, assign):
@@ -384,19 +370,18 @@ def window_width(means, upper, rows, assign):
 
 
 def test_scan_block_window_of_paired_centroids(rng):
-    rows, means, assign, upper, tight = paired_case(rng, 3000, 3)
+    rows, means, assign, upper = paired_case(rng, 3000, 3)
     assert window_width(means, upper, rows, assign) <= 2
-    final = assert_scan_matches_scalar(rows, means, assign, upper, tight)
+    final = assert_scan_matches_scalar(rows, means, assign, upper)
     assert np.count_nonzero(final != assign) > 100  # rows switch to the partner
 
 
 @pytest.mark.parametrize("far", [1e300, np.inf])
 def test_scan_block_one_far_bound_widens_the_window(rng, far):
-    rows, means, assign, upper, tight = paired_case(rng, 3000, 3)
-    upper[17] = far
-    tight[17] = False
+    rows, means, assign, upper = paired_case(rng, 3000, 3)
+    upper[17] = far  # 1e300 is stored as float32's +inf, as inf is
     assert window_width(means, upper, rows, assign) == len(means) - 1
-    assert_scan_matches_scalar(rows, means, assign, upper, tight)
+    assert_scan_matches_scalar(rows, means, assign, upper)
 
 
 def test_scan_block_dense_task_runs_several_blocks(rng):
@@ -410,7 +395,7 @@ def test_scan_block_dense_task_runs_several_blocks(rng):
     upper = rowwise_distances(rows, means[assign]) + rng.random(m)
     upper[0] += 100.0
     assert window_width(means, upper, rows, assign) == k - 1
-    assert_scan_matches_scalar(rows, means, assign, upper, np.zeros(m, bool))
+    assert_scan_matches_scalar(rows, means, assign, upper)
 
 
 def test_scan_block_runs_on_a_read_only_block(rng):
@@ -424,7 +409,7 @@ def test_scan_block_runs_on_a_read_only_block(rng):
     exact = rowwise_distances(rows, means[assign])
     for loose in (np.ones(m, bool), rng.random(m) < 0.5):
         upper = np.where(loose, exact + rng.random(m), exact)
-        assert_scan_matches_scalar(rows, means, assign, upper, ~loose)
+        assert_scan_matches_scalar(rows, means, assign, upper)
 
 
 def test_scan_block_reads_the_geometry_it_is_given(rng):
@@ -437,13 +422,13 @@ def test_scan_block_reads_the_geometry_it_is_given(rng):
     assign = rng.integers(0, k, size=m).astype(np.int32)
     loose = rng.random(m) < 0.5
     exact = rowwise_distances(rows, c.means[assign])
-    upper = np.where(loose, exact + rng.random(m), exact)
+    upper = np.where(loose, exact + rng.random(m), exact).astype(np.float32)
     counters = PruneCounters()
     a2 = assign.copy()
-    orig = scan_block(rows, c, geo, a2, upper, counters)
+    orig = scan_block(rows, c, geo, a2, upper, counters, np.zeros(m, dtype=np.float32))
     assert np.array_equal(orig, assign)
     assert np.array_equal(a2, assign)
-    assert np.array_equal(upper, exact)
+    assert upper.tobytes() == np.array([round_up_f32(x) for x in exact], np.float32).tobytes()
     assert counters.computed == m
     assert counters.pruned_stale + counters.pruned_tight == m * (k - 1)
 
@@ -460,7 +445,7 @@ def test_scan_block_near_ties_on_small_integer_grids():
         assign = r.integers(0, k, size=40).astype(np.int32)
         offset = r.choice([0.0, 0.0, 1.0], size=40)
         upper = rowwise_distances(rows, means[assign]) + offset
-        assert_scan_matches_scalar(rows, means, assign, upper, offset == 0.0)
+        assert_scan_matches_scalar(rows, means, assign, upper)
 
 
 def scan_peak(*args):
@@ -473,16 +458,17 @@ def scan_peak(*args):
         tracemalloc.stop()
 
 
-def assert_dense_scan_scratch_is_bounded(rng, in_memory):
+def test_scan_block_scratch_is_bounded_by_the_chunk(rng):
     # random rows and centroids: nearly every pair is a candidate, the worst
-    # case for the candidate index and distance arrays
+    # case for the candidate index and distance arrays; the scan also sets
+    # lower bounds
     m, d, k = 20000, 16, 64
     rows = rng.normal(size=(m, d))
     c = CentroidSet.from_means(rng.normal(size=(k, d)))
     geo = centroid_geometry(c)
     assign = rng.integers(0, k, size=m).astype(np.int32)
-    upper = np.full(m, np.inf)
-    lower = np.zeros(m, dtype=np.float32) if in_memory else None
+    upper = np.full(m, np.inf, dtype=np.float32)
+    lower = np.zeros(m, dtype=np.float32)
     counters = PruneCounters()
     peak = scan_peak(rows, c, geo, assign, upper, counters, lower)
     assert counters.computed > m * k // 2
@@ -491,23 +477,15 @@ def assert_dense_scan_scratch_is_bounded(rng, in_memory):
     assert peak <= 4 * (rows.nbytes + 8 * CHUNK_ELEMS)
 
 
-def test_scan_block_scratch_is_bounded_by_the_chunk(rng):
-    assert_dense_scan_scratch_is_bounded(rng, in_memory=False)
-
-
-def test_scan_block_scratch_with_lower_bounds_is_bounded_by_the_chunk(rng):
-    # as in memory: the scan also sets lower bounds
-    assert_dense_scan_scratch_is_bounded(rng, in_memory=True)
-
-
 def test_scan_block_scratch_follows_the_window(rng):
     # every bound reaches only its partner, so the scan gathers (rows x w)
     # gaps with w <= 2, not a (rows x k) block
     m, d, k = 4096, 2, 64
-    rows, means, assign, upper, _ = paired_case(rng, m, d, k)
+    rows, means, assign, upper = paired_case(rng, m, d, k)
     c = CentroidSet.from_means(means)
     counters = PruneCounters()
-    peak = scan_peak(rows, c, centroid_geometry(c), assign, upper, counters)
+    peak = scan_peak(rows, c, centroid_geometry(c), assign, upper.astype(np.float32), counters,
+                     np.zeros(m, dtype=np.float32))
     assert counters.computed > 0
     assert peak < m * k * 8 / 2
 
@@ -525,31 +503,48 @@ def test_other_drift_is_the_largest_other_drift_rounded_up():
     assert other_drift(np.array([0.5])).tolist() == [0.0]
 
 
-def test_inflate_lowers_the_lower_bounds_by_the_other_drift():
-    upper = np.array([1.0, 2.0])
-    lower = np.array([3.0, 0.0], dtype=np.float32)
-    assign = np.array([0, 1], dtype=np.int32)
-    drift = np.array([0.0, 0.25])
+def inflate(upper, assign, drift, lower=None):
+    """inflate_bounds on float32 copies of the bounds, lower bounds 0 when
+    not given; returns both."""
+    upper = np.array(upper, dtype=np.float32)
+    lower = np.zeros(upper.size, np.float32) if lower is None else np.array(lower, np.float32)
     inflate_bounds(upper, assign, drift, lower, other_drift(drift))
+    return upper, lower
+
+
+def test_inflate_lowers_the_lower_bounds_by_the_other_drift():
+    assign = np.array([0, 1], dtype=np.int32)
+    upper, lower = inflate([1.0, 2.0], assign, np.array([0.0, 0.25]), [3.0, 0.0])
     # row 0 loses centroid 1's drift, row 1 nothing; both one float32 ulp
     down = np.float32(-np.inf)
     assert lower.tolist() == [np.nextafter(np.float32(2.75), down),
                               np.nextafter(np.float32(0.0), down)]
-    assert upper.tolist() == [1.0, np.nextafter(2.25, np.inf)]
+    assert upper.tolist() == [1.0, np.nextafter(np.float32(2.25), np.float32(np.inf))]
 
 
 def test_inflate_by_drift():
-    upper = np.array([1.0, 2.0])
-    inflate_bounds(upper, np.array([0, 1], dtype=np.int32), np.array([0.3, 0.0]))
-    # a grown bound is the sum one ulp up; a bound that did not grow keeps
-    # its bits
-    assert upper.tolist() == [np.nextafter(1.0 + 0.3, np.inf), 2.0]
+    upper, _ = inflate([1.0, 2.0], np.array([0, 1], dtype=np.int32), np.array([0.3, 0.0]))
+    # a grown bound is the float32 sum with the drift rounded up, one float32
+    # ulp up; a bound that did not grow keeps its bits
+    step = round_up_f32(0.3)
+    assert float(step) > 0.3
+    assert upper.tolist() == [np.nextafter(np.float32(1.0) + step, np.float32(np.inf)), 2.0]
 
 
 def test_inflate_zero_drift_is_fixed_point():
-    upper = np.array([1.0, 2.0])
-    inflate_bounds(upper, np.zeros(2, dtype=np.int32), np.zeros(1))
+    upper, _ = inflate([1.0, 2.0], np.zeros(2, dtype=np.int32), np.zeros(1))
     assert upper.tolist() == [1.0, 2.0]
+
+
+def test_inflate_moves_subnormal_and_saturates_past_the_float32_range():
+    # a drift far under float32's smallest subnormal still grows a
+    # subnormal bound by at least that subnormal, and one ulp more; a sum
+    # past the range is +inf, and an infinite bound stays so
+    tiny = np.float32(1e-45)
+    upper, _ = inflate([tiny, 3e38, np.inf], np.array([0, 1, 2], dtype=np.int32),
+                       np.array([1e-300, 1e38, 1.0]))
+    assert upper[0] > tiny + round_up_f32(1e-300) > tiny
+    assert upper.tolist()[1:] == [np.inf, np.inf]
 
 
 def test_inflated_bounds_remain_valid_after_move(rng):
@@ -561,11 +556,11 @@ def test_inflated_bounds_remain_valid_after_move(rng):
     from numakmeans.distance import nearest_centroid
 
     ids, dist = nearest_centroid(rows, c.means)
-    upper = dist.copy()
+    upper = np.array([round_up_f32(x) for x in dist], dtype=np.float32)
     moved = means + rng.normal(size=(k, d)) * 0.1
     drift = np.array([naive_distance(moved[j], means[j]) for j in range(k)])
     c_next = CentroidSet(means=moved, prev_means=means, counts=c.counts, drift=drift)
-    inflate_bounds(upper, ids, c_next.drift)
+    upper, _ = inflate(upper, ids, c_next.drift)
     for i in range(n):
         true_d = naive_distance(rows[i], moved[ids[i]])
         assert upper[i] >= true_d - 1e-9
@@ -590,8 +585,7 @@ def run_task(eng, means):
     means = np.asarray(means, dtype=float)
     eng.centroids = CentroidSet(means=means, prev_means=prev, counts=eng.centroids.counts,
                                 drift=rowwise_distances(means, prev))
-    eng.geometry = centroid_geometry(eng.centroids)
-    eng.lower_drift = other_drift(eng.centroids.drift)
+    eng._prune_tables(eng.centroids)
     return eng._task_pruned(eng.tasks)[0].counters
 
 
@@ -665,6 +659,39 @@ def test_pruned_run_on_tiny_data_matches_unpruned(scale, prunes):
         assert np.array_equal(a, b)
     avoided = sum(s.skips + s.pruned_stale + s.pruned_tight for s in pruned.iterations)
     assert (avoided > 0) == prunes
+
+
+@pytest.mark.parametrize("scale", [1e45, 1e-50])
+def test_distances_past_float32_range_keep_runs_exact(scale, tmp_path):
+    # At 1e45 every distance exceeds float32's range: each upper bound is
+    # stored as +inf, so every row is scanned in every iteration.  At 1e-50
+    # every distance is below float32's smallest subnormal: each upper bound
+    # is that subnormal, above the float32 gaps (0) and the lower bounds
+    # (one subnormal under 0), so every row is scanned too.  The scan still
+    # prunes candidates in float64, and no cast or sum may warn.
+    n, d, k = 2000, 4, 6
+    m = gen_synthetic(SyntheticSpec("gaussian-mixture", n, d, seed=21, k_true=k,
+                                    separation=8.0)) * scale
+    path = tmp_path / "m.raw"
+    save_matrix(m, path, raw=True)
+    base = dict(k=k, seed=4, T=2, task_size=300, max_iters=40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pruned, pruned_hist = run_with_history(kmeans, m, EngineConfig(pruning=True, **base),
+                                               validate_bounds=True)
+        plain, plain_hist = run_with_history(kmeans, m, EngineConfig(pruning=False, **base))
+        with RowStore(path, n, d) as store:
+            sem, sem_hist = run_with_history(kmeans_ondisk, store,
+                                             EngineConfig(mode="sem", **base), refresh_start=2)
+    assert pruned.n_iterations == plain.n_iterations == sem.n_iterations > 3
+    for a, b, c in zip(pruned_hist, plain_hist, sem_hist):
+        assert np.array_equal(a, b) and np.array_equal(a, c)
+    assert pruned.centroids.means.tobytes() == plain.centroids.means.tobytes()
+    assert sem.centroids.means.tobytes() == plain.centroids.means.tobytes()
+    for run in (pruned, sem):
+        assert all(st.skips == 0 for st in run.iterations)
+        assert sum(st.pruned_stale + st.pruned_tight for st in run.iterations) > 0
+    assert all(st.io.rows_elided == 0 for st in sem.iterations)
 
 
 # After iteration 0 the last row is exactly as far from centroid 0 as from

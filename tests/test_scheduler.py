@@ -269,14 +269,34 @@ def test_straggler_partition_fully_drained_by_thieves():
     assert not premature
 
 
+def drain_in_order(q, T, seed):
+    """Workers drain the queue on one thread, in a seeded order of requests:
+    each worker gets a speed, and each request comes from a worker still
+    working, drawn by speed.  Returns the dispensed task lists."""
+    r = random.Random(seed)
+    speed = [r.uniform(0.5, 1.5) for _ in range(T)]
+    working = list(range(T))
+    out = [[] for _ in range(T)]
+    while working:
+        w = r.choices(working, weights=[speed[v] for v in working])[0]
+        task = q.next_task(w)
+        if task is None:
+            working.remove(w)
+        else:
+            out[w].append(task)
+    return out
+
+
 def test_numa_policy_prefers_same_node_steals_under_skew():
-    # one loaded partition per node: thieves should hit their own node first
+    # one loaded partition per node: thieves should hit their own node first;
+    # a scripted request order keeps the counts off the host's thread timing
     T, trials = 4, 20
     same_total = remote_total = 0
     for trial in range(trials):
         q = filled(T, 2, [range(0, 600), range(600, 600), range(600, 1200), range(1200, 1200)],
                    2, "numa")
-        drain_concurrently(q, T, stall_prob=0.01, seed=trial)
+        out = drain_in_order(q, T, seed=trial)
+        assert sum(len(o) for o in out) == 600 and q.remaining() == 0
         _, same, remote = q.counter_totals()
         same_total += same
         remote_total += remote

@@ -397,7 +397,7 @@ def test_cache_slots_are_read_only(tmp_path):
         source = _DiskSource(store, 1, True, 1000 * 64, 1)
         source.finish_iteration(1)  # iteration 1 refreshes
         ids = np.arange(0, 3000, 2)
-        rows = source.rows_by_ids(task, ids)
+        rows = source.rows_by_ids([task], ids, np.ones(ids.size, bool))
         source.finish_iteration(2)
         cached_ids, cached = source.cache.slot(0)
         assert cached_ids.tolist() == ids[:1000].tolist()  # trimmed to capacity
@@ -405,7 +405,33 @@ def test_cache_slots_are_read_only(tmp_path):
             with pytest.raises(ValueError, match="read-only"):
                 block[0, 0] = 1.0
         # the next fetch of exactly the slot is the slot itself
-        assert source.rows_by_ids(task, cached_ids) is cached
+        assert source.rows_by_ids([task], cached_ids, np.ones(cached_ids.size, bool)) is cached
+
+
+def test_fetch_follows_the_fetch_ids_and_returns_the_scanned_rows(tmp_path):
+    # two tasks in one call: each fetches its own share of the fetch ids
+    # through its slot, and only the rows marked for the scan come back
+    m = gen_synthetic(SyntheticSpec("uniform", 3000, 8, seed=5))
+    path = tmp_path / "sub.raw"
+    save_matrix(m, path, raw=True)
+    tasks = [Task(start=0, stop=1500, owner=0, index=0),
+             Task(start=1500, stop=3000, owner=0, index=1)]
+    fetch_ids = np.arange(0, 3000, 3)
+    scan = (fetch_ids % 2 == 0) & (fetch_ids != 1500)
+    with RowStore(path, 3000, 8) as store:
+        source = _DiskSource(store, 1, True, 3000 * 64, 1)
+        source.finish_iteration(1)  # iteration 1 refreshes
+        rows = source.rows_by_ids(tasks, fetch_ids, scan)
+        assert np.array_equal(rows, m[fetch_ids[scan]])
+        io = source.finish_iteration(2)
+        assert io.bytes_requested == fetch_ids.size * 64
+        assert io.rows_elided == 3000 - fetch_ids.size
+        # each task's slot holds its whole fetch, not only the scanned rows
+        assert source.cache.slot(0)[0].tolist() == fetch_ids[fetch_ids < 1500].tolist()
+        assert source.cache.slot(1)[0].tolist() == fetch_ids[fetch_ids >= 1500].tolist()
+        # a task with nothing to scan still fetches
+        assert source.rows_by_ids(tasks, fetch_ids, np.zeros_like(scan)).shape == (0, 8)
+        assert source.finish_iteration(3).cache_hits == fetch_ids.size
 
 
 def test_pruned_runs_on_read_only_slots(tmp_path, monkeypatch):
@@ -417,8 +443,8 @@ def test_pruned_runs_on_read_only_slots(tmp_path, monkeypatch):
     seen = []
     fetch = _DiskSource.rows_by_ids
 
-    def spy(self, task, ids):
-        rows = fetch(self, task, ids)
+    def spy(self, tasks, fetch_ids, scan):
+        rows = fetch(self, tasks, fetch_ids, scan)
         seen.append(rows.flags.writeable)
         return rows
 
@@ -615,9 +641,11 @@ def test_elided_rows_generate_no_fetch(tmp_path):
                                 refresh_start=1)
         for st in res.iterations:
             io = st.io
-            assert io.rows_elided == st.skips
-            # requested bytes exactly cover the non-elided rows
-            assert io.bytes_requested == (1600 - st.skips) * 64
+            # the gap test elides rows from the fetch; the lower bounds skip
+            # more rows from the scan, but not from the fetch
+            assert io.rows_elided <= st.skips
+            assert io.bytes_requested == (1600 - io.rows_elided) * 64
+        assert any(st.io.rows_elided < st.skips for st in res.iterations)
         # the run's totals are the per-iteration counts summed
         for f in fields(IoDelta):
             assert getattr(res.io_totals, f.name) == \
@@ -627,22 +655,38 @@ def test_elided_rows_generate_no_fetch(tmp_path):
     assert all(st.io is None for st in im.iterations)
 
 
-def test_pruning_on_disk_keeps_one_bound_per_row_and_the_gap_table(tmp_path):
-    # resident state beside an unpruned run: one float64 upper bound per row,
-    # the (k, k) gap table and its k row minima, and nothing else per row
+def pruned_state_overhead(mode, tmp_path):
+    """Peak resident state of a pruned run less that of an unpruned one."""
     n, d, k = 6000, 5, 7
     spec = SyntheticSpec("gaussian-mixture", n, d, seed=29, k_true=k, separation=4.0)
+    m = gen_synthetic(spec)
     path = tmp_path / "m.raw"
-    save_matrix(gen_synthetic(spec), path, raw=True)
+    save_matrix(m, path, raw=True)
     peaks = {}
     for pruning in (True, False):
         cfg = EngineConfig(k=k, seed=2, T=2, task_size=500, max_iters=20, pruning=pruning,
-                           mode="sem")
-        with RowStore(path, n, d) as store:
-            res = kmeans_ondisk(store, cfg)
+                           mode=mode)
+        if mode == "im":
+            res = kmeans(m, cfg)
+        else:
+            with RowStore(path, n, d) as store:
+                res = kmeans_ondisk(store, cfg)
         assert res.n_iterations > 2
         peaks[pruning] = res.peak_state_bytes
-    assert peaks[True] - peaks[False] == 8 * n + 8 * (k * k + k)
+    # per row two float32 bounds; the (k, k) gap table and its k row minima
+    # in float64, the minima again in float32 for the point skip and the
+    # float32 k-vector of other drifts; nothing else
+    return peaks[True] - peaks[False], 8 * n + 8 * (k * k + k) + 4 * k + 4 * k
+
+
+def test_pruning_on_disk_keeps_one_bound_per_row_and_the_gap_table(tmp_path):
+    got, want = pruned_state_overhead("sem", tmp_path)
+    assert got == want
+
+
+def test_pruning_in_memory_keeps_the_on_disk_bound_state(tmp_path):
+    got, want = pruned_state_overhead("im", tmp_path)
+    assert got == want
 
 
 def test_requested_vs_read_fragmentation(tmp_path):
