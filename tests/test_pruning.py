@@ -458,10 +458,10 @@ def scan_peak(*args):
         tracemalloc.stop()
 
 
-def test_scan_block_scratch_is_bounded_by_the_chunk(rng):
-    # random rows and centroids: nearly every pair is a candidate, the worst
-    # case for the candidate index and distance arrays; the scan also sets
-    # lower bounds
+def dense_scan(rng):
+    """scan_block on random rows and centroids with no carried bounds:
+    nearly every pair is a candidate, the worst case for the candidate index
+    and distance arrays.  Returns (rows, means, assign, lower, counters, peak)."""
     m, d, k = 20000, 16, 64
     rows = rng.normal(size=(m, d))
     c = CentroidSet.from_means(rng.normal(size=(k, d)))
@@ -471,10 +471,28 @@ def test_scan_block_scratch_is_bounded_by_the_chunk(rng):
     lower = np.zeros(m, dtype=np.float32)
     counters = PruneCounters()
     peak = scan_peak(rows, c, geo, assign, upper, counters, lower)
+    return rows, c.means, assign, lower, counters, peak
+
+
+def test_scan_block_scratch_is_bounded_by_the_chunk(rng):
+    rows, means, _, _, counters, peak = dense_scan(rng)
+    m, k = rows.shape[0], means.shape[0]
     assert counters.computed > m * k // 2
     # the row block plus one chunk's (rows x w) float64 scratch, w <= k - 1
     # the window's width
     assert peak <= 4 * (rows.nbytes + 8 * CHUNK_ELEMS)
+
+
+def test_scan_block_scratch_with_lower_bounds_is_bounded_by_the_chunk(rng):
+    # the scan sets every row's lower bound within the same scratch: each
+    # bound holds for every centroid but the row's final one, and the dense
+    # case leaves most of them above zero
+    rows, means, assign, lower, _, peak = dense_scan(rng)
+    assert peak <= 4 * (rows.nbytes + 8 * CHUNK_ELEMS)
+    dist = np.stack([np.linalg.norm(rows - mu, axis=1) for mu in means], axis=1)
+    dist[np.arange(rows.shape[0]), assign] = np.inf
+    assert np.all(lower.astype(np.float64) <= dist.min(axis=1))
+    assert np.count_nonzero(lower > 0) > rows.shape[0] // 2
 
 
 def test_scan_block_scratch_follows_the_window(rng):
