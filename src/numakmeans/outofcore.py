@@ -9,18 +9,20 @@ groups the rows to fetch into coalesced page runs, and one
 ``RowStore.read_rows`` call reads each run and views it as rows, so rows need
 not align with pages.  Every row read from the file is checked finite each
 time it is read; rows served from the cache are not checked again.
-A partitioned row cache pins active rows in memory at row granularity and is
-refreshed lazily on an exponential schedule, because rows that stay active
-tend to keep staying active.  The cache keeps one (ids, rows) slot per task:
-a task covers the same rows every iteration, so it searches only its own
-slot, and a refresh replaces each slot with that task's own fetch, made
-read-only.  A task fetches the rows that the point skip leaves, and the
-engine scans those the lower bounds leave too.  In the steady state the
-fetched ids are the slot's ids, and the fetch returns the slot's rows
-themselves; other fetches copy their hits out of the slot.  In a kmeans++
-run, the slots before the first refresh hold the rows that initialization
-pinned: each partition's lowest rows up to its share, read once, which
-kmeans++ reads in place rather than from disk once per centre.
+A row cache pins active rows in memory at row granularity and is refreshed
+lazily on an exponential schedule, because rows that stay active tend to
+keep staying active.  The cache keeps one (ids, rows) slot per task: a task
+covers the same rows every iteration, so it searches only its own slot.
+Each task has a fixed quota, its rows' share of the capacity, and a refresh
+replaces each slot with that task's own fetch, made read-only and cut to
+the quota's head, so the cache never holds more than its capacity.  A task
+fetches the rows that the point skip leaves, and the engine scans those the
+lower bounds leave too.  In the steady state the fetched ids are the slot's
+ids, and the fetch returns the slot's rows themselves; other fetches copy
+their hits out of the slot.  In a kmeans++ run, the slots before the first
+refresh hold the rows that initialization pinned: each task's head up to
+its quota, read once, which kmeans++ reads in place rather than from disk
+once per centre.
 """
 
 from __future__ import annotations
@@ -101,23 +103,23 @@ def fetch_rows(store: RowStore, ids: np.ndarray,
 
 
 class RowCache:
-    """Partitioned row cache kept as one ``(ids, rows)`` slot per task.
+    """Row cache kept as one ``(ids, rows)`` slot per task, each within a quota.
 
     The task layout is fixed for a run, so task i covers the same rows every
-    iteration and looks up only ``slot(i)``.  A refresh iteration's fetches
-    replace their tasks' slots; :meth:`rebuild` then trims each partition to
-    an equal share of the byte capacity, admitted in ascending id order.
+    iteration and looks up only ``slot(i)``.  A task's quota is its rows'
+    share of the capacity, so the quotas sum to at most the capacity, and
+    each is at least its task's length when all n rows fit.  A refresh
+    iteration's fetches replace their tasks' slots through :meth:`store`;
+    :meth:`rebuild` then drops the slots of the tasks that did not fetch.
     """
 
-    def __init__(self, n_partitions: int, capacity_bytes: int, row_bytes: int):
-        if n_partitions < 1:
-            raise ValueError("need at least one partition")
+    def __init__(self, n: int, capacity_bytes: int, row_bytes: int):
         if capacity_bytes < 0:
             raise ValueError("capacity must be >= 0")
-        self.n_partitions = n_partitions
+        self.n = n
         self.capacity_bytes = capacity_bytes
         self.row_bytes = row_bytes
-        self.rows_per_partition = (capacity_bytes // n_partitions) // row_bytes
+        self.capacity_rows = capacity_bytes // row_bytes
         self.slots: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._empty = (np.empty(0, dtype=np.int64), np.empty((0, row_bytes // 8)))
 
@@ -127,35 +129,23 @@ class RowCache:
     def cached_bytes(self) -> int:
         return sum(ids.size for ids, _ in self.slots.values()) * self.row_bytes
 
-    def admit(self, sizes: list[tuple[int, int]]) -> list[int]:
-        """Rows kept of each (partition, size) block, taken in order: each
-        partition keeps rows until it holds ``rows_per_partition``."""
-        room = [self.rows_per_partition] * self.n_partitions
-        kept = []
-        for part, size in sizes:
-            kept.append(min(size, room[part]))
-            room[part] -= kept[-1]
-        return kept
+    def quota(self, task) -> int:
+        return self.capacity_rows * (task.stop - task.start) // self.n
 
-    def rebuild(self, owners: dict[int, int]) -> None:
-        """Keep the slots of ``owners`` (task index -> partition), drop the rest.
+    def store(self, task, ids: np.ndarray, rows: np.ndarray) -> None:
+        """Make ``rows``, read-only from now on, the task's slot; one over
+        the task's quota leaves a read-only copy of its head instead."""
+        # a slot is handed out as it is, so nothing may write through it
+        rows.flags.writeable = False
+        keep = self.quota(task)
+        if ids.size > keep:
+            ids, rows = ids[:keep].copy(), rows[:keep].copy()
+            rows.flags.writeable = False
+        self.slots[task.index] = ids, rows
 
-        In task order, i.e. ascending ids, each partition keeps rows as
-        :meth:`admit` says; a slot cut short keeps a read-only copy of its
-        head.
-        """
-        order = sorted(owners)
-        kept = self.admit([(owners[i], self.slots[i][0].size) for i in order])
-        slots = {}
-        for index, keep in zip(order, kept):
-            ids, rows = self.slots[index]
-            if keep == ids.size:
-                slots[index] = ids, rows
-            elif keep:
-                head = rows[:keep].copy()
-                head.flags.writeable = False
-                slots[index] = ids[:keep].copy(), head
-        self.slots = slots
+    def rebuild(self, fetched) -> None:
+        """Keep the slots of the task indices ``fetched``, drop the rest."""
+        self.slots = {index: self.slots[index] for index in fetched}
 
 
 def should_refresh(iteration: int, start: int) -> bool:
@@ -170,13 +160,13 @@ def should_refresh(iteration: int, start: int) -> bool:
 class _DiskSource:
     """Engine row source backed by a RowStore, cache, and I/O accounting."""
 
-    def __init__(self, store: RowStore, T: int, cache_enabled: bool,
+    def __init__(self, store: RowStore, cache_enabled: bool,
                  cache_capacity: int, refresh_start: int):
         self.store = store
         self.n, self.d = store.n, store.d
         self.refresh_start = refresh_start
         self.cache = (
-            RowCache(T, cache_capacity, store.row_bytes) if cache_enabled else None
+            RowCache(store.n, cache_capacity, store.row_bytes) if cache_enabled else None
         )
         # A task fetches at most once per iteration, and alone writes its
         # counts here and, in a refresh iteration, its cache slot.
@@ -188,9 +178,7 @@ class _DiskSource:
         slot = None if self.cache is None else self.cache.slot(task.index)
         rows = fetch_rows(self.store, ids, slot, local)
         if self._refresh:
-            # a slot is handed out as it is, so nothing may write through it
-            rows.flags.writeable = False
-            self.cache.slots[task.index] = ids, rows
+            self.cache.store(task, ids, rows)
         return rows
 
     def task_rows(self, task) -> np.ndarray:
@@ -227,9 +215,9 @@ class _DiskSource:
             io += local
         io.rows_elided = self.n - io.bytes_requested // self.store.row_bytes
         if self._refresh:
-            self.cache.rebuild({task.index: task.owner for task in self._io})
+            self.cache.rebuild(task.index for task in self._io)
         self._io = {}
-        self._refresh = (self.cache is not None and self.cache.rows_per_partition > 0
+        self._refresh = (self.cache is not None and self.cache.capacity_rows > 0
                          and should_refresh(next_t, self.refresh_start))
         return io
 
@@ -243,17 +231,15 @@ class _DiskSource:
         # and stay out of the per-iteration I/O report and the run totals.
         if self.cache is None or cfg.init != "kmeanspp":
             return _init_from_store(self.store, cfg, ranges)
-        # kmeans++ reads every row once per centre, so read once the rows the
-        # cache would admit from a fetch of every row: each task's admitted
-        # head, in one read-only array of its own, is the task's slot until
-        # its fetch in the first refresh replaces it.
-        kept = self.cache.admit([(task.owner, task.stop - task.start) for task in tasks])
+        # kmeans++ reads every row once per centre, so read once each task's
+        # head up to its quota, in one read-only array of its own: the
+        # task's slot until its fetch in the first refresh replaces it.
         try:
-            for task, keep in zip(tasks, kept):
-                if keep:
-                    stop = task.start + keep
-                    self.cache.slots[task.index] = (np.arange(task.start, stop, dtype=np.int64),
-                                                    self.store.read_rows(task.start, stop)[0])
+            for task in tasks:
+                stop = min(task.start + self.cache.quota(task), task.stop)
+                if stop > task.start:
+                    self.cache.store(task, np.arange(task.start, stop, dtype=np.int64),
+                                     self.store.read_rows(task.start, stop)[0])
         except MatrixFormatError:
             # the pins read in task order, not kmeans++'s: let the uncached
             # init raise, for the lowest range's bad row
@@ -304,14 +290,15 @@ def kmeans_ondisk(store: RowStore, cfg: EngineConfig, *,
 
     Produces exactly the same per-iteration assignments as the in-memory
     engine on the same configuration; with pruning enabled, rows skipped by
-    the point-skip test are never read.  The row cache, when enabled, starts
-    a kmeans++ run with the rows initialization read (up to
-    ``cache_capacity`` bytes), any other run empty, and is
-    refreshed at the iterations where ``should_refresh(t, refresh_start)``.
+    the point-skip test are never read.  The row cache, when enabled, never
+    holds more than ``cache_capacity`` bytes: each task keeps at most its
+    rows' share of it.  It starts a kmeans++ run with each task's head that
+    initialization read, any other run empty, and is refreshed at the
+    iterations where ``should_refresh(t, refresh_start)``.
     """
     if cfg.mode != "sem":
         raise ValueError("kmeans_ondisk() runs in sem mode; set cfg.mode='sem'")
     if refresh_start < 1:
         raise ValueError("refresh_start must be >= 1")
-    source = _DiskSource(store, cfg.T, cache_enabled, cache_capacity, refresh_start)
+    source = _DiskSource(store, cache_enabled, cache_capacity, refresh_start)
     return _Engine(source, cfg).run()

@@ -6,6 +6,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from numakmeans.engine import EngineConfig, IoDelta, kmeans
 from numakmeans.matrix import (
@@ -245,39 +247,48 @@ def _published(cache):
     return ids, rows
 
 
-@pytest.mark.parametrize("partitions, capacity, message", [
-    (0, 1024, "need at least one partition"),
-    (2, -1, "capacity must be >= 0"),
-])
-def test_row_cache_rejects_no_partitions_and_a_negative_capacity(partitions, capacity, message):
-    with pytest.raises(ValueError, match=message):
-        RowCache(partitions, capacity, 64)
+def test_row_cache_rejects_a_negative_capacity():
+    with pytest.raises(ValueError, match="capacity must be >= 0"):
+        RowCache(2, -1, 64)
 
 
-def test_cache_rebuild_truncates_by_ascending_id(rng):
+def test_cache_keeps_each_fetch_within_its_quota(rng):
     rows = rng.normal(size=(6, 8))
-    # tasks 0 and 1 belong to partition 0, tasks 2 and 3 to partition 1
-    fetched = {0: (np.array([1]), rows[2:3]), 1: (np.array([5, 9]), rows[0:2]),
-               2: (np.array([20, 30, 40]), rows[3:6])}
-    owners = {0: 0, 1: 0, 2: 1}
-    for reverse in (False, True):  # slots handed over in either completion order
-        order = sorted(fetched, reverse=reverse)
-        cache = RowCache(n_partitions=2, capacity_bytes=4 * 64, row_bytes=64)
-        assert cache.rows_per_partition == 2
-        # task 3 holds a slot from an earlier refresh and fetched nothing since
-        cache.slots[3] = (np.array([50, 60]), rng.normal(size=(2, 8)))
-        for index in order:
-            cache.slots[index] = fetched[index]
-        cache.rebuild({index: owners[index] for index in order})
-        ids, cached = _published(cache)
-        assert ids.tolist() == [1, 5, 20, 30]
+    tasks = [Task(0, 10, 0, 0), Task(10, 20, 0, 1), Task(20, 40, 1, 2), Task(40, 80, 1, 3)]
+    cache = RowCache(n=80, capacity_bytes=8 * 64, row_bytes=64)
+    assert [cache.quota(task) for task in tasks] == [1, 1, 2, 4]
+    # task 3 holds a slot from an earlier refresh and fetched nothing since
+    cache.slots[3] = (np.array([50, 60]), rng.normal(size=(2, 8)))
+    fetched = {0: (np.array([1]), rows[2:3]), 1: (np.array([15, 19]), rows[0:2]),
+               2: (np.array([20, 30, 35]), rows[3:6])}
+    for index in (2, 0, 1):  # fetches stored in any completion order
+        cache.store(tasks[index], *fetched[index])
         assert cache.cached_bytes() <= cache.capacity_bytes
-        assert np.array_equal(cached[0], rows[2])
-        assert cached.tobytes() == rows[[2, 0, 3, 4]].tobytes()
-        assert 3 not in cache.slots
-        # a whole slot is kept as fetched; a trimmed one owns a copy of its head
-        assert cache.slots[0][1] is fetched[0][1]
-        assert cache.slots[1][1].base is None and cache.slots[2][1].base is None
+    cache.rebuild([2, 0, 1])
+    assert sorted(cache.slots) == [0, 1, 2]
+    ids, cached = _published(cache)
+    assert ids.tolist() == [1, 15, 20, 30]
+    assert cached.tobytes() == rows[[2, 0, 3, 4]].tobytes()
+    # a fetch within its quota is kept as fetched; one over it keeps a copy
+    # of its head, and every slot and every fetch stored from is read-only
+    assert cache.slots[0][1] is fetched[0][1]
+    assert cache.slots[1][1].base is None and cache.slots[2][1].base is None
+    for _, block in list(cache.slots.values()) + list(fetched.values()):
+        assert not block.flags.writeable
+
+
+@given(n=st.integers(1, 5000), T=st.integers(1, 8), task_size=st.integers(1, 3000),
+       capacity_bytes=st.integers(0, 50_000), row_bytes=st.sampled_from([8, 24, 64]))
+@settings(max_examples=200, deadline=None)
+def test_quotas_share_the_capacity_and_cover_a_fitting_file(n, T, task_size, capacity_bytes,
+                                                            row_bytes):
+    cache = RowCache(n, capacity_bytes, row_bytes)
+    tasks = split_tasks(partition_rows(n, T), task_size)
+    quotas = [cache.quota(task) for task in tasks]
+    assert sum(quotas) <= capacity_bytes // row_bytes
+    if capacity_bytes >= n * row_bytes:
+        # a fitting file is cached whole, so kmeans++ reads it once per run
+        assert all(q >= task.stop - task.start for q, task in zip(quotas, tasks))
 
 
 def test_fetch_through_partly_filled_cache(tmp_path):
@@ -288,12 +299,12 @@ def test_fetch_through_partly_filled_cache(tmp_path):
     ids = np.array([0, 5, 10, 11, 100, 200, 250, 300, 400, 511])
     with RowStore(path, 512, 8) as store:
         plain = fetch_rows(store, ids)
-    cache = RowCache(n_partitions=1, capacity_bytes=512 * 64, row_bytes=64)
+    cache = RowCache(n=512, capacity_bytes=512 * 64, row_bytes=64)
     cache.slots[0] = (np.array([10, 11, 200, 300]), m[[10, 11, 200, 300]])
-    cache.rebuild({0: 0})
+    cache.rebuild([0])
     # misses 0, 5 | 100 | 250 | 400 | 511 sit on pages 0, 1, 3, 6, 7; page 4
     # holds only the cached row 300 and must not be read
-    for slot, hits, pages in ((cache.slot(0), 4, 5), (RowCache(2, 0, 64).slot(0), 0, 6)):
+    for slot, hits, pages in ((cache.slot(0), 4, 5), (RowCache(512, 0, 64).slot(0), 0, 6)):
         stats = IoDelta()
         store = CountingStore(path, 512, 8)
         rows = fetch_rows(store, ids, slot, stats)
@@ -394,13 +405,13 @@ def test_cache_slots_are_read_only(tmp_path):
     save_matrix(m, path, raw=True)
     task = Task(start=0, stop=3000, owner=0, index=0)
     with RowStore(path, 3000, 8) as store:
-        source = _DiskSource(store, 1, True, 1000 * 64, 1)
+        source = _DiskSource(store, True, 1000 * 64, 1)
         source.finish_iteration(1)  # iteration 1 refreshes
         ids = np.arange(0, 3000, 2)
         rows = source.rows_by_ids([task], ids, np.ones(ids.size, bool))
         source.finish_iteration(2)
         cached_ids, cached = source.cache.slot(0)
-        assert cached_ids.tolist() == ids[:1000].tolist()  # trimmed to capacity
+        assert cached_ids.tolist() == ids[:1000].tolist()  # trimmed to the quota
         for block in (rows, cached):
             with pytest.raises(ValueError, match="read-only"):
                 block[0, 0] = 1.0
@@ -419,7 +430,7 @@ def test_fetch_follows_the_fetch_ids_and_returns_the_scanned_rows(tmp_path):
     fetch_ids = np.arange(0, 3000, 3)
     scan = (fetch_ids % 2 == 0) & (fetch_ids != 1500)
     with RowStore(path, 3000, 8) as store:
-        source = _DiskSource(store, 1, True, 3000 * 64, 1)
+        source = _DiskSource(store, True, 3000 * 64, 1)
         source.finish_iteration(1)  # iteration 1 refreshes
         rows = source.rows_by_ids(tasks, fetch_ids, scan)
         assert np.array_equal(rows, m[fetch_ids[scan]])
@@ -505,9 +516,10 @@ def test_sem_rejects_non_finite_rows(tmp_path, bad):
 def test_kmeanspp_error_names_the_lowest_bad_row_and_joins_its_threads(tmp_path):
     cases = [
         # cache off; on at the default capacity, which pins every row; and
-        # on with 750 rows a partition, which pins rows 0..749 and 1500..2249
+        # on with a quota of 750 rows for each of the two tasks, which pins
+        # rows 0..749 and 1500..2249
         ([700, 2300], [dict(cache_enabled=False), {}, dict(cache_capacity=2 * 750 * 4 * 8)]),
-        # 500 rows a partition pin rows 0..499 and 1500..1999: row 1600 is
+        # quotas of 500 rows pin rows 0..499 and 1500..1999: row 1600 is
         # pinned and row 700 is not
         ([700, 1600], [dict(cache_capacity=2 * 500 * 4 * 8)]),
     ]
@@ -745,7 +757,7 @@ def test_quarter_capacity_hit_rate_tracks_stable_active_rows(tmp_path):
     with RowStore(path, n, d) as store:
         res = kmeans_ondisk(store, cfg, cache_capacity=capacity,
                             refresh_start=5)
-    cached_rows = (capacity // 2) // (d * 8) * 2  # per-partition shares
+    cached_rows = capacity // (d * 8)  # the task quotas sum to at most this
     post = [st for st in res.iterations if st.t > 5]
     assert post
     for st in post:
@@ -828,11 +840,13 @@ def test_pinned_rows_give_the_in_memory_results(tmp_path, monkeypatch, d, T, tas
         assert np.array_equal(a, b)
     assert np.array_equal(sem.centroids.means, im.centroids.means)
 
-    # each partition's lowest rows up to its share, one array per task
+    # each task's head up to its quota, its rows' share of the capacity,
+    # one array per task
     (slots,) = pinned
-    per_part = capacity // T // (d * 8)
-    want = np.concatenate([np.arange(r.start, r.start + min(len(r), per_part))
-                           for r in partition_rows(n, T)])
+    cap_rows = capacity // (d * 8)
+    heads = [(t.start, t.stop - t.start) for t in split_tasks(partition_rows(n, T), task_size)]
+    want = np.concatenate([np.arange(lo, lo + min(size, cap_rows * size // n))
+                           for lo, size in heads])
     assert np.array_equal(np.concatenate([ids for ids, _ in slots.values()]), want)
     assert (want.size == n) == (share == 1)
     for ids, rows in slots.values():
@@ -864,7 +878,7 @@ def test_init_reads_a_fitting_file_once_and_iteration_0_reads_nothing(tmp_path, 
         for cache_enabled, capacity, pins in ((True, DEFAULT_CACHE_BYTES, n),
                                               (True, 0, 0), (False, DEFAULT_CACHE_BYTES, 0)):
             read.clear()
-            source = _DiskSource(store, T, cache_enabled, capacity, 5)
+            source = _DiskSource(store, cache_enabled, capacity, 5)
             source.init_centroids(cfg, ranges, tasks)
             held = 0 if source.cache is None else source.cache.cached_bytes()
             assert held == pins * d * 8
@@ -897,7 +911,7 @@ def test_init_pins_rows_only_for_kmeanspp(tmp_path, init):
                        initial_centroids=given)
     ranges = partition_rows(n, 2)
     with RowStore(path, n, d) as store:
-        source = _DiskSource(store, 2, True, DEFAULT_CACHE_BYTES, 5)
+        source = _DiskSource(store, True, DEFAULT_CACHE_BYTES, 5)
         source.init_centroids(cfg, ranges, split_tasks(ranges, cfg.task_size))
         assert source.cache.slots == {}
         res = kmeans_ondisk(store, cfg)
@@ -972,6 +986,27 @@ def test_cache_costs_its_rows_plus_one_task(traced_runs):
     # every row pinned in init, then refreshes at iterations 1, 3, 7 and 15
     assert len(sizes) == 3 * 5 and sizes[0] == data_bytes
     assert dropped == [True] * 3
+
+
+@pytest.mark.parametrize("share", [8, 4])
+def test_cache_below_the_survivors_stays_within_its_capacity(traced_runs, monkeypatch, share):
+    runs, off, data_bytes = traced_runs
+    capacity = data_bytes // share
+    held = []  # the cache's bytes after each fetch
+    fetch = _DiskSource._fetch
+
+    def spy(self, task, ids):
+        rows = fetch(self, task, ids)
+        held.append(self.cache.cached_bytes())
+        return rows
+
+    monkeypatch.setattr(_DiskSource, "_fetch", spy)
+    peaks, sizes, _ = runs(cache_capacity=capacity)
+    # after init's pins, every fetch and every rebuild
+    assert held and sizes and max(held + sizes) <= capacity
+    # the cache at its capacity, plus one 8192-row task fetched while the
+    # slot it replaces is still held
+    assert min(peaks) - off <= capacity + 8192 * 16 * 8
 
 
 def test_zero_capacity_cache_collects_nothing(traced_runs):
